@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .config import config_to_json, load_config
+from .config import load_config
 from .engine import checkpoint, export_regret_curve, resume, run_algorithm
-from .envs import make_env
+from .envs import derived_rng, make_env
 from .errors import ConfigError, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
 from .hparams import HParamSearchSpec, hparam_search
@@ -50,8 +50,6 @@ def _cmd_run(args) -> int:
             f"epoch {entry.epoch} | sum_regret {entry.sum_regret:.6g} | "
             f"train_steps {entry.train_steps} | eval_episodes {entry.eval_episodes}"
         )
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        fh.write(config_to_json(config))
     with open(os.path.join(out_dir, "regret_curve.tsv"), "w") as fh:
         fh.write(export_regret_curve(record))
     meta = [
@@ -137,12 +135,14 @@ def _load_eval_set(path: str, n_players: int) -> list[list]:
 
 
 def _cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
     record = resume(_resolve(args.checkpoint))
     env = make_env(record.config.env)
     eval_set = _load_eval_set(_resolve(args.eval_set), env.n_players)
     if all(len(policies) == 0 for policies in eval_set):
         raise PsromixError(f"{args.eval_set}: no policy files found")
-    rng = np.random.default_rng(np.random.SeedSequence([record.config.seed, 999]))
+    rng = derived_rng(record.config.seed, 999)
     regrets = proxy_regret(
         env,
         record.solution,

@@ -15,21 +15,22 @@ from .errors import ConfigError
 from .oracle import OracleHParams
 
 _HPARAM_FIELDS = {f.name for f in dataclasses.fields(OracleHParams)}
-_RUN_FIELDS = {
+# RunConfig fields that live in the "run" section; their defaults live only
+# in the dataclass.
+_RUN_FIELDS = (
     "algorithm",
     "epochs",
     "episodes_per_cell",
     "seed",
-    "workers",
     "early_stop_sum_regret",
     "analytic_cells",
-}
+)
 
 
 def _hparams_to_dict(hp: OracleHParams | None):
     if hp is None:
         return None
-    return {k: v for k, v in dataclasses.asdict(hp).items() if v is not None}
+    return dataclasses.asdict(hp)
 
 
 def _hparams_from_dict(data, section: str) -> OracleHParams | None:
@@ -46,15 +47,7 @@ def _hparams_from_dict(data, section: str) -> OracleHParams | None:
 
 def config_to_json(config: RunConfig) -> str:
     sections = {
-        "run": {
-            "algorithm": config.algorithm,
-            "epochs": config.epochs,
-            "episodes_per_cell": config.episodes_per_cell,
-            "seed": config.seed,
-            "workers": config.workers,
-            "early_stop_sum_regret": config.early_stop_sum_regret,
-            "analytic_cells": config.analytic_cells,
-        },
+        "run": {name: getattr(config, name) for name in _RUN_FIELDS},
         "env": {"name": config.env},
         "mss": {"name": config.mss, **config.mss_params},
         "oracle": {
@@ -77,8 +70,14 @@ def config_from_json(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config section(s) {sorted(unknown)}")
 
-    run = sections.get("run", {})
-    bad = set(run) - _RUN_FIELDS
+    run = dict(sections.get("run", {}))
+    # run.workers sized a payoff-simulation thread pool that no longer exists.
+    # Older configs (the benchmark's among them) and older checkpoints still
+    # carry it; any count gave identical bytes, so a valid one is dropped.
+    workers = run.pop("workers", 1)
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"run.workers: must be >= 1, got {workers!r}")
+    bad = set(run) - set(_RUN_FIELDS)
     if bad:
         raise ConfigError(f"run: unknown field(s) {sorted(bad)}")
     env = sections.get("env", {})
@@ -104,19 +103,13 @@ def config_from_json(text: str) -> RunConfig:
     oracle = sections.get("oracle", {})
 
     config = RunConfig(
-        algorithm=run.get("algorithm", "psro"),
         env=env["name"],
         mss=mss_name,
         mss_params=mss,
-        epochs=run.get("epochs", 4),
-        episodes_per_cell=run.get("episodes_per_cell", 30),
         oracle=oracle.get("kind", "tabular"),
         pure_hparams=_hparams_from_dict(oracle.get("pure"), "oracle.pure"),
         mix_hparams=_hparams_from_dict(oracle.get("mix"), "oracle.mix"),
-        seed=run.get("seed", 0),
-        workers=run.get("workers", 1),
-        early_stop_sum_regret=run.get("early_stop_sum_regret"),
-        analytic_cells=run.get("analytic_cells", False),
+        **run,
     )
     return config.validate()
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .envs import Environment, analytic_payoffs, estimate_payoffs, make_env
+from .envs import Environment, analytic_payoffs, derived_rng, estimate_payoffs, make_env
 from .envs.matrix import require_matrix_env
 from .errors import (
     ConfigError,
@@ -52,7 +51,6 @@ class RunConfig:
     pure_hparams: OracleHParams | None = None
     mix_hparams: OracleHParams | None = None
     seed: int = 0
-    workers: int = 1
     early_stop_sum_regret: float | None = None
     # Matrix environments only: fill cells by exact tensor contraction
     # instead of simulation (pairs with the exact best-response oracle).
@@ -76,8 +74,6 @@ class RunConfig:
             raise ConfigError(
                 f"run.episodes_per_cell: must be >= 1, got {self.episodes_per_cell}"
             )
-        if self.workers < 1:
-            raise ConfigError(f"run.workers: must be >= 1, got {self.workers}")
         return self
 
 
@@ -110,44 +106,33 @@ class RunRecord:
         return self.entries[-1].solution
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
-
-
 def expand_enfg(
     game: EmpiricalGame,
     env: Environment,
     episodes_per_cell: int,
     rng,
     counter: SimulationCounter | None = None,
-    workers: int = 1,
     analytic: bool = False,
 ) -> EmpiricalGame:
     """Fill exactly the missing profile cells, in lexicographic order.
 
     Existing cells are never re-simulated. Each cell runs on a stream derived
-    from the profile indices, so the filled table is identical for any worker
-    count; cells for distinct profiles commute. With ``analytic=True`` (matrix
-    environments) cells are exact expectations and consume no episodes.
+    from the profile indices, so cells for distinct profiles commute and the
+    filled table does not depend on their order. With ``analytic=True``
+    (matrix environments) cells are exact expectations and consume no
+    episodes.
     """
     missing = game.missing_profiles()
     if not missing:
         return game
     base = int(rng.integers(2**62))
-
-    def simulate(profile):
+    for profile in missing:
         policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
         if analytic:
-            return analytic_payoffs(env, policies)
-        cell_rng = _stream(base, *profile)
-        return estimate_payoffs(env, policies, episodes_per_cell, cell_rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(simulate, missing))
-    else:
-        results = [simulate(profile) for profile in missing]
-    for profile, mean in zip(missing, results):
+            mean = analytic_payoffs(env, policies)
+        else:
+            cell_rng = derived_rng(base, *profile)
+            mean = estimate_payoffs(env, policies, episodes_per_cell, cell_rng)
         game.payoffs.record(profile, mean, 1 if analytic else episodes_per_cell)
         if counter is not None and not analytic:
             counter.eval_episodes += episodes_per_cell
@@ -216,9 +201,8 @@ def _init_record(config: RunConfig, env: Environment, initial_policies) -> RunRe
         game,
         env,
         config.episodes_per_cell,
-        _stream(config.seed, 0, 0, _EXPAND),
+        derived_rng(config.seed, 0, 0, _EXPAND),
         record.counter,
-        config.workers,
         analytic=config.analytic_cells,
     )
     _log_epoch(record, 0, _uniform_solution(game), None, ())
@@ -236,8 +220,8 @@ def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int)
     target = record.entries[-1].solution  # solved at epoch-1, trained against now
     new_policies = []
     for player in range(env.n_players):
-        train_rng = _stream(config.seed, epoch, player, _TRAIN)
-        draw_rng = _stream(config.seed, epoch, player, _OPPONENT_DRAW)
+        train_rng = derived_rng(config.seed, epoch, player, _TRAIN)
+        draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
         others = _opponent_indices(env.n_players, player)
         if config.algorithm == "psro":
             opponent_sets = {p: list(game.strategy_sets[p]) for p in others}
@@ -298,9 +282,8 @@ def run_algorithm(
             record.game,
             env,
             config.episodes_per_cell,
-            _stream(config.seed, epoch, 0, _EXPAND),
+            derived_rng(config.seed, epoch, 0, _EXPAND),
             record.counter,
-            config.workers,
             analytic=config.analytic_cells,
         )
         record.game.epoch = epoch

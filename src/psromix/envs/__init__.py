@@ -6,8 +6,8 @@ from .base import (
     EpisodeState,
     Observation,
     Transition,
-    episode_rng,
     derive_stream_seed,
+    derived_rng,
     estimate_payoffs,
     simulate_episode,
 )
@@ -62,6 +62,6 @@ __all__ = [
     "make_env",
     "simulate_episode",
     "estimate_payoffs",
-    "episode_rng",
     "derive_stream_seed",
+    "derived_rng",
 ]

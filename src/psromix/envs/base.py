@@ -77,17 +77,6 @@ class Environment:
         raise NotImplementedError
 
 
-def checked_action(policy, state: EpisodeState, player: int, rng) -> int:
-    obs = state.observation(player)
-    legal = state.legal_actions(player)
-    action = policy.act(obs, legal, rng)
-    if action not in legal:
-        raise IllegalAction(
-            f"player {player} chose action {action}; legal set is {legal}"
-        )
-    return action
-
-
 def simulate_episode(
     env: Environment,
     policies: Sequence,
@@ -147,9 +136,10 @@ def derive_stream_seed(rng) -> int:
     return int(rng.integers(2**63))
 
 
-def episode_rng(base_seed: int, index: int):
-    """Per-episode generator, independent of how episodes are sharded."""
-    return np.random.default_rng(np.random.SeedSequence([base_seed, index]))
+def derived_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator on the stream derived from (seed, *key); distinct keys give
+    independent streams, so a consumer's draws never depend on another's."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def estimate_payoffs(env: Environment, profile: Sequence, episodes: int, rng) -> np.ndarray:
@@ -165,7 +155,7 @@ def estimate_payoffs(env: Environment, profile: Sequence, episodes: int, rng) ->
     total = np.zeros(env.n_players)
     for ep in range(episodes):
         result = simulate_episode(
-            env, profile, episode_rng(base, ep), first_player=ep % 2
+            env, profile, derived_rng(base, ep), first_player=ep % 2
         )
         total += result.returns
     return total / episodes

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .envs.base import Environment, derive_stream_seed, episode_rng, simulate_episode
+from .envs.base import Environment, derive_stream_seed, derived_rng, simulate_episode
 from .envs.matrix import MatrixGameEnv, analytic_payoffs
 from .errors import EmptyCorpus, EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, deviation_values, payoff_tensor
@@ -116,7 +116,7 @@ class _MatchupCache:
         matchup_seed = self.base_seed + len(self.cache)
         for ep in range(self.episodes):
             result = simulate_episode(
-                self.env, profile, episode_rng(matchup_seed, ep), first_player=ep % 2
+                self.env, profile, derived_rng(matchup_seed, ep), first_player=ep % 2
             )
             total += result.returns
         mean = total / self.episodes
@@ -226,7 +226,7 @@ def similarity_report(
             result = simulate_episode(
                 env,
                 seated,
-                episode_rng(base + profile_index, ep),
+                derived_rng(base + profile_index, ep),
                 first_player=ep % 2,
                 record_for=range(env.n_players),
             )
@@ -262,7 +262,7 @@ def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
     from .serialize import save_policy
 
     os.makedirs(path, exist_ok=True)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    rng = derived_rng(seed, 101)
     sampled: list[list] = []
     for player in range(record.game.n_players):
         weights = record.solution.weights(player)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .envs import estimate_payoffs
+from .envs import derived_rng, estimate_payoffs
 from .errors import PlayerCountUnsupported
 from .oracle import OracleHParams, train_best_response
 
@@ -30,18 +30,12 @@ _PRESETS = {
             discount=1.0,
             total_timesteps=3_000,
             exploration_timesteps=300,
-            batch_size=32,
-            replay_capacity=10_000,
-            min_replay_size=100,
         ),
         "mix": OracleHParams(
             learning_rate=1e-4,
             discount=1.0,
             total_timesteps=100_000,
             exploration_timesteps=300,
-            batch_size=64,
-            replay_capacity=3_000,
-            min_replay_size=100,
         ),
     },
     "matrix": {
@@ -76,9 +70,6 @@ class HParamSearchSpec:
     learning_rate: Sequence[float] = (1e-3, 3e-3, 1e-4, 3e-4)
     exploration_timesteps: Sequence[int] = (300, 1_000, 3_000)
     total_timesteps: Sequence[int] = (1_000, 3_000, 10_000)
-    batch_size: Sequence[int] = (32, 64)
-    replay_capacity: Sequence[int] = (300, 1_000, 3_000, 10_000)
-    min_replay_size: Sequence[int] = (100, 300, 1_000)
     sample_count: int = 30
     opponent_count: int = 5
     discount: float = 0.0
@@ -89,14 +80,7 @@ class HParamSearchSpec:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        for name in (
-            "learning_rate",
-            "exploration_timesteps",
-            "total_timesteps",
-            "batch_size",
-            "replay_capacity",
-            "min_replay_size",
-        ):
+        for name in ("learning_rate", "exploration_timesteps", "total_timesteps"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"candidate list {name} is empty")
 
@@ -121,14 +105,7 @@ def _sample_config(spec: HParamSearchSpec, rng) -> OracleHParams:
         discount=spec.discount,
         total_timesteps=total,
         exploration_timesteps=exploration,
-        batch_size=int(draw(spec.batch_size)),
-        replay_capacity=int(draw(spec.replay_capacity)),
-        min_replay_size=int(draw(spec.min_replay_size)),
     )
-
-
-def _stream(seed: int, *key: int):
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def _final_return(env, learner, policy, opponent, episodes, rng) -> float:
@@ -155,7 +132,7 @@ def hparam_search(
     k = spec.opponent_count
     learner = spec.learner
     opponent_seat = 1 - learner
-    sample_rng = _stream(spec.seed, 0)
+    sample_rng = derived_rng(spec.seed, 0)
     configs = [_sample_config(spec, sample_rng) for _ in range(spec.sample_count)]
 
     pure_scores = np.empty(spec.sample_count)
@@ -164,12 +141,13 @@ def hparam_search(
         returns = []
         for j, opponent in enumerate(opponent_policies):
             policy = train_best_response(
-                env, learner, {opponent_seat: opponent}, hp, _stream(spec.seed, 1, index, j)
+                env, learner, {opponent_seat: opponent}, hp,
+                derived_rng(spec.seed, 1, index, j),
             )
             returns.append(
                 _final_return(
                     env, learner, policy, opponent, spec.eval_episodes,
-                    _stream(spec.seed, 2, index, j),
+                    derived_rng(spec.seed, 2, index, j),
                 )
             )
         pure_scores[index] = float(np.mean(returns))
@@ -178,14 +156,14 @@ def hparam_search(
             return {opponent_seat: _opponents[rng.integers(k)]}
 
         mixed_policy = train_best_response(
-            env, learner, provider, hp, _stream(spec.seed, 3, index)
+            env, learner, provider, hp, derived_rng(spec.seed, 3, index)
         )
         mix_scores[index] = float(
             np.mean(
                 [
                     _final_return(
                         env, learner, mixed_policy, opponent, spec.eval_episodes,
-                        _stream(spec.seed, 4, index, j),
+                        derived_rng(spec.seed, 4, index, j),
                     )
                     for j, opponent in enumerate(opponent_policies)
                 ]

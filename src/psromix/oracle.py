@@ -21,12 +21,7 @@ from .policies import QTable, ValuePolicy, greedy_over
 
 @dataclass
 class OracleHParams:
-    """Q-learning hyperparameters.
-
-    The replay-buffer fields (batch_size, replay_capacity, min_replay_size)
-    are accepted for config compatibility with replay-based learners but are
-    inert in the tabular oracle.
-    """
+    """Hyperparameters of the tabular one-step Q-learning oracle."""
 
     learning_rate: float = 0.1
     discount: float = 0.0
@@ -34,9 +29,6 @@ class OracleHParams:
     exploration_timesteps: int = 5_000
     epsilon_start: float = 1.0
     epsilon_end: float = 0.03
-    batch_size: int | None = None
-    replay_capacity: int | None = None
-    min_replay_size: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:

@@ -38,25 +38,58 @@ def policy_to_text(policy) -> str:
     raise TypeError(f"cannot serialize policy of type {type(policy).__name__}")
 
 
+def _field(lines: list[str], index: int, name: str) -> list[str]:
+    """Tokens after ``name`` on header line ``index``."""
+    tokens = lines[index].split() if index < len(lines) else []
+    if not tokens or tokens[0] != name:
+        raise CorruptCheckpoint(f"policy file: line {index + 1} is not the {name!r} line")
+    return tokens[1:]
+
+
+def _scalar(lines: list[str], index: int, name: str) -> str:
+    tokens = _field(lines, index, name)
+    if len(tokens) != 1:
+        raise CorruptCheckpoint(f"policy file: {name!r} takes one value, got {len(tokens)}")
+    return tokens[0]
+
+
 def policy_from_text(text: str):
+    """Parse a policy file; any truncation or malformed line raises
+    CorruptCheckpoint, so a damaged file never loads as a smaller policy."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != POLICY_HEADER:
         raise CorruptCheckpoint("policy file missing its versioned header")
-    kind = lines[1].split()[1]
+    try:
+        return _parse_policy(lines)
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"policy file: {exc}") from exc
+
+
+def _parse_policy(lines: list[str]):
+    kind = _scalar(lines, 1, "kind")
     if kind == "mixture":
-        probs = [float(tok) for tok in lines[2].split()[1:]]
+        probs = [float(tok) for tok in _field(lines, 2, "probs")]
+        if len(lines) != 3:
+            raise CorruptCheckpoint("policy file: unexpected lines after 'probs'")
         return FixedMixturePolicy(probs)
     if kind != "value":
         raise CorruptCheckpoint(f"unknown policy kind {kind!r}")
-    epsilon = float(lines[2].split()[1])
-    actions = int(lines[3].split()[1])
-    default = float(lines[4].split()[1])
-    n_keys = int(lines[5].split()[1])
+    epsilon = float(_scalar(lines, 2, "epsilon"))
+    actions = int(_scalar(lines, 3, "actions"))
+    default = float(_scalar(lines, 4, "default"))
+    n_keys = int(_scalar(lines, 5, "table"))
+    if len(lines) != 6 + n_keys:
+        raise CorruptCheckpoint(
+            f"policy file: declares {n_keys} table lines, holds {len(lines) - 6}"
+        )
     table = QTable(actions, default_value=default)
-    for line in lines[6 : 6 + n_keys]:
+    for line in lines[6:]:
         tokens = line.split()
-        key = bytes.fromhex(tokens[1])
-        table.set(key, np.array([float(tok) for tok in tokens[2:]]))
+        if tokens[0] != "key" or len(tokens) != actions + 2:
+            raise CorruptCheckpoint(
+                f"policy file: a table line needs 'key', a hex key and {actions} values"
+            )
+        table.set(bytes.fromhex(tokens[1]), np.array([float(tok) for tok in tokens[2:]]))
     return ValuePolicy(table, epsilon=epsilon)
 
 
@@ -68,6 +101,10 @@ def save_policy(policy, path) -> None:
 def load_policy(path):
     try:
         with open(path) as fh:
-            return policy_from_text(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise CorruptCheckpoint(f"cannot read policy file {path}: {exc}") from exc
+    try:
+        return policy_from_text(text)
+    except CorruptCheckpoint as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from exc

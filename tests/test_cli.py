@@ -5,19 +5,20 @@ import pytest
 
 from psromix.cli import main
 from psromix.config import config_from_json, config_to_json, load_config
-from psromix.engine import RunConfig
-from psromix.errors import ConfigError
+from psromix.engine import RunConfig, resume
+from psromix.errors import ConfigError, CorruptCheckpoint
 from psromix.oracle import OracleHParams
+from psromix.policies import QTable, ValuePolicy
+from psromix.serialize import policy_from_text, policy_to_text
 
 
-def write_config(path, algorithm="mixed-opponents", seed=5, workers=1, epochs=3):
+def write_config(path, algorithm="mixed-opponents", seed=5, workers=None, epochs=3):
     cfg = {
         "run": {
             "algorithm": algorithm,
             "epochs": epochs,
             "episodes_per_cell": 8,
             "seed": seed,
-            "workers": workers,
         },
         "env": {"name": "rps"},
         "mss": {"name": "nash"},
@@ -37,6 +38,8 @@ def write_config(path, algorithm="mixed-opponents", seed=5, workers=1, epochs=3)
             },
         },
     }
+    if workers is not None:
+        cfg["run"]["workers"] = workers
     path.write_text(json.dumps(cfg))
     return path
 
@@ -62,7 +65,6 @@ def test_config_round_trip_identity(tmp_path):
         pure_hparams=OracleHParams(learning_rate=0.5, total_timesteps=100, exploration_timesteps=50),
         mix_hparams=None,
         seed=9,
-        workers=2,
         early_stop_sum_regret=0.25,
     )
     text = config_to_json(config)
@@ -99,6 +101,47 @@ def test_run_worker_count_invariance(tmp_path):
     curve1 = (out1 / "regret_curve.tsv").read_bytes()
     curve3 = (out3 / "regret_curve.tsv").read_bytes()
     assert curve1 == curve3
+
+
+def test_legacy_workers_key_ignored(tmp_path):
+    plain = write_config(tmp_path / "plain.json")
+    legacy = write_config(tmp_path / "legacy.json", workers=4)
+    out_plain, out_legacy = tmp_path / "op", tmp_path / "ol"
+    assert main(["run", str(plain), "--output", str(out_plain)]) == 0
+    assert main(["run", str(legacy), "--output", str(out_legacy)]) == 0
+    curve_plain = (out_plain / "regret_curve.tsv").read_bytes()
+    assert (out_legacy / "regret_curve.tsv").read_bytes() == curve_plain
+    assert "workers" not in config_to_json(load_config(legacy))
+    assert not (out_legacy / "config.json").exists()
+
+
+@pytest.mark.parametrize("workers", [0, "two"])
+def test_invalid_legacy_workers_rejected(tmp_path, workers):
+    path = write_config(tmp_path / "bad.json", workers=workers)
+    with pytest.raises(ConfigError, match="run.workers"):
+        load_config(path)
+
+
+def test_replay_fields_rejected(tmp_path):
+    path = write_config(tmp_path / "cfg.json")
+    cfg = json.loads(path.read_text())
+    cfg["oracle"]["pure"]["batch_size"] = 32
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="oracle.pure"):
+        load_config(path)
+
+
+def test_checkpoint_with_legacy_workers_key_resumes(tmp_path):
+    cfg = write_config(tmp_path / "a.json", epochs=2)
+    out = tmp_path / "oa"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    ck_config = out / "checkpoint" / "config.json"
+    sections = json.loads(ck_config.read_text())
+    sections["run"]["workers"] = 1
+    ck_config.write_text(json.dumps(sections, indent=1, sort_keys=True) + "\n")
+    assert resume(out / "checkpoint").next_epoch == 3
+    policies = out / "checkpoint" / "policies"
+    assert main(["eval", str(out / "checkpoint"), "--eval-set", str(policies)]) == 0
 
 
 def test_compare_outputs_both_labels(tmp_path, capsys):
@@ -172,9 +215,6 @@ def test_hparam_search_subcommand(tmp_path, capsys):
             "learning_rate": [5e-3],
             "exploration_timesteps": [100],
             "total_timesteps": [200],
-            "batch_size": [32],
-            "replay_capacity": [300],
-            "min_replay_size": [100],
             "sample_count": 2,
             "opponent_count": 2,
             "eval_episodes": 10,
@@ -198,3 +238,45 @@ def test_output_root_env_var(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "a.json", epochs=2)
     assert main(["run", str(cfg), "--output", "nested/out"]) == 0
     assert (tmp_path / "nested" / "out" / "regret_curve.tsv").exists()
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_eval_rejects_non_positive_episodes(tmp_path, capsys, episodes):
+    cfg = write_config(tmp_path / "a.json", epochs=1)
+    out = tmp_path / "oa"
+    main(["run", str(cfg), "--output", str(out)])
+    policies = out / "checkpoint" / "policies"
+    argv = ["eval", str(out / "checkpoint"), "--eval-set", str(policies)]
+    assert main(argv + ["--episodes", episodes]) == 1
+    assert "--episodes" in capsys.readouterr().err
+
+
+def _five_key_policy_lines():
+    table = QTable(3, {bytes([k]): [0.5 * k, -1.0, 2.0] for k in range(5)})
+    return policy_to_text(ValuePolicy(table, epsilon=0.0)).splitlines()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda lines: lines[:-2], id="truncated-table"),
+        pytest.param(lambda lines: lines[:3], id="short-header"),
+        pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], id="value-count"),
+    ],
+)
+def test_corrupt_policy_file_rejected(tmp_path, capsys, corrupt):
+    lines = _five_key_policy_lines()
+    assert len(policy_from_text("\n".join(lines)).q.values) == 5
+    text = "\n".join(corrupt(lines)) + "\n"
+    with pytest.raises(CorruptCheckpoint):
+        policy_from_text(text)
+    cfg = write_config(tmp_path / "a.json", epochs=1)
+    out = tmp_path / "oa"
+    main(["run", str(cfg), "--output", str(out)])
+    eval_set = tmp_path / "eval_set"
+    eval_set.mkdir()
+    (eval_set / "p0_0.txt").write_text(text)
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

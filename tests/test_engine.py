@@ -133,18 +133,6 @@ def test_expand_generalized_count_random_shapes():
         assert len(game.missing_profiles()) == expected
 
 
-def test_expand_worker_count_invariance():
-    env = rps_env()
-    tables = []
-    for workers in (1, 3):
-        game = seeded_game((2, 3))
-        expand_enfg(game, env, 7, np.random.default_rng(12), workers=workers)
-        tables.append(game.payoffs.cells)
-    assert tables[0].keys() == tables[1].keys()
-    for profile in tables[0]:
-        assert np.array_equal(tables[0][profile], tables[1][profile])
-
-
 # ---------------------------------------------------------------------------
 # run loops
 # ---------------------------------------------------------------------------

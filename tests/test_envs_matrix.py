@@ -72,7 +72,7 @@ def test_estimate_payoffs_seed_determinism():
 def test_estimate_payoffs_shard_invariant_derivation():
     # The mean must equal a manual per-episode recomputation using the same
     # derived seeds, independent of processing order.
-    from psromix.envs.base import derive_stream_seed, episode_rng
+    from psromix.envs.base import derive_stream_seed, derived_rng
 
     env = rps_env()
     profile = [FixedMixturePolicy([0.2, 0.3, 0.5])] * 2
@@ -81,7 +81,7 @@ def test_estimate_payoffs_shard_invariant_derivation():
     base = derive_stream_seed(np.random.default_rng(9))
     total = np.zeros(2)
     for ep in reversed(range(100)):
-        total += simulate_episode(env, profile, episode_rng(base, ep), first_player=ep % 2).returns
+        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2).returns
     assert np.allclose(mean, total / 100, atol=1e-15)
 
 

@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from psromix.envs import rps_env
 from psromix.errors import PlayerCountUnsupported
 from psromix.hparams import HParamSearchSpec, hparam_search, preset_hparams
-from psromix.oracle import OracleHParams, train_best_response
 from psromix.policies import FixedMixturePolicy
 
 
@@ -15,9 +12,6 @@ def small_spec(**overrides):
         learning_rate=(5e-3, 1e-3),
         exploration_timesteps=(100, 200),
         total_timesteps=(200, 400),
-        batch_size=(32,),
-        replay_capacity=(300,),
-        min_replay_size=(100,),
         sample_count=4,
         opponent_count=3,
         discount=0.0,
@@ -107,22 +101,3 @@ def test_three_player_env_rejected():
     env = MatrixGameEnv(np.zeros((2, 2, 2, 3)))
     with pytest.raises(PlayerCountUnsupported):
         hparam_search(small_spec(), env, opponents())
-
-
-def test_replay_fields_parsed_but_inert():
-    # The tabular learner accepts replay-buffer settings without using them:
-    # identical streams with different replay settings give identical tables.
-    env = rps_env()
-    a = OracleHParams(
-        learning_rate=0.05, discount=0.0, total_timesteps=300, exploration_timesteps=100,
-        batch_size=32, replay_capacity=1_000, min_replay_size=100,
-    )
-    b = dataclasses.replace(a, batch_size=64, replay_capacity=300, min_replay_size=300)
-    opp = {0: FixedMixturePolicy([0.0, 0.3, 0.7])}
-    pa = train_best_response(env, 1, opp, a, np.random.default_rng(3))
-    pb = train_best_response(env, 1, opp, b, np.random.default_rng(3))
-    from psromix.envs import MATRIX_OBSERVATION
-
-    assert np.array_equal(
-        pa.q.lookup(MATRIX_OBSERVATION.key), pb.q.lookup(MATRIX_OBSERVATION.key)
-    )
