@@ -19,15 +19,13 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .engine import checkpoint, export_regret_curve, resume, run_algorithm
+from .engine import RunConfig, checkpoint, export_regret_curve, resume, run_algorithm
 from .envs import derived_rng, make_env
 from .errors import ConfigError, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
 from .hparams import HParamSearchSpec, hparam_search
 from .policies import uniform_random_policy
 from .serialize import load_policy
-
-RUN_META_HEADER = "psromix-run v1"
 
 
 def _output_root() -> str:
@@ -52,15 +50,6 @@ def _cmd_run(args) -> int:
         )
     with open(os.path.join(out_dir, "regret_curve.tsv"), "w") as fh:
         fh.write(export_regret_curve(record))
-    meta = [
-        RUN_META_HEADER,
-        f"algorithm {config.algorithm}",
-        f"env {record.env_name}",
-        f"epochs {record.entries[-1].epoch}",
-        f"seed {config.seed}",
-    ]
-    with open(os.path.join(out_dir, "run_meta.txt"), "w") as fh:
-        fh.write("\n".join(meta) + "\n")
     from .games import save_game
 
     save_game(record.game, os.path.join(out_dir, "game.txt"))
@@ -74,35 +63,31 @@ def _default_run_dir(config_path: str) -> str:
     return stem + ".out"
 
 
-def _read_run_dir(path: str) -> tuple[dict, list[dict]]:
-    meta_path = os.path.join(path, "run_meta.txt")
+def _read_run_dir(path: str) -> tuple[RunConfig, list[dict]]:
+    """The run's config (from its checkpoint) and its regret-curve rows."""
     try:
-        with open(meta_path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+        config = load_config(os.path.join(path, "checkpoint", "config.json"))
+        with open(os.path.join(path, "regret_curve.tsv")) as fh:
+            header = fh.readline().strip().split("\t")
+            rows = [dict(zip(header, ln.strip().split("\t"))) for ln in fh if ln.strip()]
+    except (ConfigError, OSError) as exc:
         raise PsromixError(f"{path}: not a completed run directory ({exc})") from exc
-    if not lines or lines[0] != RUN_META_HEADER:
-        raise PsromixError(f"{meta_path}: missing run header")
-    meta = dict(line.split(None, 1) for line in lines[1:])
-    with open(os.path.join(path, "regret_curve.tsv")) as fh:
-        header = fh.readline().strip().split("\t")
-        rows = [dict(zip(header, ln.strip().split("\t"))) for ln in fh if ln.strip()]
-    return meta, rows
+    return config, rows
 
 
 def _cmd_compare(args) -> int:
     if len(args.run_dirs) < 2:
         raise PsromixError("compare needs at least two completed run directories")
     loaded = [_read_run_dir(_resolve(d)) for d in args.run_dirs]
-    env_names = {meta["env"] for meta, _ in loaded}
+    env_names = {config.env for config, _ in loaded}
     if len(env_names) != 1:
         raise EnvironmentMismatch(
             f"runs come from different environments: {sorted(env_names)}"
         )
     labels = []
     seen: dict[str, int] = {}
-    for meta, _ in loaded:
-        label = meta["algorithm"]
+    for config, _ in loaded:
+        label = config.algorithm
         seen[label] = seen.get(label, 0) + 1
         labels.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
 

@@ -8,13 +8,20 @@ the offending section and field.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 from .engine import RunConfig
 from .errors import ConfigError
 from .oracle import OracleHParams
+from .solvers import SOLVERS
 
 _HPARAM_FIELDS = {f.name for f in dataclasses.fields(OracleHParams)}
+# Parameters each solver accepts in the "mss" section, besides its name.
+_MSS_PARAMS = {
+    name: set(inspect.signature(solver).parameters) - {"game"}
+    for name, solver in SOLVERS.items()
+}
 # RunConfig fields that live in the "run" section; their defaults live only
 # in the dataclass.
 _RUN_FIELDS = (
@@ -87,14 +94,8 @@ def config_from_json(text: str) -> RunConfig:
     mss_name = mss.pop("name", None)
     if mss_name is None:
         raise ConfigError("mss.name: required field is missing")
-    allowed_mss_params = {
-        "nash": {"tolerance"},
-        "replicator": {"steps", "step_size"},
-        "uniform": set(),
-        "last": set(),
-    }
-    if mss_name in allowed_mss_params:
-        bad = set(mss) - allowed_mss_params[mss_name]
+    if mss_name in _MSS_PARAMS:
+        bad = set(mss) - _MSS_PARAMS[mss_name]
         if bad:
             raise ConfigError(
                 f"mss: field(s) {sorted(bad)} are not parameters of the "

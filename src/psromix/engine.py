@@ -29,11 +29,11 @@ from .oracle import ExactMatrixOracle, OracleHParams, SimulationCounter, Tabular
 from .policies import uniform_random_policy
 from .qmixing import combine_opponents, combine_responses
 from .serialize import load_policy, save_policy
-from .solvers import SolutionProfile, get_solver
+from .solvers import SOLVERS, SolutionProfile, get_solver
 from .hparams import preset_hparams
 
 ALGORITHMS = ("psro", "mixed-oracles", "mixed-opponents")
-MSS_NAMES = ("nash", "replicator", "uniform", "last")
+MSS_NAMES = tuple(SOLVERS)
 
 # Purpose codes for derived random streams.
 _TRAIN, _OPPONENT_DRAW, _EXPAND = 0, 1, 2
@@ -94,16 +94,18 @@ class EpochEntry:
 @dataclass
 class RunRecord:
     config: RunConfig
-    env_name: str
     game: EmpiricalGame
     entries: list[EpochEntry] = field(default_factory=list)
     libraries: list[list] | None = None  # per player, Mixed-Oracles only
     counter: SimulationCounter = field(default_factory=SimulationCounter)
-    next_epoch: int = 1
 
     @property
     def solution(self) -> SolutionProfile:
         return self.entries[-1].solution
+
+    @property
+    def next_epoch(self) -> int:
+        return self.entries[-1].epoch + 1
 
 
 def expand_enfg(
@@ -194,7 +196,7 @@ def _init_record(config: RunConfig, env: Environment, initial_policies) -> RunRe
         ]
     for player, policy in enumerate(initial_policies):
         game.add_policy(player, policy)
-    record = RunRecord(config=config, env_name=env.name, game=game)
+    record = RunRecord(config=config, game=game)
     if config.algorithm == "mixed-oracles":
         record.libraries = [[] for _ in range(env.n_players)]
     expand_enfg(
@@ -289,7 +291,6 @@ def run_algorithm(
         record.game.epoch = epoch
         solution = solver(record.game)
         entry = _log_epoch(record, epoch, solution, target, new_ids)
-        record.next_epoch = epoch + 1
         if (
             config.early_stop_sum_regret is not None
             and entry.sum_regret < config.early_stop_sum_regret
@@ -335,9 +336,6 @@ def export_regret_curve(record: RunRecord) -> str:
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_HEADER = "psromix-checkpoint v1"
-
-
 def _solution_to_json(solution: SolutionProfile | None):
     if solution is None:
         return None
@@ -358,26 +356,20 @@ def _solution_from_json(data) -> SolutionProfile | None:
 
 
 def checkpoint(record: RunRecord, path) -> None:
-    """Write the full run state (game, policies, libraries, counters, log)."""
-    os.makedirs(path, exist_ok=True)
+    """Write the full run state: ``config.json``, ``game.txt``, the policies,
+    the Mixed-Oracles response library and the epoch log ``record.json``.
+
+    ``record.json`` is the commit marker. It is removed before anything else
+    is written and atomically put back last, so a write cut short leaves a
+    checkpoint that :func:`resume` rejects instead of one that mixes old and
+    new state. Counters and the next epoch are read back from the log.
+    """
     from .config import config_to_json  # local import to avoid a cycle
 
-    meta = [
-        CHECKPOINT_HEADER,
-        f"algorithm {record.config.algorithm}",
-        f"env {record.env_name}",
-        f"seed {record.config.seed}",
-        f"next_epoch {record.next_epoch}",
-    ]
-    with open(os.path.join(path, "meta.txt"), "w") as fh:
-        fh.write("\n".join(meta) + "\n")
-    counters = [
-        "psromix-counters v1",
-        f"train_steps {record.counter.train_steps}",
-        f"eval_episodes {record.counter.eval_episodes}",
-    ]
-    with open(os.path.join(path, "counters.txt"), "w") as fh:
-        fh.write("\n".join(counters) + "\n")
+    os.makedirs(path, exist_ok=True)
+    record_path = os.path.join(path, "record.json")
+    if os.path.exists(record_path):
+        os.unlink(record_path)
     with open(os.path.join(path, "config.json"), "w") as fh:
         fh.write(config_to_json(record.config))
     save_game(record.game, os.path.join(path, "game.txt"))
@@ -391,14 +383,9 @@ def checkpoint(record: RunRecord, path) -> None:
     if record.libraries is not None:
         library_dir = os.path.join(path, "library")
         os.makedirs(library_dir, exist_ok=True)
-        manifest = []
         for player, responses in enumerate(record.libraries):
             for index, response in enumerate(responses):
-                name = f"p{player}_{index}.txt"
-                save_policy(response, os.path.join(library_dir, name))
-                manifest.append(name)
-        with open(os.path.join(library_dir, "manifest.txt"), "w") as fh:
-            fh.write("\n".join(manifest) + ("\n" if manifest else ""))
+                save_policy(response, os.path.join(library_dir, f"p{player}_{index}.txt"))
 
     entries = [
         {
@@ -413,42 +400,23 @@ def checkpoint(record: RunRecord, path) -> None:
         }
         for e in record.entries
     ]
-    with open(os.path.join(path, "record.json"), "w") as fh:
+    partial_path = record_path + ".partial"
+    with open(partial_path, "w") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
+    os.replace(partial_path, record_path)
 
 
 def resume(path) -> RunRecord:
-    """Rebuild a RunRecord from a checkpoint directory."""
+    """Rebuild a RunRecord from a checkpoint directory.
+
+    The counters and the next epoch come from the last ``record.json`` entry;
+    a Mixed-Oracles run holds one library response per player per epoch.
+    Files that older versions also wrote (``meta.txt``, ``counters.txt``,
+    ``library/manifest.txt``) are ignored.
+    """
     from .config import config_from_json
 
     try:
-        with open(os.path.join(path, "meta.txt")) as fh:
-            meta_lines = [ln.strip() for ln in fh if ln.strip()]
-        if not meta_lines or meta_lines[0] != CHECKPOINT_HEADER:
-            raise CorruptCheckpoint(f"{path}: meta.txt missing the versioned header")
-        meta = dict(line.split(None, 1) for line in meta_lines[1:])
-        with open(os.path.join(path, "counters.txt")) as fh:
-            counter_lines = [ln.strip() for ln in fh if ln.strip()]
-        if not counter_lines or counter_lines[0] != "psromix-counters v1":
-            raise CorruptCheckpoint(f"{path}: counters.txt missing its header")
-        counters_map = dict(line.split(None, 1) for line in counter_lines[1:])
-        with open(os.path.join(path, "config.json")) as fh:
-            config = config_from_json(fh.read())
-        game = load_game(os.path.join(path, "game.txt"))
-        policy_dir = os.path.join(path, "policies")
-        for player, strategies in enumerate(game.strategy_sets):
-            for index in range(len(strategies)):
-                strategies[index] = load_policy(
-                    os.path.join(policy_dir, f"p{player}_{index}.txt")
-                )
-        libraries = None
-        library_dir = os.path.join(path, "library")
-        if os.path.isdir(library_dir):
-            libraries = [[] for _ in range(game.n_players)]
-            with open(os.path.join(library_dir, "manifest.txt")) as fh:
-                for name in (ln.strip() for ln in fh if ln.strip()):
-                    player = int(name.split("_")[0][1:])
-                    libraries[player].append(load_policy(os.path.join(library_dir, name)))
         with open(os.path.join(path, "record.json")) as fh:
             raw_entries = json.load(fh)
         entries = [
@@ -464,20 +432,39 @@ def resume(path) -> RunRecord:
             )
             for e in raw_entries
         ]
+        if not entries:
+            raise CorruptCheckpoint(f"{path}: record.json holds no epochs")
+        with open(os.path.join(path, "config.json")) as fh:
+            config = config_from_json(fh.read())
+        game = load_game(os.path.join(path, "game.txt"))
+        policy_dir = os.path.join(path, "policies")
+        for player, strategies in enumerate(game.strategy_sets):
+            for index in range(len(strategies)):
+                strategies[index] = load_policy(
+                    os.path.join(policy_dir, f"p{player}_{index}.txt")
+                )
+        libraries = None
+        if config.algorithm == "mixed-oracles":
+            library_dir = os.path.join(path, "library")
+            libraries = [
+                [
+                    load_policy(os.path.join(library_dir, f"p{player}_{index}.txt"))
+                    for index in range(entries[-1].epoch)
+                ]
+                for player in range(game.n_players)
+            ]
         counter = SimulationCounter(
-            train_steps=int(counters_map["train_steps"]),
-            eval_episodes=int(counters_map["eval_episodes"]),
+            train_steps=entries[-1].train_steps,
+            eval_episodes=entries[-1].eval_episodes,
         )
         return RunRecord(
             config=config,
-            env_name=meta["env"],
             game=game,
             entries=entries,
             libraries=libraries,
             counter=counter,
-            next_epoch=int(meta["next_epoch"]),
         )
     except CorruptCheckpoint:
         raise
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"cannot restore checkpoint at {path}: {exc}") from exc

@@ -25,21 +25,17 @@ class Observation:
 
 
 class Transition(NamedTuple):
+    """One recorded decision: what the player saw and could choose from."""
+
     observation: Observation
     legal_actions: tuple[int, ...]
-    action: int
-    reward: float
-    next_observation: Observation | None
-    next_legal_actions: tuple[int, ...]
-    terminal: bool
 
 
 @dataclass
 class EpisodeResult:
-    """Per-player undiscounted returns plus optional per-agent transitions."""
+    """Per-player undiscounted returns plus optional per-agent decisions."""
 
     returns: np.ndarray
-    first_player: int = 0
     transitions: dict[int, list[Transition]] = field(default_factory=dict)
 
 
@@ -86,10 +82,8 @@ def simulate_episode(
 ) -> EpisodeResult:
     """Run one episode with every policy held fixed throughout.
 
-    ``record_for`` names the players whose transitions should be collected;
-    each recorded transition spans from one of that player's decisions to
-    their next decision (or the terminal state), with rewards accumulated in
-    between.
+    ``record_for`` names the players whose decisions should be collected,
+    one Transition per decision, in order.
     """
     if len(policies) != env.n_players:
         raise ValueError(
@@ -97,10 +91,7 @@ def simulate_episode(
         )
     state = env.reset(rng, first_player=first_player)
     returns = np.zeros(env.n_players)
-    record = set(record_for)
-    transitions: dict[int, list[Transition]] = {p: [] for p in record}
-    # Pending (observation, legal set, action, accumulated reward) per recorded player.
-    pending: dict[int, tuple[Observation, tuple[int, ...], int, float]] = {}
+    transitions: dict[int, list[Transition]] = {p: [] for p in record_for}
 
     while not state.terminal:
         actions = {}
@@ -112,23 +103,11 @@ def simulate_episode(
                 raise IllegalAction(
                     f"player {player} chose action {action}; legal set is {legal}"
                 )
-            if player in record:
-                if player in pending:
-                    prev_obs, prev_legal, prev_action, acc = pending.pop(player)
-                    transitions[player].append(
-                        Transition(prev_obs, prev_legal, prev_action, acc, obs, legal, False)
-                    )
-                pending[player] = (obs, legal, action, 0.0)
+            if player in transitions:
+                transitions[player].append(Transition(obs, legal))
             actions[player] = action
-        rewards = state.step(actions)
-        returns += rewards
-        for player in pending:
-            obs, legal, action, acc = pending[player]
-            pending[player] = (obs, legal, action, acc + rewards[player])
-
-    for player, (obs, legal, action, acc) in pending.items():
-        transitions[player].append(Transition(obs, legal, action, acc, None, (), True))
-    return EpisodeResult(returns=returns, first_player=first_player, transitions=transitions)
+        returns += state.step(actions)
+    return EpisodeResult(returns=returns, transitions=transitions)
 
 
 def derive_stream_seed(rng) -> int:

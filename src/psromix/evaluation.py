@@ -23,23 +23,20 @@ from .solvers import SolutionProfile
 
 @dataclass
 class DeviationSet:
-    """Per-player deviation policies, optionally labelled by origin."""
+    """Per-player deviation policies (or strategy indices, for a game)."""
 
     per_player: tuple[tuple, ...]
-    labels: tuple[tuple[str, ...], ...] = ()
 
     @classmethod
     def from_sets(cls, psro: Sequence[Sequence] = (), eval_set: Sequence[Sequence] = ()):
-        """Union of discovered and held-out policies, labelled accordingly."""
+        """Union of discovered and held-out policies."""
         n = max(len(psro), len(eval_set))
         players = []
-        labels = []
         for player in range(n):
             discovered = list(psro[player]) if player < len(psro) else []
             held_out = list(eval_set[player]) if player < len(eval_set) else []
             players.append(tuple(discovered + held_out))
-            labels.append(tuple(["psro"] * len(discovered) + ["eval"] * len(held_out)))
-        return cls(tuple(players), tuple(labels))
+        return cls(tuple(players))
 
 
 def _solution_weights(sigma, n_players: int) -> list[np.ndarray]:
@@ -98,69 +95,94 @@ def _regret_in_game(game: EmpiricalGame, sigma, deviations: DeviationSet) -> np.
     return out
 
 
-class _MatchupCache:
-    """Simulated mean returns per pure policy profile, computed at most once."""
+def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[int]]:
+    """A seat's policies by pool index, and the pool index of each deviation.
 
-    def __init__(self, env: Environment, episodes: int, rng):
+    The pool is the population followed by the deviations that are not
+    population members; a member that also deviates keeps its member index
+    (compared by identity), so it shares the member's matchups.
+    """
+    pool = list(population)
+    indices = []
+    for policy in deviations:
+        index = next((i for i, member in enumerate(pool) if member is policy), None)
+        if index is None:
+            index = len(pool)
+            pool.append(policy)
+        indices.append(index)
+    return pool, indices
+
+
+class _MatchupCache:
+    """Mean returns per profile of pool indices, computed at most once.
+
+    Matrix games are evaluated analytically. Other environments simulate each
+    matchup on streams derived from its pool indices, so an estimate does not
+    depend on which matchups were evaluated before it.
+    """
+
+    def __init__(self, env: Environment, pools: Sequence[list], episodes: int, rng):
         self.env = env
+        self.pools = pools
         self.episodes = episodes
         self.base_seed = derive_stream_seed(rng if rng is not None else np.random.default_rng(0))
-        self.cache: dict[tuple, np.ndarray] = {}
+        self.cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def value(self, profile: tuple) -> np.ndarray:
-        key = tuple(id(p) for p in profile)
-        hit = self.cache.get(key)
+    def value(self, profile: tuple[int, ...]) -> np.ndarray:
+        hit = self.cache.get(profile)
         if hit is not None:
             return hit
-        total = np.zeros(self.env.n_players)
-        matchup_seed = self.base_seed + len(self.cache)
-        for ep in range(self.episodes):
-            result = simulate_episode(
-                self.env, profile, derived_rng(matchup_seed, ep), first_player=ep % 2
-            )
-            total += result.returns
-        mean = total / self.episodes
-        self.cache[key] = mean
+        policies = tuple(pool[i] for pool, i in zip(self.pools, profile))
+        if isinstance(self.env, MatrixGameEnv):
+            mean = analytic_payoffs(self.env, policies)
+        else:
+            total = np.zeros(self.env.n_players)
+            for ep in range(self.episodes):
+                result = simulate_episode(
+                    self.env,
+                    policies,
+                    derived_rng(self.base_seed, *profile, ep),
+                    first_player=ep % 2,
+                )
+                total += result.returns
+            mean = total / self.episodes
+        self.cache[profile] = mean
         return mean
 
 
-def _profile_value(env, cache, profile: tuple) -> np.ndarray:
-    if isinstance(env, MatrixGameEnv):
-        return analytic_payoffs(env, profile)
-    return cache.value(profile)
-
-
-def _mixture_value(env, cache, populations, weights, player: int, replace=None) -> float:
+def _mixture_value(cache, weights, player: int, replace: int | None = None) -> float:
     """Expected payoff to ``player`` when everyone mixes per ``weights``;
-    ``replace`` substitutes a fixed policy for ``player``."""
+    ``replace`` substitutes a fixed pool index for ``player``."""
     supports = []
-    for other, pop in enumerate(populations):
+    for other, w in enumerate(weights):
         if other == player and replace is not None:
             supports.append([(replace, 1.0)])
         else:
-            supports.append(
-                [(pop[i], weights[other][i]) for i in np.flatnonzero(weights[other] > 0.0)]
-            )
+            supports.append([(int(i), w[i]) for i in np.flatnonzero(w > 0.0)])
     value = 0.0
     for combo in itertools.product(*supports):
         prob = 1.0
         for _, w in combo:
             prob *= w
-        profile = tuple(p for p, _ in combo)
-        value += prob * _profile_value(env, cache, profile)[player]
+        profile = tuple(i for i, _ in combo)
+        value += prob * cache.value(profile)[player]
     return value
 
 
 def _regret_in_env(env, populations, sigma, deviations, episodes, rng) -> np.ndarray:
     _check_nonempty(deviations, env.n_players)
     weights = _solution_weights(sigma, env.n_players)
-    cache = _MatchupCache(env, episodes, rng)
+    seats = [
+        _seat_pool(population, devs)
+        for population, devs in zip(populations, deviations.per_player)
+    ]
+    cache = _MatchupCache(env, [pool for pool, _ in seats], episodes, rng)
     out = np.empty(env.n_players)
-    for player in range(env.n_players):
-        base = _mixture_value(env, cache, populations, weights, player)
+    for player, (_, deviation_indices) in enumerate(seats):
+        base = _mixture_value(cache, weights, player)
         best = max(
-            _mixture_value(env, cache, populations, weights, player, replace=policy)
-            for policy in deviations.per_player[player]
+            _mixture_value(cache, weights, player, replace=index)
+            for index in deviation_indices
         )
         out[player] = best - base
     return out

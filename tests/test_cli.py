@@ -171,11 +171,12 @@ def test_compare_environment_mismatch(tmp_path):
     main(["run", str(cfg_a), "--output", str(out_a)])
     # fake a second run on another environment
     out_b = tmp_path / "ob"
-    out_b.mkdir()
-    for name in ("run_meta.txt", "regret_curve.tsv"):
+    (out_b / "checkpoint").mkdir(parents=True)
+    for name in ("checkpoint/config.json", "regret_curve.tsv"):
         (out_b / name).write_bytes((out_a / name).read_bytes())
-    meta = (out_b / "run_meta.txt").read_text().replace("env rps", "env leduc")
-    (out_b / "run_meta.txt").write_text(meta)
+    sections = json.loads((out_b / "checkpoint" / "config.json").read_text())
+    sections["env"]["name"] = "leduc"
+    (out_b / "checkpoint" / "config.json").write_text(json.dumps(sections))
     assert main(["compare", str(out_a), str(out_b)]) == 2
 
 

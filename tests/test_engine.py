@@ -368,3 +368,51 @@ def test_resume_missing_or_corrupt(tmp_path):
     (ck / "game.txt").write_text("garbage\n")
     with pytest.raises(CorruptCheckpoint):
         resume(ck)
+
+
+def test_checkpoint_writes_only_config_game_record_and_policies(tmp_path):
+    ck = tmp_path / "ck"
+    checkpoint(run_mixed_oracles(fast_config(epochs=2)), ck)
+    written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
+    policies = [f"policies/p{p}_{i}.txt" for p in range(2) for i in range(3)]
+    library = [f"library/p{p}_{i}.txt" for p in range(2) for i in range(2)]
+    assert written == sorted(["config.json", "game.txt", "record.json"] + policies + library)
+
+
+def test_resume_ignores_legacy_side_files(tmp_path):
+    record = run_mixed_oracles(fast_config(epochs=2, seed=4))
+    ck = tmp_path / "ck"
+    checkpoint(record, ck)
+    # Files older versions wrote beside the state; stale values must not leak in.
+    (ck / "meta.txt").write_text("psromix-checkpoint v1\nnext_epoch 9\n")
+    (ck / "counters.txt").write_text("psromix-counters v1\ntrain_steps 1\n")
+    (ck / "library" / "manifest.txt").write_text("p0_0.txt\n")
+    restored = resume(ck)
+    assert restored.next_epoch == record.next_epoch == 3
+    assert restored.counter == record.counter
+    assert [len(lib) for lib in restored.libraries] == [2, 2]
+
+
+def test_checkpoint_cut_short_is_rejected(tmp_path, monkeypatch):
+    import psromix.engine as engine
+
+    ck = tmp_path / "ck"
+    checkpoint(run_psro(fast_config(epochs=1, seed=2)), ck)
+    assert resume(ck).next_epoch == 2
+    real_save = engine.save_policy
+    saved = []
+
+    def crash_after_two(policy, path):
+        if len(saved) == 2:
+            raise OSError("disk full")
+        saved.append(path)
+        real_save(policy, path)
+
+    monkeypatch.setattr(engine, "save_policy", crash_after_two)
+    # Same shape, other seed: without a commit marker the half-overwritten
+    # files would load as one consistent-looking run.
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint(run_psro(fast_config(epochs=1, seed=3)), ck)
+    monkeypatch.undo()
+    with pytest.raises(CorruptCheckpoint, match="record.json"):
+        resume(ck)

@@ -274,3 +274,45 @@ def test_similarity_profile_subsampling():
         rng=np.random.default_rng(2),
     )
     assert report.corpus_size_raw == 4  # 2 profiles x 1 episode x 2 seats
+
+
+def test_simulated_regret_independent_of_deviation_order(monkeypatch):
+    import psromix.evaluation as evaluation
+
+    env = LeducEnv()
+    populations = [[leduc_value_policy(10 * p + i) for i in range(3)] for p in range(2)]
+    held_out = [leduc_value_policy(50 + p) for p in range(2)]
+    # Zero weights leave some members' matchups out of the base values, so
+    # reordering the deviations reorders which matchups are simulated first.
+    sigma = [np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.3, 0.7])]
+    episodes = 20
+    calls = []
+    real_simulate = evaluation.simulate_episode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "simulate_episode", counted)
+
+    def regrets(per_player):
+        calls.clear()
+        values = regret(
+            env,
+            sigma,
+            DeviationSet(tuple(map(tuple, per_player))),
+            episodes=episodes,
+            rng=np.random.default_rng(21),
+            populations=populations,
+        )
+        return values, len(calls)
+
+    forward, forward_calls = regrets([pop + [held_out[p]] for p, pop in enumerate(populations)])
+    permuted, permuted_calls = regrets(
+        [[held_out[p]] + pop[::-1] for p, pop in enumerate(populations)]
+    )
+    assert np.array_equal(forward, permuted)
+    # Each matchup is simulated once: 2x2 support profiles, then per seat
+    # the zero-weight member and the held-out policy against the opponent's
+    # two-policy support.
+    assert forward_calls == permuted_calls == (4 + 2 * 2 + 2 * 2) * episodes
