@@ -355,6 +355,24 @@ def _solution_from_json(data) -> SolutionProfile | None:
     return SolutionProfile(mixtures, data["solver_name"], data["residual"])
 
 
+def _save_policies(directory: str, policy_sets) -> None:
+    """Write ``p{player}_{index}.txt`` per policy and delete every other file
+    in ``directory``, so an overwritten longer run leaves nothing behind."""
+    policies = {
+        f"p{player}_{index}.txt": policy
+        for player, members in enumerate(policy_sets)
+        for index, policy in enumerate(members)
+    }
+    if policies:
+        os.makedirs(directory, exist_ok=True)
+    for name, policy in policies.items():
+        save_policy(policy, os.path.join(directory, name))
+    if os.path.isdir(directory):
+        for entry in os.scandir(directory):
+            if entry.is_file() and entry.name not in policies:
+                os.unlink(entry.path)
+
+
 def checkpoint(record: RunRecord, path) -> None:
     """Write the full run state: ``config.json``, ``game.txt``, the policies,
     the Mixed-Oracles response library and the epoch log ``record.json``.
@@ -362,7 +380,9 @@ def checkpoint(record: RunRecord, path) -> None:
     ``record.json`` is the commit marker. It is removed before anything else
     is written and atomically put back last, so a write cut short leaves a
     checkpoint that :func:`resume` rejects instead of one that mixes old and
-    new state. Counters and the next epoch are read back from the log.
+    new state. Policy and library files that are not part of this state,
+    such as those of a longer run checkpointed here before, are deleted
+    before the commit. Counters and the next epoch are read back from the log.
     """
     from .config import config_to_json  # local import to avoid a cycle
 
@@ -374,18 +394,8 @@ def checkpoint(record: RunRecord, path) -> None:
         fh.write(config_to_json(record.config))
     save_game(record.game, os.path.join(path, "game.txt"))
 
-    policy_dir = os.path.join(path, "policies")
-    os.makedirs(policy_dir, exist_ok=True)
-    for player, strategies in enumerate(record.game.strategy_sets):
-        for index, policy in enumerate(strategies):
-            save_policy(policy, os.path.join(policy_dir, f"p{player}_{index}.txt"))
-
-    if record.libraries is not None:
-        library_dir = os.path.join(path, "library")
-        os.makedirs(library_dir, exist_ok=True)
-        for player, responses in enumerate(record.libraries):
-            for index, response in enumerate(responses):
-                save_policy(response, os.path.join(library_dir, f"p{player}_{index}.txt"))
+    _save_policies(os.path.join(path, "policies"), record.game.strategy_sets)
+    _save_policies(os.path.join(path, "library"), record.libraries or [])
 
     entries = [
         {

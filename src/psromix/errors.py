@@ -18,7 +18,7 @@ class IncompleteGame(PsromixError):
 
 
 class NoEquilibriumFound(PsromixError):
-    """Support enumeration exhausted without a solution (internal error)."""
+    """No two-player equilibrium passed verification (internal error)."""
 
 
 class IllegalAction(PsromixError):

@@ -1,9 +1,13 @@
 """Meta-strategy solvers: functions from a complete empirical game to a
 per-player solution profile.
 
-``solve_nash`` is exact for two-player games via support enumeration; for
-more players it falls back to (time-averaged) replicator dynamics and reports
-the measured residual instead of guaranteeing the tolerance.
+``solve_nash`` is exact for two-player games. A constant-sum game (every
+built-in environment is one) is solved as one maximin linear program per
+player by a small dense simplex; a general-sum game by support enumeration,
+whose cost grows exponentially with the strategy counts. Both return only a
+profile that passes the same deviation-gain check. For more players it
+falls back to (time-averaged) replicator dynamics and reports the measured
+residual instead of guaranteeing the tolerance.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .games import EmpiricalGame, MixedStrategy, deviation_values, payoff_tensor
 
 RIDGE = 1e-12  # regulariser for degenerate indifference systems
 NEGATIVITY_SLACK = 1e-9  # supports whose solution dips below -slack are rejected
+CONSTANT_SUM_SLACK = 1e-12  # spread of a + b, relative to the payoff scale
+PIVOT_EPS = 1e-12  # simplex entries this close to zero are treated as zero
+SUPPORT_EPS = 1e-9  # LP weights at or below this stay out of the candidate support
 
 
 @dataclass
@@ -121,13 +128,126 @@ def _support_pairs(k0: int, k1: int):
                     yield support0, support1
 
 
+def _verified(a: np.ndarray, b: np.ndarray, x, y, tolerance: float) -> SolutionProfile | None:
+    """The profile (x, y) if neither player gains more than ``tolerance`` by
+    a pure deviation, else None."""
+    gain0 = float((a @ y).max() - x @ a @ y)
+    gain1 = float((x @ b).max() - x @ b @ y)
+    if max(gain0, gain1) <= tolerance:
+        return _profile([x, y], "nash", max(gain0, gain1))
+    return None
+
+
+def _support_candidate(a, b, support0, support1, tolerance: float) -> SolutionProfile | None:
+    """The equilibrium on one support pair, or None: the indifference
+    weights, cleaned onto the full strategy sets and then verified."""
+    # Column mixture y makes the rows (player 0's support) indifferent.
+    y_raw = _indifference_solution(a[np.ix_(support0, support1)])
+    if y_raw is None:
+        return None
+    x_raw = _indifference_solution(b[np.ix_(support0, support1)].T)
+    if x_raw is None:
+        return None
+    y = _clean_support_solution(y_raw, support1, a.shape[1])
+    x = _clean_support_solution(x_raw, support0, a.shape[0])
+    if x is None or y is None:
+        return None
+    return _verified(a, b, x, y, tolerance)
+
+
+def _enumerate_nash(a: np.ndarray, b: np.ndarray, tolerance: float) -> SolutionProfile | None:
+    """First support pair, in ``_support_pairs`` order, whose candidate verifies."""
+    for support0, support1 in _support_pairs(*a.shape):
+        solution = _support_candidate(a, b, support0, support1, tolerance)
+        if solution is not None:
+            return solution
+    return None
+
+
+def _is_constant_sum(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.size == 0:  # no strategies: left to enumeration, which reports it
+        return False
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    return float(np.ptp(a + b)) <= CONSTANT_SUM_SLACK * scale
+
+
+def _minimax_mixture(m: np.ndarray) -> np.ndarray | None:
+    """Column mixture y minimising ``max_i (m @ y)_i``, by the simplex method.
+
+    ``m`` is mapped affinely onto [1, 2], which keeps the optimal mixture and
+    makes the game value positive. With ``z = y / value`` the problem becomes
+    ``max sum(z)`` subject to ``m z <= 1``, ``z >= 0``, feasible from the
+    all-slack basis. Bland's rule (lowest-index entering column, lowest-index
+    leaving variable among ratio ties) fixes every pivot, so the result is
+    deterministic, and it cannot cycle. Returns None if pivoting breaks down
+    numerically.
+    """
+    rows, cols = m.shape
+    spread = float(np.ptp(m))
+    tableau = np.zeros((rows + 1, cols + rows + 1))
+    tableau[:rows, :cols] = (m - m.min()) / (spread if spread > 0.0 else 1.0) + 1.0
+    tableau[:rows, cols:-1] = np.eye(rows)
+    tableau[:rows, -1] = 1.0
+    tableau[rows, :cols] = -1.0  # reduced costs of max sum(z)
+    basis = np.arange(cols, cols + rows)
+    # Bland's rule terminates; the cap only stops a loop driven by rounding.
+    for _ in range(50 * (rows + cols)):
+        improving = np.flatnonzero(tableau[rows, :-1] < -PIVOT_EPS)
+        if improving.size == 0:
+            z = np.zeros(cols + rows)
+            z[basis] = tableau[:rows, -1]
+            z = np.clip(z[:cols], 0.0, None)
+            return z / z.sum()
+        enter = improving[0]
+        column = tableau[:rows, enter]
+        eligible = np.flatnonzero(column > PIVOT_EPS)
+        if eligible.size == 0:  # unbounded: impossible for a positive m
+            return None
+        ratios = tableau[eligible, -1] / column[eligible]
+        ties = eligible[ratios == ratios.min()]
+        leave = ties[np.argmin(basis[ties])]
+        tableau[leave] /= tableau[leave, enter]
+        factors = tableau[:, enter].copy()
+        factors[leave] = 0.0
+        tableau -= np.outer(factors, tableau[leave])
+        basis[leave] = enter
+    return None
+
+
+def _minimax_nash(a: np.ndarray, b: np.ndarray, tolerance: float) -> SolutionProfile | None:
+    """Equilibrium of a constant-sum game from each player's maximin LP (see
+    ``solve_nash``); None if neither the LP supports nor the LP weights verify."""
+    x = _minimax_mixture(-a.T)  # player 0 maximises min_j (x @ a)_j
+    y = _minimax_mixture(-b)  # player 1 maximises min_i (b @ y)_i
+    if x is None or y is None:
+        return None
+    support0 = np.flatnonzero(x > SUPPORT_EPS)
+    support1 = np.flatnonzero(y > SUPPORT_EPS)
+    solution = _support_candidate(a, b, support0, support1, tolerance)
+    if solution is not None:
+        return solution
+    x = _clean_support_solution(x[support0], support0, a.shape[0])
+    y = _clean_support_solution(y[support1], support1, a.shape[1])
+    if x is None or y is None:
+        return None
+    return _verified(a, b, x, y, tolerance)
+
+
 def solve_nash(game: EmpiricalGame, tolerance: float = 1e-8) -> SolutionProfile:
     """Nash equilibrium of the empirical game.
 
-    Two players: support enumeration, solving the indifference linear system
-    per support pair and verifying non-negativity and the absence of any
-    profitable pure deviation. Ties between equilibria are broken by
-    enumeration order, so repeated calls are bit-identical. More than two
+    Two players, constant sum (``a + b`` equal in every cell up to a relative
+    1e-12): each player's maximin LP is solved by a dense simplex with
+    deterministic pivoting. The supports of the two LP solutions are then
+    solved and verified as one support pair, exactly as enumeration would,
+    so a game with a unique equilibrium gets enumeration's bits; if that
+    pair fails (a degenerate game), the cleaned LP weights are verified
+    instead. Two players, general sum, or a constant-sum game whose LP
+    result fails verification: support enumeration, solving the
+    indifference linear system per support pair in increasing size order
+    and returning the first whose cleaned solution is non-negative and
+    admits no pure deviation gaining more than ``tolerance``. Both paths are
+    deterministic, so repeated calls are bit-identical. More than two
     players: replicator-dynamics approximation with the residual reported.
     """
     tensor = _require_complete(game)
@@ -136,28 +256,18 @@ def solve_nash(game: EmpiricalGame, tolerance: float = 1e-8) -> SolutionProfile:
 
     a = tensor[..., 0]  # row player's payoffs
     b = tensor[..., 1]
-    k0, k1 = game.shape
-    for support0, support1 in _support_pairs(k0, k1):
-        sub_a = a[np.ix_(support0, support1)]
-        sub_b = b[np.ix_(support0, support1)]
-        # Column mixture y makes the rows (player 0's support) indifferent.
-        y_raw = _indifference_solution(sub_a)
-        if y_raw is None:
-            continue
-        x_raw = _indifference_solution(sub_b.T)
-        if x_raw is None:
-            continue
-        y = _clean_support_solution(y_raw, support1, k1)
-        x = _clean_support_solution(x_raw, support0, k0)
-        if x is None or y is None:
-            continue
-        gain0 = float((a @ y).max() - x @ a @ y)
-        gain1 = float((x @ b).max() - x @ b @ y)
-        if max(gain0, gain1) <= tolerance:
-            return _profile([x, y], "nash", max(gain0, gain1))
-    raise NoEquilibriumFound(
-        f"support enumeration exhausted for shape {game.shape} at tolerance {tolerance}"
-    )
+    constant_sum = _is_constant_sum(a, b)
+    if constant_sum:
+        solution = _minimax_nash(a, b, tolerance)
+        if solution is not None:
+            return solution
+    solution = _enumerate_nash(a, b, tolerance)
+    if solution is None:
+        tried = "minimax LP and support enumeration" if constant_sum else "support enumeration"
+        raise NoEquilibriumFound(
+            f"{tried} found no equilibrium for shape {game.shape} at tolerance {tolerance}"
+        )
+    return solution
 
 
 def _replicator(

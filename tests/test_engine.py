@@ -379,6 +379,21 @@ def test_checkpoint_writes_only_config_game_record_and_policies(tmp_path):
     assert written == sorted(["config.json", "game.txt", "record.json"] + policies + library)
 
 
+def test_checkpoint_over_longer_run_leaves_no_stale_policies(tmp_path):
+    ck = tmp_path / "ck"
+    checkpoint(run_mixed_oracles(fast_config(epochs=3)), ck)
+    checkpoint(run_mixed_oracles(fast_config(epochs=1)), ck)
+    written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
+    policies = [f"policies/p{p}_{i}.txt" for p in range(2) for i in range(2)]
+    library = [f"library/p{p}_0.txt" for p in range(2)]
+    assert written == sorted(["config.json", "game.txt", "record.json"] + policies + library)
+    # A run without a response library also drops the library files.
+    checkpoint(run_psro(fast_config(epochs=1)), ck)
+    written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
+    assert written == sorted(["config.json", "game.txt", "record.json"] + policies)
+    assert resume(ck).next_epoch == 2
+
+
 def test_resume_ignores_legacy_side_files(tmp_path):
     record = run_mixed_oracles(fast_config(epochs=2, seed=4))
     ck = tmp_path / "ck"

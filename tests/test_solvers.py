@@ -1,12 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psromix
+from psromix import solvers
 from psromix.errors import IncompleteGame
-from psromix.games import EmpiricalGame, deviation_gains
+from psromix.games import EmpiricalGame, deviation_gains, payoff_tensor
 from psromix.solvers import (
     get_solver,
     solve_last,
@@ -185,3 +190,143 @@ def test_nash_three_player_falls_back_to_replicator():
     solution = solve_nash(game)
     assert len(solution.mixtures) == 3
     assert solution.residual >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Constant-sum games: the minimax LP path against support enumeration
+# ---------------------------------------------------------------------------
+
+
+def max_gain(game, solution):
+    return max(float(g.max()) for g in deviation_gains(game, solution.mixtures))
+
+
+def game_value(solution, a):
+    return float(solution.weights(0) @ a @ solution.weights(1))
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("support enumeration reached on a constant-sum game")
+
+    monkeypatch.setattr(solvers, "_support_pairs", refuse)
+
+
+def test_nash_constant_sum_k40_solves_without_enumeration(no_enumeration):
+    a = np.random.default_rng(40).standard_normal((40, 40))
+    game = game_from_bimatrix(a, -a)
+    solution = solve_nash(game)
+    assert max_gain(game, solution) <= 1e-8
+    assert solution.residual <= 1e-8
+
+
+def test_nash_degenerate_constant_sum_returns_verified_lp_weights(no_enumeration):
+    # The LP supports ({0, 1}, {0}) admit no indifference solution, so the
+    # cleaned LP weights are verified instead. Enumeration would return
+    # x = (0, 1); both profiles are equilibria with value 1.
+    a = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 2.0]])
+    game = game_from_bimatrix(a, 3.0 - a)
+    solution = solve_nash(game)
+    assert max_gain(game, solution) <= 1e-8
+    assert np.abs(solution.weights(0) - [1 / 3, 2 / 3]).max() < 1e-12
+    assert np.array_equal(solution.weights(1), [1.0, 0.0, 0.0])
+    assert game_value(solution, a) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def generic_constant_sum(draw):
+    k0 = draw(st.integers(1, 8))
+    k1 = draw(st.integers(1, min(8, 14 - k0)))  # enumeration at 8x8 takes seconds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((k0, k1)) * draw(st.sampled_from([0.01, 1.0, 13.0]))
+    return a, draw(st.sampled_from([0.0, 1.0, -2.5])) - a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(generic_constant_sum())
+def test_nash_generic_constant_sum_equals_enumeration(payoffs):
+    game = game_from_bimatrix(*payoffs)
+    solution = solve_nash(game)
+    tensor = payoff_tensor(game)
+    reference = solvers._enumerate_nash(tensor[..., 0], tensor[..., 1], 1e-8)
+    for player in range(2):
+        assert np.array_equal(solution.weights(player), reference.weights(player))
+    assert solution.residual == reference.residual
+
+
+@st.composite
+def degenerate_constant_sum(draw):
+    """Small-integer payoffs whose rows and columns are drawn, with
+    repetition, from a small base game."""
+    k0, k1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-2, 2), min_size=k0 * k1, max_size=k0 * k1))
+    base = np.array(cells, dtype=float).reshape(k0, k1)
+    rows = draw(st.lists(st.integers(0, k0 - 1), min_size=1, max_size=8))
+    cols = draw(st.lists(st.integers(0, k1 - 1), min_size=1, max_size=8))
+    a = base[rows][:, cols]
+    return a, draw(st.sampled_from([0.0, 1.0])) - a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(degenerate_constant_sum())
+def test_nash_degenerate_constant_sum_value_equals_enumeration(payoffs):
+    a, b = payoffs
+    game = game_from_bimatrix(a, b)
+    solution = solve_nash(game)
+    assert max_gain(game, solution) <= 1e-8
+    reference = solvers._enumerate_nash(a, b, 1e-8)
+    assert abs(game_value(solution, a) - game_value(reference, a)) <= 1e-9
+
+
+def test_nash_constant_sum_value_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    for k0, k1 in [(1, 5), (3, 3), (6, 2), (12, 9), (30, 30)]:
+        a = rng.standard_normal((k0, k1))
+        solution = solve_nash(game_from_bimatrix(a, 1.0 - a))
+        # max v subject to (x @ a)_j >= v for every column, x a distribution.
+        result = optimize.linprog(
+            c=np.r_[np.zeros(k0), -1.0],
+            A_ub=np.c_[-a.T, np.ones(k1)],
+            b_ub=np.zeros(k1),
+            A_eq=np.r_[np.ones(k0), 0.0][None],
+            b_eq=[1.0],
+            bounds=[(0, None)] * k0 + [(None, None)],
+        )
+        assert result.success
+        assert game_value(solution, a) == pytest.approx(-result.fun, abs=1e-8)
+
+
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import psromix
+
+game = psromix.EmpiricalGame(2)
+a = np.random.default_rng(0).standard_normal((3, 3))
+for i in range(3):
+    game.add_policy(0, i)
+    game.add_policy(1, i)
+for i in range(3):
+    for j in range(3):
+        game.payoffs.record((i, j), [a[i, j], -a[i, j]], 1)
+psromix.solve_nash(game)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solving_does_not_import_scipy():
+    # scipy is installed only as a test aid; importing it would double the
+    # library's memory footprint and start-up time.
+    src = os.path.dirname(os.path.dirname(psromix.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
