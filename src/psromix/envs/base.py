@@ -10,18 +10,33 @@ import numpy as np
 from ..errors import IllegalAction
 
 
-@dataclass(frozen=True, eq=False)
 class Observation:
     """An agent's view of its information state.
 
     ``key`` is a canonical byte string: two information states with different
-    legal histories never share a key. ``features`` is the real-vector
-    rendering of the same state (length 30 for Leduc, length 1 for matrix
-    games).
+    legal histories never share a key. ``features`` is the read-only
+    real-vector rendering of the same state (length 30 for Leduc, length 1
+    for matrix games). Tabular code reads only the key, so when no features
+    are given they are computed on first access from the key's bytes, one
+    float per byte (the Leduc encoding), and cached.
     """
 
-    key: bytes
-    features: np.ndarray
+    __slots__ = ("key", "_features")
+
+    def __init__(self, key: bytes, features=None):
+        self.key = key
+        if features is not None:
+            features = np.asarray(features, dtype=float).view()
+            features.flags.writeable = False
+        self._features = features
+
+    @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            features = np.frombuffer(self.key, np.uint8).astype(float)
+            features.flags.writeable = False
+            self._features = features
+        return self._features
 
 
 class Transition(NamedTuple):

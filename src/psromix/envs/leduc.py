@@ -17,6 +17,7 @@ occupies a slot). The observation key is the byte rendering of this vector.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,9 +36,37 @@ MAX_ACTIONS_PER_ROUND = 4  # reached only by CALL, RAISE, RAISE, CALL
 ENCODING_LENGTH = 30
 _PRIVATE_OFFSET = 2
 _PUBLIC_OFFSET = 8
-_ROUND_OFFSETS = (14, 22)
-# Per-slot bit pair, written into the feature vector left to right.
-_ACTION_BITS = {CALL: (0, 1), RAISE: (1, 0)}
+_ACTIONS_OFFSET = 14  # round one's 4 slots, then round two's
+# Per-slot bit pair, written into the key left to right.
+_ACTION_BITS = {CALL: b"\x00\x01", RAISE: b"\x01\x00"}
+
+
+def _prefix(player: int, private_card: int, public_card: int | None) -> bytes:
+    prefix = bytearray(_ACTIONS_OFFSET)
+    prefix[player] = 1
+    prefix[_PRIVATE_OFFSET + private_card] = 1
+    if public_card is not None:
+        prefix[_PUBLIC_OFFSET + public_card] = 1
+    return bytes(prefix)
+
+
+# The key is the player/card prefix followed by one 8-byte block per round,
+# all looked up, so an observation allocates only its key.
+_PREFIXES = {
+    (player, private, public): _prefix(player, private, public)
+    for player in range(2)
+    for private in range(N_CARDS)
+    for public in (None, *range(N_CARDS))
+}
+_ROUND_KEYS = {
+    actions: b"".join(_ACTION_BITS[a] for a in actions).ljust(2 * MAX_ACTIONS_PER_ROUND, b"\0")
+    for length in range(MAX_ACTIONS_PER_ROUND + 1)
+    for actions in itertools.product((CALL, RAISE), repeat=length)
+}
+
+# Returned by every non-terminal step; callers only add it into their own sums.
+_NO_REWARDS = np.zeros(2)
+_NO_REWARDS.flags.writeable = False
 
 
 def card_rank(card: int) -> int:
@@ -51,19 +80,17 @@ def leduc_encode(
     round1_actions: Sequence[int],
     round2_actions: Sequence[int],
 ) -> Observation:
-    """Encode one player's information state as a 30-entry binary vector."""
-    features = np.zeros(ENCODING_LENGTH)
-    features[player] = 1.0
-    features[_PRIVATE_OFFSET + private_card] = 1.0
-    if public_card is not None:
-        features[_PUBLIC_OFFSET + public_card] = 1.0
-    for offset, actions in zip(_ROUND_OFFSETS, (round1_actions, round2_actions)):
-        for slot, action in enumerate(actions):
-            b0, b1 = _ACTION_BITS[action]
-            features[offset + 2 * slot] = b0
-            features[offset + 2 * slot + 1] = b1
-    key = bytes(features.astype(np.uint8))
-    return Observation(key=key, features=features)
+    """Encode one player's information state as a 30-entry binary vector.
+
+    The key is joined from precomputed byte blocks; the float features are
+    derived from it only when read (see :class:`Observation`).
+    """
+    key = (
+        _PREFIXES[player, private_card, public_card]
+        + _ROUND_KEYS[tuple(round1_actions)]
+        + _ROUND_KEYS[tuple(round2_actions)]
+    )
+    return Observation(key)
 
 
 class LeducEnv(Environment):
@@ -159,7 +186,7 @@ class LeducEpisode(EpisodeState):
 
         if self.terminal:
             return self._terminal_rewards()
-        return np.zeros(2)
+        return _NO_REWARDS
 
     def _end_round(self) -> None:
         if self.round_index == 0:

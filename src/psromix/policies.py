@@ -17,6 +17,7 @@ class ValueTable(Protocol):
     """Interface shared by QTable and the Q-mixture in :mod:`psromix.qmixing`."""
 
     action_count: int
+    default_value: float
 
     def lookup(self, key: bytes) -> np.ndarray: ...
 
@@ -24,7 +25,11 @@ class ValueTable(Protocol):
 
 
 class QTable:
-    """Observation-keyed action-value table with a default for unseen keys."""
+    """Observation-keyed action-value table with a default for unseen keys.
+
+    Every unseen key looks up the same read-only default vector; ``ensure``
+    inserts a fresh writable copy before a key's values are updated.
+    """
 
     def __init__(
         self,
@@ -34,6 +39,8 @@ class QTable:
     ):
         self.action_count = int(action_count)
         self.default_value = float(default_value)
+        self._default = np.full(self.action_count, self.default_value)
+        self._default.flags.writeable = False
         self.values: dict[bytes, np.ndarray] = {}
         for key, vec in (values or {}).items():
             self.set(key, vec)
@@ -47,11 +54,8 @@ class QTable:
         self.values[key] = arr
 
     def lookup(self, key: bytes) -> np.ndarray:
-        """Return the stored vector (treat as read-only) or a default vector."""
-        vec = self.values.get(key)
-        if vec is None:
-            return np.full(self.action_count, self.default_value)
-        return vec
+        """Return the stored vector (treat as read-only) or the shared default."""
+        return self.values.get(key, self._default)
 
     def ensure(self, key: bytes) -> np.ndarray:
         """Return the mutable vector for ``key``, inserting the default first."""

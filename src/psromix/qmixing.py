@@ -3,10 +3,12 @@
 A mixture of value policies is itself a value policy: its action values at an
 observation are the components' values weighted by the mixture probabilities
 (components that never saw the observation contribute their default value).
-The same construction serves two roles in the epoch loops: combining a
-library of stored best responses into a response to a mixed opponent, and
-collapsing a mixed opponent into a single representative policy to train
-against.
+The weights are fixed, so a mixture is flattened once, when it is built, into
+one stored vector per key any component knows plus one default vector; a
+lookup is then a single dict access, whatever the support size. The same
+construction serves two roles in the epoch loops: combining a library of
+stored best responses into a response to a mixed opponent, and collapsing a
+mixed opponent into a single representative policy to train against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ class MixedQPolicy:
     """Weighted sum of component action-value tables.
 
     Immutable after construction; exposes the same lookup interface as QTable
-    so mixtures can be nested and acted on greedily.
+    so mixtures can be nested and acted on greedily. The sums are taken at
+    construction, for every key in the union of the components'
+    ``known_keys()`` and once for unseen keys, each as ``total = 0;
+    total += weight * component.lookup(key)`` in component order; ``lookup``
+    returns these read-only vectors. ``default_value`` is the same weighted
+    sum of the components' defaults.
     """
 
     def __init__(self, components: Sequence, weights):
@@ -43,17 +50,26 @@ class MixedQPolicy:
         self.components = tuple(components)
         self.action_count = counts.pop()
 
-    def lookup(self, key: bytes) -> np.ndarray:
-        total = np.zeros(self.action_count)
+        keys = list(set().union(*(c.known_keys() for c in self.components)))
+        # Row i holds the sum for keys[i]; the last row the unseen-key sum.
+        # Whole-array ops round each element exactly as a per-key loop would.
+        totals = np.zeros((len(keys) + 1, self.action_count))
+        default_value = 0.0
         for weight, component in zip(self.weights, self.components):
-            total += weight * component.lookup(key)
-        return total
+            values = [component.lookup(key) for key in keys]
+            values.append(np.full(self.action_count, component.default_value))
+            totals += weight * np.array(values)
+            default_value += weight * component.default_value
+        totals.flags.writeable = False
+        self.default_value = float(default_value)
+        self._default = totals[-1]
+        self._values = dict(zip(keys, totals))
+
+    def lookup(self, key: bytes) -> np.ndarray:
+        return self._values.get(key, self._default)
 
     def known_keys(self):
-        keys = set()
-        for component in self.components:
-            keys.update(component.known_keys())
-        return keys
+        return self._values.keys()
 
 
 def mixed_q(policy: MixedQPolicy, observation) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Structured-text serialization of policies.
 
 All files carry a versioned header line. Floats are written with repr so
-they round-trip bit-exactly. Mixture-backed value policies are flattened to a
-plain table on save: the stored vectors are exactly the sums the live mixture
-would compute, so behaviour is unchanged after a round trip.
+they round-trip bit-exactly. Mixture-backed value policies are saved as a
+plain table: the stored vectors and the default are exactly the sums the live
+mixture holds (see :class:`psromix.qmixing.MixedQPolicy`), so behaviour is
+unchanged after a round trip, on seen and unseen keys alike.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ def policy_to_text(policy) -> str:
         lines.append("kind value")
         lines.append(f"epsilon {policy.epsilon!r}")
         lines.append(f"actions {table.action_count}")
-        default = getattr(table, "default_value", 0.0)
-        lines.append(f"default {float(default)!r}")
+        lines.append(f"default {float(table.default_value)!r}")
         lines.append(f"table {len(keys)}")
         for key in keys:
             values = table.lookup(key)

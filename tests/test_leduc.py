@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from psromix.envs import simulate_episode
+from psromix.envs import MATRIX_OBSERVATION, Observation, simulate_episode
 from psromix.envs.leduc import CALL, FOLD, RAISE, LeducEnv, leduc_encode
 from psromix.policies import pure_action_policy, uniform_random_policy
 
@@ -45,14 +45,30 @@ def test_keys_distinct_for_distinct_histories():
     assert len({a.key, b.key, c.key}) == 3
 
 
-def enumerate_information_states(env):
-    """DFS over every deal, seating, and legal action walk; collect the
-    information state seen at each decision point."""
-    states = {}
+def decision_points(env):
+    """DFS over every deal, seating, and legal action walk; yield the
+    episode at each decision point."""
 
     def walk(episode):
         if episode.terminal:
             return
+        yield episode
+        (player,) = episode.to_act
+        for action in episode.legal_actions(player):
+            child = copy.deepcopy(episode)
+            child.step({player: action})
+            yield from walk(child)
+
+    for first in (0, 1):
+        for c0, c1 in itertools.permutations(range(6), 2):
+            for public in set(range(6)) - {c0, c1}:
+                yield from walk(env.deal(c0, c1, public, first))
+
+
+def enumerate_information_states(env):
+    """Collect the information state seen at each decision point."""
+    states = {}
+    for episode in decision_points(env):
         (player,) = episode.to_act
         obs = episode.observation(player)
         description = (
@@ -67,15 +83,6 @@ def enumerate_information_states(env):
             assert states[obs.key] == description, "key collision for distinct states"
         else:
             states[obs.key] = description
-        for action in episode.legal_actions(player):
-            child = copy.deepcopy(episode)
-            child.step({player: action})
-            walk(child)
-
-    for first in (0, 1):
-        for c0, c1 in itertools.permutations(range(6), 2):
-            for public in set(range(6)) - {c0, c1}:
-                walk(env.deal(c0, c1, public, first))
     return states
 
 
@@ -83,6 +90,61 @@ def test_key_injectivity_exhaustive(env):
     states = enumerate_information_states(env)
     # Injectivity is asserted inside the walk; the reachable count is fixed.
     assert len(states) == 1872
+
+
+def reference_encode(player, private_card, public_card, round1_actions, round2_actions):
+    """The numpy encoder the lookup-table encoder replaced: features, then key."""
+    features = np.zeros(30)
+    features[player] = 1.0
+    features[2 + private_card] = 1.0
+    if public_card is not None:
+        features[8 + public_card] = 1.0
+    bits = {CALL: (0, 1), RAISE: (1, 0)}
+    for offset, actions in zip((14, 22), (round1_actions, round2_actions)):
+        for slot, action in enumerate(actions):
+            features[offset + 2 * slot : offset + 2 * slot + 2] = bits[action]
+    return bytes(features.astype(np.uint8)), features
+
+
+def test_encoding_equals_numpy_reference_exhaustive(env):
+    checked = 0
+    for episode in decision_points(env):
+        for player in (0, 1):
+            obs = episode.observation(player)
+            key, features = reference_encode(
+                player,
+                episode.privates[player],
+                episode.public,
+                episode.round_actions[0],
+                episode.round_actions[1],
+            )
+            assert obs.key == key
+            assert obs.features.dtype == np.float64 and obs.features.shape == (30,)
+            assert np.array_equal(obs.features, features)
+            checked += 1
+    assert checked == 2 * 240 * 36  # both players, 240 seated deals x 36 decisions
+    with pytest.raises(ValueError):
+        obs.features[0] = 1.0
+
+
+def test_given_features_are_kept_read_only():
+    given = np.array([2.0, 3.0])
+    obs = Observation(key=b"k", features=given)
+    assert np.array_equal(obs.features, given)
+    with pytest.raises(ValueError):
+        obs.features[0] = 0.0
+    given[0] = 5.0  # the caller's array stays writable
+    with pytest.raises(ValueError):
+        MATRIX_OBSERVATION.features[0] = 0.0
+
+
+def test_non_terminal_rewards_are_read_only_zeros(env):
+    state = env.deal(0, 2, 4)
+    rewards = state.step({0: RAISE})
+    assert not state.terminal
+    assert np.array_equal(rewards, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        rewards += 1.0
 
 
 def test_zero_sum_random_policies(env):

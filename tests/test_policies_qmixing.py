@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psromix.envs import MATRIX_OBSERVATION
 from psromix.errors import MissingResponse, NotValueBased
@@ -11,6 +13,7 @@ from psromix.policies import (
     uniform_random_policy,
 )
 from psromix.qmixing import MixedQPolicy, combine_opponents, combine_responses, mixed_q
+from psromix.serialize import policy_from_text, policy_to_text
 
 KEY = MATRIX_OBSERVATION.key
 LEGAL = (0, 1, 2)
@@ -109,6 +112,81 @@ def test_linearity_and_degenerate_identity_randomized():
         solo_mixture = MixedQPolicy(tables, solo)
         chosen = tables[int(np.argmax(solo))]
         assert np.array_equal(solo_mixture.lookup(key), chosen.lookup(key))
+
+
+def test_mixture_default_survives_save_and_load():
+    mixture = MixedQPolicy([QTable(2, default_value=0.5), QTable(2, default_value=2.0)], [0.5, 0.5])
+    assert mixture.default_value == 1.25
+    assert np.array_equal(mixture.lookup(b"unseen"), [1.25, 1.25])
+    loaded = policy_from_text(policy_to_text(ValuePolicy(mixture)))
+    assert loaded.q.default_value == 1.25
+    assert np.array_equal(loaded.q.lookup(b"unseen"), [1.25, 1.25])
+
+
+MIX_KEYS = [bytes([k]) for k in range(5)]
+UNSEEN = b"unseen"
+finite = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+
+@st.composite
+def random_tables(draw):
+    table = QTable(3, default_value=draw(finite))
+    for key in MIX_KEYS:
+        if draw(st.booleans()):
+            table.set(key, np.array(draw(st.lists(finite, min_size=3, max_size=3))))
+    return table
+
+
+@st.composite
+def random_weights(draw, n):
+    raw = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+    if raw.sum() == 0.0:
+        raw[0] = 1.0
+    return raw / raw.sum()
+
+
+@st.composite
+def random_mixtures(draw):
+    """A mixture of random tables, one component possibly itself a mixture."""
+    tables = draw(st.lists(random_tables(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        inner = draw(st.lists(random_tables(), min_size=1, max_size=3))
+        tables.append(MixedQPolicy(inner, draw(random_weights(len(inner)))))
+    return MixedQPolicy(tables, draw(random_weights(len(tables))))
+
+
+def summed_lookup(table, key):
+    """The per-call weighted sum, recursing into nested mixtures."""
+    if not isinstance(table, MixedQPolicy):
+        return table.lookup(key)
+    total = np.zeros(table.action_count)
+    for weight, component in zip(table.weights, table.components):
+        total += weight * summed_lookup(component, key)
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_mixtures())
+def test_flattened_mixture_equals_per_call_sum(mixture):
+    loaded = policy_from_text(policy_to_text(ValuePolicy(mixture))).q
+    for key in MIX_KEYS + [UNSEEN]:
+        values = mixture.lookup(key)
+        assert np.array_equal(values, summed_lookup(mixture, key))
+        assert not values.flags.writeable
+        assert np.array_equal(loaded.lookup(key), values)
+    assert np.array_equal(mixture.lookup(UNSEEN), np.full(3, mixture.default_value))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(random_tables())
+def test_qtable_default_is_shared_read_only_and_ensure_copies(table):
+    default = table.lookup(UNSEEN)
+    assert not default.flags.writeable
+    assert table.lookup(b"other unseen") is default
+    vec = table.ensure(UNSEEN)
+    assert vec.flags.writeable and not np.shares_memory(vec, default)
+    vec += 1.0
+    assert np.array_equal(table.lookup(b"other unseen"), np.full(3, table.default_value))
 
 
 def test_permutation_invariance():
