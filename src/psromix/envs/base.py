@@ -59,7 +59,9 @@ class EpisodeState:
 
     Subclasses expose ``to_act`` (players acting this step, simultaneously),
     per-player observations and legal actions, and ``step`` which applies a
-    joint action and returns the per-player reward vector for the step.
+    joint action and returns the per-player reward vector for the step. The
+    returned vector may be shared and read-only, so callers add it into
+    their own sums rather than keep or modify it.
     """
 
     to_act: tuple[int, ...]

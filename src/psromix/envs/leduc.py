@@ -13,15 +13,29 @@ card one-hot (6), public card one-hot (6, all zero in round one), then the
 round-one and round-two action sequences (4 slots of 2 bits each per round;
 CALL = 01, RAISE = 10, empty slot = 00; FOLD ends the episode and never
 occupies a slot). The observation key is the byte rendering of this vector.
+
+Betting depends only on the seating and the action history, never on the
+cards, so the betting tree is compiled once at import: 170 nodes over both
+seatings, 72 of them decisions. Each node holds the acting player, the legal
+actions per player, the child per legal action, the round, the chips put in
+and the 16-byte action-history half of the key; each terminal node holds one
+read-only reward vector per outcome (player 0 wins, player 1 wins, split). A
+deal adds only the cards: per (player, private card, public card) view, one
+tuple of shared :class:`Observation` objects indexed by node id, and the
+showdown outcome. Views and deals are built on first use and then shared by
+every episode, so an episode is a deal plus a node: ``step`` is a child
+lookup and ``observation`` one table index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..errors import IllegalAction
 from .base import Environment, EpisodeState, Observation
 
 FOLD, CALL, RAISE = 0, 1, 2
@@ -68,6 +82,9 @@ _ROUND_KEYS = {
 _NO_REWARDS = np.zeros(2)
 _NO_REWARDS.flags.writeable = False
 
+# Showdown outcomes, the index into a terminal node's reward vectors.
+_P0_WINS, _P1_WINS, _SPLIT = 0, 1, 2  # the winners (0, 1, None) in that order
+
 
 def card_rank(card: int) -> int:
     return card // 2
@@ -93,6 +110,188 @@ def leduc_encode(
     return Observation(key)
 
 
+# -- the betting tree ------------------------------------------------------
+
+
+class _Node:
+    """One betting state: a seating plus the action history so far. Immutable
+    once the tree is built, and shared by every episode that reaches it."""
+
+    __slots__ = (
+        "id",
+        "first_player",
+        "round_index",
+        "round_actions",
+        "contributions",
+        "round_contrib",
+        "current_bet",
+        "raises_made",
+        "player",
+        "to_act",
+        "terminal",
+        "legal",
+        "children",
+        "rewards",
+        "suffix",
+    )
+
+    def __init__(self, first_player, round_index, round_actions, contributions,
+                 round_contrib, current_bet, raises_made, player):
+        self.first_player = first_player
+        self.round_index = round_index
+        self.round_actions = round_actions  # (round one, round two) action tuples
+        self.contributions = contributions  # chips each player has put in
+        self.round_contrib = round_contrib  # the same, this round only
+        self.current_bet = current_bet
+        self.raises_made = raises_made
+        self.player = player  # None at a terminal node
+        self.to_act = () if player is None else (player,)
+        self.terminal = player is None
+        self.legal = (self._legal(0), self._legal(1))
+        self.children: dict[int, _Node] = {}
+        self.rewards: tuple[np.ndarray, ...] | None = None
+        self.suffix = _ROUND_KEYS[round_actions[0]] + _ROUND_KEYS[round_actions[1]]
+
+    def _legal(self, player: int) -> tuple[int, ...]:
+        raises = (RAISE,) if self.raises_made < MAX_RAISES_PER_ROUND else ()
+        facing_bet = self.current_bet > self.round_contrib[player]
+        return ((FOLD,) if facing_bet else ()) + (CALL,) + raises
+
+    def _after(self, action: int) -> "_Node":
+        """The node that ``action`` by the acting player leads to."""
+        player, round_index = self.player, self.round_index
+        if action == FOLD:
+            return self._terminal(
+                self.round_actions, self.contributions, self.round_contrib, (1 - player,) * 3
+            )
+        contributions = list(self.contributions)
+        round_contrib = list(self.round_contrib)
+        current_bet, raises_made = self.current_bet, self.raises_made
+        if action == RAISE:
+            current_bet += RAISE_AMOUNTS[round_index]
+            raises_made += 1
+        owed = current_bet - round_contrib[player]
+        contributions[player] += owed
+        round_contrib[player] += owed
+        round_actions = list(self.round_actions)
+        round_actions[round_index] += (action,)
+        round_actions = tuple(round_actions)
+        next_player = 1 - player
+        if action == CALL and len(round_actions[round_index]) > 1:
+            # A non-opening call closes the round.
+            if round_index == 1:
+                return self._terminal(
+                    round_actions, tuple(contributions), tuple(round_contrib), (0, 1, None)
+                )
+            round_index, next_player = 1, self.first_player
+            round_contrib, current_bet, raises_made = (0, 0), 0, 0
+        return _Node(self.first_player, round_index, round_actions, tuple(contributions),
+                     tuple(round_contrib), current_bet, raises_made, next_player)
+
+    def _terminal(self, round_actions, contributions, round_contrib, winners) -> "_Node":
+        """A terminal child; ``winners`` names the winner (None: split) for
+        each showdown outcome. After a fold it is the same for all three."""
+        node = _Node(self.first_player, self.round_index, round_actions, contributions,
+                     round_contrib, self.current_bet, self.raises_made, None)
+        node.rewards = tuple(_reward_vector(contributions, winner) for winner in winners)
+        return node
+
+
+@functools.cache  # terminal nodes with the same chips and winner share one vector
+def _reward_vector(contributions: tuple[int, int], winner: int | None) -> np.ndarray:
+    pot = contributions[0] + contributions[1]
+    rewards = np.zeros(2)
+    if winner is None:
+        for p in range(2):
+            rewards[p] = pot / 2 - contributions[p]
+    else:
+        rewards[winner] = pot - contributions[winner]
+        rewards[1 - winner] = -contributions[1 - winner]
+    rewards.flags.writeable = False
+    return rewards
+
+
+def _build_tree() -> tuple[list[_Node], tuple[_Node, _Node]]:
+    nodes: list[_Node] = []
+
+    def expand(node: _Node) -> _Node:
+        node.id = len(nodes)
+        nodes.append(node)
+        if not node.terminal:
+            for action in node.legal[node.player]:
+                node.children[action] = expand(node._after(action))
+        return node
+
+    roots = tuple(
+        expand(_Node(first, 0, ((), ()), (ANTE, ANTE), (0, 0), 0, 0, first)) for first in range(2)
+    )
+    return nodes, roots
+
+
+_NODES, _ROOTS = _build_tree()
+
+
+# -- per-deal tables, built on first use -----------------------------------
+# These caches only grow, and what they hold never changes once built, so
+# every episode and environment in the process can share them.
+
+_OBSERVATIONS: dict[bytes, Observation] = {}  # one shared object per key
+_VIEWS: dict[tuple[int, int, int], tuple[Observation, ...]] = {}
+
+
+def _shared_observation(key: bytes) -> Observation:
+    obs = _OBSERVATIONS.get(key)
+    if obs is None:
+        obs = _OBSERVATIONS[key] = Observation(key)
+    return obs
+
+
+def _view(player: int, private: int, public: int) -> tuple[Observation, ...]:
+    """What ``player`` holding ``private`` sees at every node, by node id."""
+    view = _VIEWS.get((player, private, public))
+    if view is None:
+        hidden = _PREFIXES[player, private, None]
+        shown = _PREFIXES[player, private, public]
+        view = _VIEWS[player, private, public] = tuple(
+            _shared_observation((shown if node.round_index else hidden) + node.suffix)
+            for node in _NODES
+        )
+    return view
+
+
+def _showdown_outcome(private0: int, private1: int, public: int) -> int:
+    board = card_rank(public)
+    r0, r1 = card_rank(private0), card_rank(private1)
+    pair0, pair1 = r0 == board, r1 == board
+    if pair0 != pair1:
+        return _P0_WINS if pair0 else _P1_WINS
+    if r0 != r1:
+        return _P0_WINS if r0 > r1 else _P1_WINS
+    return _SPLIT
+
+
+class _Deal:
+    """The cards of one deal: both players' views and the showdown outcome."""
+
+    __slots__ = ("privates", "public", "views", "outcome")
+
+    def __init__(self, private0: int, private1: int, public: int):
+        self.privates = (private0, private1)
+        self.public = public
+        self.views = (_view(0, private0, public), _view(1, private1, public))
+        self.outcome = _showdown_outcome(private0, private1, public)
+
+
+_DEALS: dict[tuple[int, int, int], _Deal] = {}
+
+
+def _deal(cards: tuple[int, int, int]) -> _Deal:
+    deal = _DEALS.get(cards)
+    if deal is None:
+        deal = _DEALS[cards] = _Deal(*cards)
+    return deal
+
+
 class LeducEnv(Environment):
     name = "leduc"
     n_players = 2
@@ -101,126 +300,83 @@ class LeducEnv(Environment):
         return 3
 
     def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
-        order = rng.permutation(N_CARDS)
-        return self.deal(int(order[0]), int(order[1]), int(order[2]), first_player)
+        cards = tuple(rng.permutation(N_CARDS).tolist()[:3])
+        return LeducEpisode(_deal(cards), _ROOTS[first_player])
 
     def deal(
         self, private0: int, private1: int, public: int, first_player: int = 0
     ) -> "LeducEpisode":
         """Start an episode from a fixed deal (useful for exhaustive tests)."""
-        return LeducEpisode(self, (private0, private1), public, first_player)
+        return LeducEpisode(_deal((private0, private1, public)), _ROOTS[first_player])
 
 
 class LeducEpisode(EpisodeState):
-    def __init__(self, env: LeducEnv, privates: tuple[int, int], public: int, first_player: int):
-        self.env = env
-        self.privates = privates
-        self.hidden_public = public  # dealt up front, revealed after round one
-        self.public: int | None = None
-        self.first_player = first_player
-        self.round_index = 0
-        self.contributions = [ANTE, ANTE]
-        self.round_contrib = [0, 0]
-        self.current_bet = 0
-        self.raises_made = 0
-        self.round_actions: tuple[list[int], list[int]] = ([], [])
-        self.terminal = False
-        self.fold_winner: int | None = None
-        self.to_act = (first_player,)
+    """A deal plus a node of the betting tree. ``to_act`` and ``terminal``
+    are plain attributes; the betting state is read from the node."""
+
+    def __init__(self, deal: _Deal, node: _Node):
+        self._deal = deal
+        self._node = node
+        self.to_act = node.to_act
+        self.terminal = node.terminal
+
+    def __deepcopy__(self, memo) -> "LeducEpisode":
+        # Deal and node are immutable and shared; only the position is copied.
+        return LeducEpisode(self._deal, self._node)
 
     # -- observation / legality ------------------------------------------
 
     def observation(self, player: int) -> Observation:
-        return leduc_encode(
-            player,
-            self.privates[player],
-            self.public,
-            self.round_actions[0],
-            self.round_actions[1],
-        )
+        return self._deal.views[player][self._node.id]
 
     def legal_actions(self, player: int) -> tuple[int, ...]:
-        facing_bet = self.current_bet > self.round_contrib[player]
-        if facing_bet:
-            if self.raises_made < MAX_RAISES_PER_ROUND:
-                return (FOLD, CALL, RAISE)
-            return (FOLD, CALL)
-        if self.raises_made < MAX_RAISES_PER_ROUND:
-            return (CALL, RAISE)
-        return (CALL,)
+        return self._node.legal[player]
 
     # -- dynamics ---------------------------------------------------------
 
     def step(self, actions: Mapping[int, int]) -> np.ndarray:
-        (player,) = self.to_act
-        action = actions[player]
-        opponent = 1 - player
-
-        if action == FOLD:
+        node = self._node
+        action = actions[node.player]
+        child = node.children.get(action)
+        if child is None:
+            raise IllegalAction(
+                f"player {node.player} chose action {action}; "
+                f"legal set is {node.legal[node.player]}"
+            )
+        self._node = child
+        self.to_act = child.to_act
+        if child.terminal:
             self.terminal = True
-            self.fold_winner = opponent
-            self.to_act = ()
-            return self._terminal_rewards()
-
-        sequence = self.round_actions[self.round_index]
-        opening_action = not sequence
-        sequence.append(action)
-
-        if action == CALL:
-            owed = self.current_bet - self.round_contrib[player]
-            self.round_contrib[player] += owed
-            self.contributions[player] += owed
-            if opening_action:
-                self.to_act = (opponent,)
-            else:
-                # A non-opening call closes the betting round.
-                self._end_round()
-        else:  # RAISE
-            target = self.current_bet + RAISE_AMOUNTS[self.round_index]
-            owed = target - self.round_contrib[player]
-            self.round_contrib[player] += owed
-            self.contributions[player] += owed
-            self.current_bet = target
-            self.raises_made += 1
-            self.to_act = (opponent,)
-
-        if self.terminal:
-            return self._terminal_rewards()
+            return child.rewards[self._deal.outcome]
         return _NO_REWARDS
 
-    def _end_round(self) -> None:
-        if self.round_index == 0:
-            self.round_index = 1
-            self.public = self.hidden_public
-            self.round_contrib = [0, 0]
-            self.current_bet = 0
-            self.raises_made = 0
-            self.to_act = (self.first_player,)
-        else:
-            self.terminal = True
-            self.to_act = ()
+    # -- betting state, derived from the node -----------------------------
 
-    def _terminal_rewards(self) -> np.ndarray:
-        pot = self.contributions[0] + self.contributions[1]
-        if self.fold_winner is not None:
-            winner = self.fold_winner
-        else:
-            winner = self._showdown_winner()
-        rewards = np.zeros(2)
-        if winner is None:
-            for p in range(2):
-                rewards[p] = pot / 2 - self.contributions[p]
-        else:
-            rewards[winner] = pot - self.contributions[winner]
-            rewards[1 - winner] = -self.contributions[1 - winner]
-        return rewards
+    @property
+    def privates(self) -> tuple[int, int]:
+        return self._deal.privates
 
-    def _showdown_winner(self) -> int | None:
-        board = card_rank(self.hidden_public)
-        r0, r1 = card_rank(self.privates[0]), card_rank(self.privates[1])
-        pair0, pair1 = r0 == board, r1 == board
-        if pair0 != pair1:
-            return 0 if pair0 else 1
-        if r0 != r1:
-            return 0 if r0 > r1 else 1
-        return None
+    @property
+    def public(self) -> int | None:
+        """The public card once revealed (from round two on), else None."""
+        return self._deal.public if self._node.round_index else None
+
+    @property
+    def first_player(self) -> int:
+        return self._node.first_player
+
+    @property
+    def round_index(self) -> int:
+        return self._node.round_index
+
+    @property
+    def round_actions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._node.round_actions
+
+    @property
+    def contributions(self) -> list[int]:
+        return list(self._node.contributions)
+
+    @property
+    def current_bet(self) -> int:
+        return self._node.current_bet

@@ -8,6 +8,7 @@ exists to make convergence tests deterministic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -51,7 +52,10 @@ class SimulationCounter:
 
 
 def epsilon_at(t: int, hparams: OracleHParams) -> float:
-    """Linear exploration decay, flat at epsilon_end after the ramp."""
+    """Linear exploration decay, flat at epsilon_end after the ramp.
+
+    ``train_best_response`` inlines this arithmetic; keep the two identical.
+    """
     span = hparams.exploration_timesteps
     if span <= 0:
         return hparams.epsilon_end
@@ -85,7 +89,9 @@ def train_best_response(
     an episode). Exactly ``total_timesteps`` learner actions are taken;
     epsilon decays linearly over ``exploration_timesteps``. Opponent draws
     consume ``opponent_rng`` (default: ``rng``) so that fixed-opponent
-    trainings are unaffected by how the provider samples.
+    trainings are unaffected by how the provider samples. Actions are not
+    checked here: Leduc's ``step`` raises ``IllegalAction`` on an opponent
+    action it does not allow.
     """
     if hparams.total_timesteps == 0:
         raise BudgetZero("total_timesteps is 0")
@@ -94,9 +100,15 @@ def train_best_response(
         opponent_rng = rng
     n_actions = env.action_count(learner)
     q = QTable(n_actions)
+    lookup, ensure = q.lookup, q.ensure
+    random, integers = rng.random, rng.integers
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
+    # epsilon_at's schedule, inlined with the same arithmetic.
+    span = hparams.exploration_timesteps
+    eps_start, eps_end = hparams.epsilon_start, hparams.epsilon_end
+    eps_drop = eps_start - eps_end
     t = 0
     episode = 0
     done = False
@@ -105,7 +117,8 @@ def train_best_response(
         opponent_policies = provider(opponent_rng)
         state = env.reset(rng, first_player=episode % 2)
         episode += 1
-        pending: tuple[bytes, int] | None = None
+        pending_key = None
+        pending_action = 0
         acc_reward = 0.0
         while not state.terminal:
             actions = {}
@@ -113,25 +126,26 @@ def train_best_response(
                 if player == learner:
                     obs_key = state.observation(player).key
                     legal = state.legal_actions(player)
-                    if pending is not None:
-                        vec = q.ensure(pending[0])
-                        bootstrap = max(q.lookup(obs_key)[a] for a in legal)
+                    values = lookup(obs_key)
+                    if pending_key is not None:
+                        vec = ensure(pending_key)
+                        bootstrap = max(values[a] for a in legal)
                         target = acc_reward + gamma * bootstrap
-                        vec[pending[1]] += lr * (target - vec[pending[1]])
-                        pending = None
+                        vec[pending_action] += lr * (target - vec[pending_action])
+                        if pending_key == obs_key:  # values may be the stale default
+                            values = lookup(obs_key)
+                        pending_key = None
                         acc_reward = 0.0
                         if t >= total:
                             done = True
                             break
-                    epsilon = epsilon_at(t, hparams)
-                    if epsilon > 0.0 and rng.random() < epsilon:
-                        action = legal[rng.integers(len(legal))]
+                    epsilon = eps_start - eps_drop * (min(t, span) / span) if span > 0 else eps_end
+                    if epsilon > 0.0 and random() < epsilon:
+                        action = legal[integers(len(legal))]
                     else:
-                        action = greedy_over(q.lookup(obs_key), legal)
-                    pending = (obs_key, action)
+                        action = greedy_over(values, legal)
+                    pending_key, pending_action = obs_key, action
                     t += 1
-                    if counter is not None:
-                        counter.train_steps += 1
                 else:
                     obs = state.observation(player)
                     legal = state.legal_actions(player)
@@ -140,14 +154,16 @@ def train_best_response(
             if done:
                 break
             rewards = state.step(actions)
-            if pending is not None:
+            if pending_key is not None:
                 acc_reward += rewards[learner]
-        if state.terminal and pending is not None:
-            vec = q.ensure(pending[0])
-            vec[pending[1]] += lr * (acc_reward - vec[pending[1]])
-            pending = None
+        if state.terminal and pending_key is not None:
+            vec = ensure(pending_key)
+            vec[pending_action] += lr * (acc_reward - vec[pending_action])
+            pending_key = None
         if t >= total:
             done = True
+    if counter is not None:
+        counter.train_steps += t
     return ValuePolicy(q)
 
 
@@ -215,16 +231,15 @@ class TabularOracle:
         )
 
     def respond_mixture(self, env, player, opponent_sets, weights, rng, counter, opponent_rng=None):
+        # bisect_right over the cumsum picks what np.searchsorted(side="right") would.
         cumulative = {
-            other: np.cumsum(np.asarray(weights[other], dtype=float))
+            other: np.cumsum(np.asarray(weights[other], dtype=float)).tolist()
             for other in opponent_sets
         }
 
         def provider(sample_rng):
             return {
-                other: policies[
-                    int(np.searchsorted(cumulative[other], sample_rng.random(), side="right"))
-                ]
+                other: policies[bisect.bisect_right(cumulative[other], sample_rng.random())]
                 for other, policies in opponent_sets.items()
             }
 

@@ -242,11 +242,14 @@ def solve_nash(game: EmpiricalGame, tolerance: float = 1e-8) -> SolutionProfile:
     solved and verified as one support pair, exactly as enumeration would,
     so a game with a unique equilibrium gets enumeration's bits; if that
     pair fails (a degenerate game), the cleaned LP weights are verified
-    instead. Two players, general sum, or a constant-sum game whose LP
-    result fails verification: support enumeration, solving the
-    indifference linear system per support pair in increasing size order
-    and returning the first whose cleaned solution is non-negative and
-    admits no pure deviation gaining more than ``tolerance``. Both paths are
+    instead. So a degenerate constant-sum game, one with several equilibria,
+    returns the equilibrium whose supports the LP under Bland's rule reaches
+    first, which need not be the one enumeration would find. Two players,
+    general sum, or a constant-sum game whose LP result fails verification:
+    support enumeration, solving the indifference linear system per support
+    pair in increasing size order and returning the first whose cleaned
+    solution is non-negative and admits no pure deviation gaining more than
+    ``tolerance``. Both paths are
     deterministic, so repeated calls are bit-identical. More than two
     players: replicator-dynamics approximation with the residual reported.
     """

@@ -6,6 +6,8 @@ import pytest
 
 from psromix.envs import MATRIX_OBSERVATION, Observation, simulate_episode
 from psromix.envs.leduc import CALL, FOLD, RAISE, LeducEnv, leduc_encode
+from psromix.errors import IllegalAction
+from psromix.oracle import OracleHParams, train_best_response
 from psromix.policies import pure_action_policy, uniform_random_policy
 
 
@@ -228,3 +230,195 @@ def test_first_player_seating(env):
     assert state.to_act == (0,)
     obs = state.observation(0)
     assert list(obs.features[14:16]) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# The compiled betting tree against the step-by-step dynamics it replaced
+# ---------------------------------------------------------------------------
+
+
+class ReferenceLeduc:
+    """The mutable-state Leduc dynamics the compiled tree replaced."""
+
+    def __init__(self, privates, public, first_player):
+        self.privates = privates
+        self.hidden_public = public
+        self.public = None
+        self.first_player = first_player
+        self.round_index = 0
+        self.contributions = [1, 1]
+        self.round_contrib = [0, 0]
+        self.current_bet = 0
+        self.raises_made = 0
+        self.round_actions = ([], [])
+        self.terminal = False
+        self.fold_winner = None
+        self.to_act = (first_player,)
+
+    def legal_actions(self, player):
+        facing_bet = self.current_bet > self.round_contrib[player]
+        raises = (RAISE,) if self.raises_made < 2 else ()
+        return ((FOLD,) if facing_bet else ()) + (CALL,) + raises
+
+    def step(self, actions):
+        (player,) = self.to_act
+        action = actions[player]
+        opponent = 1 - player
+        if action == FOLD:
+            self.terminal = True
+            self.fold_winner = opponent
+            self.to_act = ()
+            return self.terminal_rewards()
+        sequence = self.round_actions[self.round_index]
+        opening_action = not sequence
+        sequence.append(action)
+        if action == CALL:
+            owed = self.current_bet - self.round_contrib[player]
+            self.round_contrib[player] += owed
+            self.contributions[player] += owed
+            if opening_action:
+                self.to_act = (opponent,)
+            else:
+                self.end_round()
+        else:
+            target = self.current_bet + (2, 4)[self.round_index]
+            owed = target - self.round_contrib[player]
+            self.round_contrib[player] += owed
+            self.contributions[player] += owed
+            self.current_bet = target
+            self.raises_made += 1
+            self.to_act = (opponent,)
+        if self.terminal:
+            return self.terminal_rewards()
+        return np.zeros(2)
+
+    def end_round(self):
+        if self.round_index == 0:
+            self.round_index = 1
+            self.public = self.hidden_public
+            self.round_contrib = [0, 0]
+            self.current_bet = 0
+            self.raises_made = 0
+            self.to_act = (self.first_player,)
+        else:
+            self.terminal = True
+            self.to_act = ()
+
+    def terminal_rewards(self):
+        pot = sum(self.contributions)
+        winner = self.fold_winner if self.fold_winner is not None else self.showdown_winner()
+        rewards = np.zeros(2)
+        if winner is None:
+            for p in range(2):
+                rewards[p] = pot / 2 - self.contributions[p]
+        else:
+            rewards[winner] = pot - self.contributions[winner]
+            rewards[1 - winner] = -self.contributions[1 - winner]
+        return rewards
+
+    def showdown_winner(self):
+        board = self.hidden_public // 2
+        r0, r1 = self.privates[0] // 2, self.privates[1] // 2
+        if (r0 == board) != (r1 == board):
+            return 0 if r0 == board else 1
+        if r0 != r1:
+            return 0 if r0 > r1 else 1
+        return None
+
+
+def assert_same_state(episode, reference):
+    assert episode.to_act == reference.to_act
+    assert episode.terminal == reference.terminal
+    assert episode.contributions == reference.contributions
+    assert episode.round_index == reference.round_index
+    assert episode.current_bet == reference.current_bet
+    assert episode.public == reference.public
+    assert episode.privates == reference.privates
+    assert episode.first_player == reference.first_player
+    assert episode.round_actions == tuple(map(tuple, reference.round_actions))
+    for player in (0, 1):
+        assert episode.legal_actions(player) == reference.legal_actions(player)
+
+
+def test_tree_equals_reference_dynamics_exhaustive(env):
+    nodes = terminals = 0
+
+    def walk(episode, reference):
+        nonlocal nodes, terminals
+        assert_same_state(episode, reference)
+        nodes += 1
+        if episode.terminal:
+            return
+        (player,) = episode.to_act
+        for action in reference.legal_actions(player):
+            child, ref_child = copy.deepcopy(episode), copy.deepcopy(reference)
+            rewards = child.step({player: action})
+            ref_rewards = ref_child.step({player: action})
+            assert rewards.dtype == ref_rewards.dtype
+            assert np.array_equal(rewards, ref_rewards)
+            terminals += child.terminal
+            walk(child, ref_child)
+
+    for first in (0, 1):
+        for c0, c1, public in itertools.permutations(range(6), 3):
+            walk(env.deal(c0, c1, public, first), ReferenceLeduc((c0, c1), public, first))
+    # 120 deals x 2 seatings, each with 36 decision and 49 terminal nodes.
+    assert (nodes, terminals) == (240 * 85, 240 * 49)
+
+
+def test_fold_with_no_bet_outstanding_is_illegal(env):
+    state = env.deal(0, 2, 4)
+    with pytest.raises(IllegalAction):
+        state.step({0: FOLD})
+    assert not state.terminal and state.to_act == (0,)  # the episode is unchanged
+
+
+def test_third_raise_in_a_round_is_illegal(env):
+    state, _ = play(env, [RAISE, RAISE])
+    with pytest.raises(IllegalAction):
+        state.step({0: RAISE})
+    state, _ = play(env, [CALL, CALL, RAISE, RAISE])
+    with pytest.raises(IllegalAction):
+        state.step({0: RAISE})
+
+
+def test_training_against_an_illegal_opponent_raises(env):
+    hparams = OracleHParams(total_timesteps=200, exploration_timesteps=100)
+    with pytest.raises(IllegalAction):
+        train_best_response(
+            env, 0, {1: pure_action_policy(3, FOLD)}, hparams, np.random.default_rng(0)
+        )
+
+
+def test_terminal_rewards_are_shared_and_read_only(env):
+    def fold_rewards(deal):
+        state = env.deal(*deal)
+        state.step({0: RAISE})
+        return state.step({1: FOLD})
+
+    rewards = fold_rewards((0, 2, 4))
+    assert np.array_equal(rewards, [1.0, -1.0])
+    with pytest.raises(ValueError):
+        rewards[0] = 0.0
+    assert fold_rewards((1, 3, 5)) is rewards  # one vector per terminal node and outcome
+
+
+def test_deepcopy_steps_independently(env):
+    state = env.deal(0, 2, 4)
+    state.step({0: RAISE})
+    clone = copy.deepcopy(state)
+    clone.step({1: FOLD})
+    assert clone.terminal and not state.terminal
+    assert state.to_act == (1,) and state.legal_actions(1) == (FOLD, CALL, RAISE)
+    state.step({1: CALL})
+    assert state.round_index == 1 and clone.round_index == 0
+    assert state.contributions == [3, 3] and clone.contributions == [3, 1]
+
+
+def test_shared_observation_features_are_read_only(env):
+    first = env.deal(0, 2, 4).observation(0)
+    again = env.deal(0, 3, 5).observation(0)  # same key: round one hides the public card
+    assert first.key == again.key
+    assert again.features is first.features
+    with pytest.raises(ValueError):
+        again.features[0] = 0.0

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from psromix.envs import MATRIX_OBSERVATION, LeducEnv, rps_env
+from psromix.envs import (
+    MATRIX_OBSERVATION,
+    Environment,
+    EpisodeState,
+    LeducEnv,
+    Observation,
+    rps_env,
+)
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import BudgetZero, WrongEnvironment
 from psromix.oracle import (
     OracleHParams,
     SimulationCounter,
+    TabularOracle,
     epsilon_at,
     exact_best_response,
     train_best_response,
@@ -116,6 +124,79 @@ def test_exact_budget_on_multistep_episodes():
         counter,
     )
     assert counter.train_steps == 777
+
+
+class RecordingPolicy:
+    """Plays action 0 and records its label each time it is asked to act."""
+
+    def __init__(self, label, log):
+        self.label, self.log = label, log
+
+    def act(self, observation, legal_actions, rng):
+        self.log.append(self.label)
+        return 0
+
+
+def test_mixture_draws_match_searchsorted():
+    # One opponent draw per one-step episode, compared with np.searchsorted
+    # (side="right") over the cumsum, zero weights and all.
+    weights = [0.25, 0.0, 0.45, 0.0, 0.3]
+    log = []
+    opponents = [RecordingPolicy(i, log) for i in range(len(weights))]
+    oracle = TabularOracle(hp(), hp(total_timesteps=400, exploration_timesteps=100))
+    oracle.respond_mixture(
+        rps_env(), 1, {0: opponents}, {0: weights}, np.random.default_rng(0),
+        SimulationCounter(), np.random.default_rng(5),
+    )
+    replay = np.random.default_rng(5)
+    cumulative = np.cumsum(weights)
+    expected = [int(np.searchsorted(cumulative, replay.random(), side="right")) for _ in log]
+    assert len(log) == 400 and log == expected
+    assert set(log) == {0, 2, 4}
+
+
+class RepeatedKeyEpisode(EpisodeState):
+    """One player, two decisions under the same key; action 0 costs 1."""
+
+    def __init__(self):
+        self.steps_left = 2
+        self.to_act = (0,)
+        self.terminal = False
+
+    def observation(self, player):
+        return Observation(b"k")
+
+    def legal_actions(self, player):
+        return (0, 1)
+
+    def step(self, actions):
+        self.steps_left -= 1
+        self.terminal = self.steps_left == 0
+        self.to_act = () if self.terminal else (0,)
+        return np.array([-1.0 if actions[0] == 0 else 0.0])
+
+
+class RepeatedKeyEnv(Environment):
+    name = "repeated-key"
+    n_players = 1
+
+    def action_count(self, player):
+        return 2
+
+    def reset(self, rng, first_player=0):
+        return RepeatedKeyEpisode()
+
+
+def test_greedy_action_reads_the_update_to_a_repeated_key():
+    # Greedy throughout. The first decision ties and plays 0; its update
+    # (to -0.5) lands on the key being acted on, so the second decision
+    # must see it and play 1, whose terminal update leaves 0.
+    hparams = OracleHParams(
+        learning_rate=0.5, discount=1.0, total_timesteps=2,
+        exploration_timesteps=0, epsilon_end=0.0,
+    )
+    policy = train_best_response(RepeatedKeyEnv(), 0, {}, hparams, np.random.default_rng(0))
+    assert policy.q.lookup(b"k").tolist() == [-0.5, 0.0]
 
 
 def test_leduc_training_learns_something():

@@ -234,6 +234,17 @@ def test_nash_degenerate_constant_sum_returns_verified_lp_weights(no_enumeration
     assert game_value(solution, a) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_nash_degenerate_leduc_game_tie_break_is_pinned(no_enumeration):
+    # The leduc-psro seed-4 epoch-1 meta-game. Rows 1 and 2 both score -1.2
+    # against column 1, so (1, 1) and (2, 1) are both pure equilibria. The one
+    # returned sets the next best-response target and so every later artifact.
+    a = np.array([[-75, -42, 3], [-2, -36, 2], [-16, -36, 7]]) / 30
+    solution = solve_nash(game_from_bimatrix(a, -a))
+    assert np.array_equal(solution.weights(0), [0.0, 0.0, 1.0])
+    assert np.array_equal(solution.weights(1), [0.0, 1.0, 0.0])
+    assert solution.residual == 0.0
+
+
 @st.composite
 def generic_constant_sum(draw):
     k0 = draw(st.integers(1, 8))
