@@ -17,14 +17,14 @@ occupies a slot). The observation key is the byte rendering of this vector.
 Betting depends only on the seating and the action history, never on the
 cards, so the betting tree is compiled once at import: 170 nodes over both
 seatings, 72 of them decisions. Each node holds the acting player, the legal
-actions per player, the child per legal action, the round, the chips put in
-and the 16-byte action-history half of the key; each terminal node holds one
-read-only reward vector per outcome (player 0 wins, player 1 wins, split). A
-deal adds only the cards: per (player, private card, public card) view, one
-tuple of shared :class:`Observation` objects indexed by node id, and the
-showdown outcome. Views and deals are built on first use and then shared by
-every episode, so an episode is a deal plus a node: ``step`` is a child
-lookup and ``observation`` one table index.
+actions per player, the child per legal action, the round and the chips put
+in; each terminal node holds one read-only reward vector per outcome (player 0
+wins, player 1 wins, split). A deal adds only the cards: per (player, private
+card, public card) view, one tuple of shared :class:`Observation` objects
+indexed by node id, keyed by :func:`leduc_encode` and interned so that each
+distinct key is one object, and the showdown outcome. Views and deals are
+built on first use and then shared by every episode, so an episode is a deal
+plus a node: ``step`` is a child lookup and ``observation`` one table index.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class _Node:
         "legal",
         "children",
         "rewards",
-        "suffix",
     )
 
     def __init__(self, first_player, round_index, round_actions, contributions,
@@ -150,7 +149,6 @@ class _Node:
         self.legal = (self._legal(0), self._legal(1))
         self.children: dict[int, _Node] = {}
         self.rewards: tuple[np.ndarray, ...] | None = None
-        self.suffix = _ROUND_KEYS[round_actions[0]] + _ROUND_KEYS[round_actions[1]]
 
     def _legal(self, player: int) -> tuple[int, ...]:
         raises = (RAISE,) if self.raises_made < MAX_RAISES_PER_ROUND else ()
@@ -235,28 +233,19 @@ _NODES, _ROOTS = _build_tree()
 # These caches only grow, and what they hold never changes once built, so
 # every episode and environment in the process can share them.
 
-_OBSERVATIONS: dict[bytes, Observation] = {}  # one shared object per key
-_VIEWS: dict[tuple[int, int, int], tuple[Observation, ...]] = {}
+# The encoding is one-to-one, so interning by its arguments gives one object per key.
+_shared_observation = functools.cache(leduc_encode)
 
 
-def _shared_observation(key: bytes) -> Observation:
-    obs = _OBSERVATIONS.get(key)
-    if obs is None:
-        obs = _OBSERVATIONS[key] = Observation(key)
-    return obs
-
-
+@functools.cache
 def _view(player: int, private: int, public: int) -> tuple[Observation, ...]:
     """What ``player`` holding ``private`` sees at every node, by node id."""
-    view = _VIEWS.get((player, private, public))
-    if view is None:
-        hidden = _PREFIXES[player, private, None]
-        shown = _PREFIXES[player, private, public]
-        view = _VIEWS[player, private, public] = tuple(
-            _shared_observation((shown if node.round_index else hidden) + node.suffix)
-            for node in _NODES
+    return tuple(
+        _shared_observation(
+            player, private, public if node.round_index else None, *node.round_actions
         )
-    return view
+        for node in _NODES
+    )
 
 
 def _showdown_outcome(private0: int, private1: int, public: int) -> int:
@@ -282,14 +271,7 @@ class _Deal:
         self.outcome = _showdown_outcome(private0, private1, public)
 
 
-_DEALS: dict[tuple[int, int, int], _Deal] = {}
-
-
-def _deal(cards: tuple[int, int, int]) -> _Deal:
-    deal = _DEALS.get(cards)
-    if deal is None:
-        deal = _DEALS[cards] = _Deal(*cards)
-    return deal
+_deal = functools.cache(_Deal)  # one shared deal per (private0, private1, public)
 
 
 class LeducEnv(Environment):
@@ -300,14 +282,14 @@ class LeducEnv(Environment):
         return 3
 
     def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
-        cards = tuple(rng.permutation(N_CARDS).tolist()[:3])
-        return LeducEpisode(_deal(cards), _ROOTS[first_player])
+        private0, private1, public = rng.permutation(N_CARDS).tolist()[:3]
+        return LeducEpisode(_deal(private0, private1, public), _ROOTS[first_player])
 
     def deal(
         self, private0: int, private1: int, public: int, first_player: int = 0
     ) -> "LeducEpisode":
         """Start an episode from a fixed deal (useful for exhaustive tests)."""
-        return LeducEpisode(_deal((private0, private1, public)), _ROOTS[first_player])
+        return LeducEpisode(_deal(private0, private1, public), _ROOTS[first_player])
 
 
 class LeducEpisode(EpisodeState):

@@ -52,10 +52,7 @@ class SimulationCounter:
 
 
 def epsilon_at(t: int, hparams: OracleHParams) -> float:
-    """Linear exploration decay, flat at epsilon_end after the ramp.
-
-    ``train_best_response`` inlines this arithmetic; keep the two identical.
-    """
+    """Linear exploration decay, flat at epsilon_end after the ramp."""
     span = hparams.exploration_timesteps
     if span <= 0:
         return hparams.epsilon_end
@@ -105,10 +102,6 @@ def train_best_response(
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
-    # epsilon_at's schedule, inlined with the same arithmetic.
-    span = hparams.exploration_timesteps
-    eps_start, eps_end = hparams.epsilon_start, hparams.epsilon_end
-    eps_drop = eps_start - eps_end
     t = 0
     episode = 0
     done = False
@@ -126,24 +119,21 @@ def train_best_response(
                 if player == learner:
                     obs_key = state.observation(player).key
                     legal = state.legal_actions(player)
-                    values = lookup(obs_key)
                     if pending_key is not None:
                         vec = ensure(pending_key)
-                        bootstrap = max(values[a] for a in legal)
+                        bootstrap = max(lookup(obs_key)[a] for a in legal)
                         target = acc_reward + gamma * bootstrap
                         vec[pending_action] += lr * (target - vec[pending_action])
-                        if pending_key == obs_key:  # values may be the stale default
-                            values = lookup(obs_key)
                         pending_key = None
                         acc_reward = 0.0
                         if t >= total:
                             done = True
                             break
-                    epsilon = eps_start - eps_drop * (min(t, span) / span) if span > 0 else eps_end
+                    epsilon = epsilon_at(t, hparams)
                     if epsilon > 0.0 and random() < epsilon:
                         action = legal[integers(len(legal))]
                     else:
-                        action = greedy_over(values, legal)
+                        action = greedy_over(lookup(obs_key), legal)
                     pending_key, pending_action = obs_key, action
                     t += 1
                 else:
