@@ -17,9 +17,6 @@ from .engine import (
     export_regret_curve,
     resume,
     run_algorithm,
-    run_mixed_opponents,
-    run_mixed_oracles,
-    run_psro,
 )
 from .envs import (
     Environment,
@@ -70,7 +67,7 @@ from .policies import (
     pure_action_policy,
     uniform_random_policy,
 )
-from .qmixing import MixedQPolicy, combine_opponents, combine_responses, mixed_q
+from .qmixing import MixedQPolicy, combine_opponents, combine_responses
 from .serialize import load_policy, save_policy
 from .solvers import (
     SolutionProfile,

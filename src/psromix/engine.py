@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -297,23 +297,6 @@ def run_algorithm(
         ):
             break
     return record
-
-
-def run_psro(config: RunConfig, **kwargs) -> RunRecord:
-    """Best response to the opponent solution, resampled at episode starts."""
-    return run_algorithm(replace(config, algorithm="psro"), **kwargs)
-
-
-def run_mixed_oracles(config: RunConfig, **kwargs) -> RunRecord:
-    """Respond only to each newest opponent policy; answer mixtures by
-    aggregating the stored response library (two-player games)."""
-    return run_algorithm(replace(config, algorithm="mixed-oracles"), **kwargs)
-
-
-def run_mixed_opponents(config: RunConfig, **kwargs) -> RunRecord:
-    """Collapse the opponent mixture into one value-aggregated policy and
-    best-respond to that single fixed opponent."""
-    return run_algorithm(replace(config, algorithm="mixed-opponents"), **kwargs)
 
 
 def export_regret_curve(record: RunRecord) -> str:

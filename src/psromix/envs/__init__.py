@@ -15,7 +15,6 @@ from .leduc import FOLD, CALL, RAISE, LeducEnv, leduc_encode
 from .matrix import (
     MATRIX_OBSERVATION,
     MatrixGameEnv,
-    action_values,
     analytic_payoffs,
     load_matrix_env,
     require_matrix_env,
@@ -53,7 +52,6 @@ __all__ = [
     "leduc_encode",
     "MATRIX_OBSERVATION",
     "MatrixGameEnv",
-    "action_values",
     "analytic_payoffs",
     "load_matrix_env",
     "require_matrix_env",

@@ -7,8 +7,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import IllegalAction
-
 
 class Observation:
     """An agent's view of its information state.
@@ -59,9 +57,11 @@ class EpisodeState:
 
     Subclasses expose ``to_act`` (players acting this step, simultaneously),
     per-player observations and legal actions, and ``step`` which applies a
-    joint action and returns the per-player reward vector for the step. The
-    returned vector may be shared and read-only, so callers add it into
-    their own sums rather than keep or modify it.
+    joint action and returns the per-player reward vector for the step.
+    ``step`` raises ``IllegalAction`` when an acting player's action is not in
+    its legal set; it is the only legality check, so the episode runner and
+    training share it. The returned vector may be shared and read-only, so
+    callers add it into their own sums rather than keep or modify it.
     """
 
     to_act: tuple[int, ...]
@@ -100,7 +100,8 @@ def simulate_episode(
     """Run one episode with every policy held fixed throughout.
 
     ``record_for`` names the players whose decisions should be collected,
-    one Transition per decision, in order.
+    one Transition per decision, in order. An illegal action is not checked
+    here: the environment's ``step`` raises ``IllegalAction``.
     """
     if len(policies) != env.n_players:
         raise ValueError(
@@ -116,10 +117,6 @@ def simulate_episode(
             obs = state.observation(player)
             legal = state.legal_actions(player)
             action = policies[player].act(obs, legal, rng)
-            if action not in legal:
-                raise IllegalAction(
-                    f"player {player} chose action {action}; legal set is {legal}"
-                )
             if player in transitions:
                 transitions[player].append(Transition(obs, legal))
             actions[player] = action

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import WrongEnvironment
+from ..errors import IllegalAction, WrongEnvironment
 from .base import Environment, EpisodeState, Observation
 
 # Matrix games have a single information state shared by all players.
@@ -24,10 +24,15 @@ ROCK, PAPER, SCISSORS = 0, 1, 2
 
 
 class MatrixGameEnv(Environment):
-    """Simultaneous one-shot game given by a dense payoff tensor."""
+    """Simultaneous one-shot game given by a dense payoff tensor.
+
+    The tensor is copied and made read-only, so neither the caller's array
+    nor a returned reward vector can change the game.
+    """
 
     def __init__(self, payoff_tensor, name: str = "matrix"):
-        tensor = np.asarray(payoff_tensor, dtype=float)
+        tensor = np.array(payoff_tensor, dtype=float)
+        tensor.flags.writeable = False
         if tensor.ndim < 2:
             raise ValueError("payoff tensor must have shape (*action_counts, n_players)")
         self.payoff_tensor = tensor
@@ -62,6 +67,12 @@ class MatrixEpisode(EpisodeState):
 
     def step(self, actions: Mapping[int, int]) -> np.ndarray:
         joint = tuple(actions[p] for p in range(self.env.n_players))
+        for player, action in enumerate(joint):
+            if action not in self.env._legal[player]:
+                raise IllegalAction(
+                    f"player {player} chose action {action}; "
+                    f"legal set is {self.env._legal[player]}"
+                )
         self.terminal = True
         self.to_act = ()
         return self.env.payoff_tensor[joint]
@@ -92,19 +103,6 @@ def analytic_payoffs(env: MatrixGameEnv, policies: Sequence) -> np.ndarray:
     for dist in dists:
         value = np.tensordot(dist, value, axes=(0, 0))
     return value
-
-
-def action_values(env: MatrixGameEnv, player: int, opponent_dists: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Exact expected value of each of ``player``'s actions against fixed
-    opponent action distributions."""
-    require_matrix_env(env)
-    tensor = env.payoff_tensor[..., player]
-    # Contract opponent axes from the last one down so axis numbers stay valid.
-    for opp in sorted(range(env.n_players), reverse=True):
-        if opp == player:
-            continue
-        tensor = np.tensordot(tensor, np.asarray(opponent_dists[opp], dtype=float), axes=(opp, 0))
-    return tensor
 
 
 def require_matrix_env(env) -> MatrixGameEnv:

@@ -17,7 +17,7 @@ import numpy as np
 from .envs.base import Environment, derive_stream_seed, derived_rng, simulate_episode
 from .envs.matrix import MatrixGameEnv, analytic_payoffs
 from .errors import EmptyCorpus, EmptyDeviationSet
-from .games import EmpiricalGame, as_weights, deviation_values, payoff_tensor
+from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
 from .solvers import SolutionProfile
 
 
@@ -86,13 +86,10 @@ def _check_nonempty(deviations: DeviationSet, n_players: int) -> None:
 def _regret_in_game(game: EmpiricalGame, sigma, deviations: DeviationSet) -> np.ndarray:
     _check_nonempty(deviations, game.n_players)
     weights = _solution_weights(sigma, game.n_players)
-    tensor = payoff_tensor(game)
-    out = np.empty(game.n_players)
-    for player in range(game.n_players):
-        values = deviation_values(tensor, weights, player)
-        base = float(values @ weights[player])
-        out[player] = max(values[int(i)] for i in deviations.per_player[player]) - base
-    return out
+    gains = tensor_gains(payoff_tensor(game), weights)
+    return np.array(
+        [max(g[int(i)] for i in devs) for g, devs in zip(gains, deviations.per_player)]
+    )
 
 
 def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[int]]:
@@ -153,20 +150,11 @@ class _MatchupCache:
 def _mixture_value(cache, weights, player: int, replace: int | None = None) -> float:
     """Expected payoff to ``player`` when everyone mixes per ``weights``;
     ``replace`` substitutes a fixed pool index for ``player``."""
-    supports = []
-    for other, w in enumerate(weights):
-        if other == player and replace is not None:
-            supports.append([(replace, 1.0)])
-        else:
-            supports.append([(int(i), w[i]) for i in np.flatnonzero(w > 0.0)])
-    value = 0.0
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, w in combo:
-            prob *= w
-        profile = tuple(i for i, _ in combo)
-        value += prob * cache.value(profile)[player]
-    return value
+    if replace is not None:
+        pinned = np.zeros(len(cache.pools[player]))
+        pinned[replace] = 1.0
+        weights = [pinned if other == player else w for other, w in enumerate(weights)]
+    return expected_cell(weights, cache.value)[player]
 
 
 def _regret_in_env(env, populations, sigma, deviations, episodes, rng) -> np.ndarray:

@@ -9,8 +9,9 @@ keyed by index tuples with one entry per player.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +42,6 @@ class MixedStrategy:
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0.0)
 
 
 def as_weights(mixture, size: int | None = None) -> np.ndarray:
@@ -146,19 +144,29 @@ class EmpiricalGame:
         weights = [as_weights(m, k) for m, k in zip(mixtures, self.shape)]
         if len(weights) != self.n_players:
             raise ValueError(f"expected {self.n_players} mixtures")
-        supports = [np.flatnonzero(w > 0.0) for w in weights]
-        value = np.zeros(self.n_players)
-        for profile in itertools.product(*supports):
-            prob = 1.0
-            for player, index in enumerate(profile):
-                prob *= weights[player][index]
-            cell = self.payoffs.cells.get(tuple(int(i) for i in profile))
-            if cell is None:
-                raise MissingEntry(
-                    f"profile {tuple(profile)} is in the mixture support but unsimulated"
-                )
-            value += prob * cell
-        return value
+        try:
+            return expected_cell(weights, self.payoffs.cells.__getitem__)
+        except KeyError as missing:
+            raise MissingEntry(
+                f"profile {missing.args[0]} is in the mixture support but unsimulated"
+            ) from None
+
+
+def expected_cell(
+    weights: Sequence[np.ndarray], cell: Callable[[PureProfile], np.ndarray]
+) -> np.ndarray:
+    """Expectation of ``cell(profile)`` when each player mixes by its weights.
+
+    Sums over the product of the supports only, in lexicographic order, so
+    the cells of zero-probability profiles are never read. Each profile's
+    probability is the product of its weights, taken in player order.
+    """
+    supports = [[(int(i), w[i]) for i in np.flatnonzero(w > 0.0)] for w in weights]
+    value = 0.0
+    for combo in itertools.product(*supports):
+        profile, probs = zip(*combo)
+        value += math.prod(probs) * cell(profile)
+    return value
 
 
 def payoff_tensor(game: EmpiricalGame) -> np.ndarray:
@@ -187,15 +195,20 @@ def deviation_values(tensor: np.ndarray, weights: Sequence[np.ndarray], player: 
     return values
 
 
+def tensor_gains(tensor: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-player vectors of pure-deviation gains relative to the profile
+    value, from a dense payoff tensor."""
+    gains = []
+    for player, w in enumerate(weights):
+        values = deviation_values(tensor, weights, player)
+        gains.append(values - float(values @ w))
+    return gains
+
+
 def deviation_gains(game: EmpiricalGame, mixtures: Sequence) -> list[np.ndarray]:
     """Per-player vectors of pure-deviation gains relative to the profile value."""
     weights = [as_weights(m, k) for m, k in zip(mixtures, game.shape)]
-    tensor = payoff_tensor(game)
-    gains = []
-    for player in range(game.n_players):
-        values = deviation_values(tensor, weights, player)
-        gains.append(values - float(values @ weights[player]))
-    return gains
+    return tensor_gains(payoff_tensor(game), weights)
 
 
 GAME_FILE_HEADER = "psromix-game v1"

@@ -15,8 +15,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .envs.base import Environment
-from .envs.matrix import MATRIX_OBSERVATION, action_values, require_matrix_env
+from .envs.matrix import MATRIX_OBSERVATION, require_matrix_env
 from .errors import BudgetZero
+from .games import deviation_values
 from .policies import QTable, ValuePolicy, greedy_over
 
 
@@ -87,8 +88,8 @@ def train_best_response(
     epsilon decays linearly over ``exploration_timesteps``. Opponent draws
     consume ``opponent_rng`` (default: ``rng``) so that fixed-opponent
     trainings are unaffected by how the provider samples. Actions are not
-    checked here: Leduc's ``step`` raises ``IllegalAction`` on an opponent
-    action it does not allow.
+    checked here: every environment's ``step`` raises ``IllegalAction`` on
+    an opponent action it does not allow.
     """
     if hparams.total_timesteps == 0:
         raise BudgetZero("total_timesteps is 0")
@@ -168,12 +169,11 @@ def exact_best_response(
     the exact action values in its table; ties break toward the lowest index.
     """
     env = require_matrix_env(env)
-    dists: dict[int, np.ndarray] = {}
-    for player in range(env.n_players):
-        if player == learner:
-            continue
-        dists[player] = _action_distribution(env, player, opponent_mixtures[player])
-    values = action_values(env, learner, dists)
+    dists = [
+        None if player == learner else _action_distribution(env, player, opponent_mixtures[player])
+        for player in range(env.n_players)
+    ]
+    values = deviation_values(env.payoff_tensor, dists, learner)
     table = QTable(env.action_count(learner))
     table.set(MATRIX_OBSERVATION.key, values)
     best = int(np.argmax(values))  # lowest index among maximisers
@@ -182,6 +182,8 @@ def exact_best_response(
 
 def _action_distribution(env, player: int, spec) -> np.ndarray:
     legal = tuple(range(env.action_count(player)))
+    if hasattr(spec, "action_probabilities"):
+        spec = ([spec], [1.0])
     if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple)):
         policies, weights = spec
         weights = np.asarray(weights, dtype=float)
@@ -193,8 +195,6 @@ def _action_distribution(env, player: int, spec) -> np.ndarray:
                 policy.action_probabilities(MATRIX_OBSERVATION, legal)
             )
         return blended
-    if hasattr(spec, "action_probabilities"):
-        return np.asarray(spec.action_probabilities(MATRIX_OBSERVATION, legal))
     dist = np.asarray(spec, dtype=float)
     if dist.shape != (env.action_count(player),):
         raise ValueError(
@@ -215,10 +215,8 @@ class TabularOracle:
         self.pure_hparams = pure_hparams
         self.mix_hparams = mix_hparams
 
-    def respond_fixed(self, env, player, opponents, rng, counter, opponent_rng=None):
-        return train_best_response(
-            env, player, opponents, self.pure_hparams, rng, counter, opponent_rng
-        )
+    def respond_fixed(self, env, player, opponents, rng, counter):
+        return train_best_response(env, player, opponents, self.pure_hparams, rng, counter)
 
     def respond_mixture(self, env, player, opponent_sets, weights, rng, counter, opponent_rng=None):
         # bisect_right over the cumsum picks what np.searchsorted(side="right") would.
@@ -241,7 +239,7 @@ class TabularOracle:
 class ExactMatrixOracle:
     """Analytic best-response oracle for matrix games (no simulation cost)."""
 
-    def respond_fixed(self, env, player, opponents, rng, counter, opponent_rng=None):
+    def respond_fixed(self, env, player, opponents, rng, counter):
         policy, _ = exact_best_response(env, player, opponents)
         return policy
 

@@ -68,13 +68,6 @@ class QTable:
     def known_keys(self) -> Iterable[bytes]:
         return self.values.keys()
 
-    def copy(self) -> "QTable":
-        return QTable(
-            self.action_count,
-            {k: v.copy() for k, v in self.values.items()},
-            self.default_value,
-        )
-
 
 def greedy_over(vec, legal_actions: Sequence[int]) -> int:
     """Lowest-index maximiser of ``vec`` restricted to the legal actions."""
@@ -102,10 +95,6 @@ class ValuePolicy:
         self.epsilon = float(epsilon)
 
     @property
-    def mode(self) -> str:
-        return "greedy" if self.epsilon == 0.0 else f"epsilon-greedy({self.epsilon})"
-
-    @property
     def action_count(self) -> int:
         return self.q.action_count
 
@@ -129,7 +118,8 @@ class FixedMixturePolicy:
     """Scripted policy playing a fixed distribution over actions every step.
 
     The distribution is not masked by legal actions: sampling an illegal
-    action is reported by the episode runner as a policy/environment mismatch.
+    action is reported by the environment's ``step`` as a
+    policy/environment mismatch.
     """
 
     def __init__(self, probs):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MissingResponse, NotValueBased
-from .games import MixedStrategy, as_weights
+from .games import as_weights
 from .policies import ValuePolicy
 
 
@@ -72,11 +72,6 @@ class MixedQPolicy:
         return self._values.keys()
 
 
-def mixed_q(policy: MixedQPolicy, observation) -> np.ndarray:
-    """Mixture action values at one observation."""
-    return policy.lookup(observation.key)
-
-
 def _value_table(policy):
     table = getattr(policy, "q", None)
     if table is None:
@@ -87,9 +82,7 @@ def _value_table(policy):
 
 
 def _support(solution) -> tuple[np.ndarray, np.ndarray]:
-    weights = (
-        solution.weights if isinstance(solution, MixedStrategy) else as_weights(solution)
-    )
+    weights = as_weights(solution)
     support = np.flatnonzero(weights > 0.0)
     if len(support) == 0:
         raise ValueError("opponent solution has empty support")
@@ -102,14 +95,13 @@ def combine_responses(responses: Sequence, opponent_solution) -> ValuePolicy:
     ``responses[j]`` is the best response to the opponent's strategy ``j``;
     entries outside the mixture support may be missing (None).
     """
-    weights, support = _support(opponent_solution)
+    _, support = _support(opponent_solution)
     for index in support:
         if index >= len(responses) or responses[index] is None:
             raise MissingResponse(
                 f"no stored best response for opponent strategy {index}"
             )
-    components = [_value_table(responses[index]) for index in support]
-    return ValuePolicy(MixedQPolicy(components, weights[support]))
+    return combine_opponents(responses, opponent_solution)
 
 
 def combine_opponents(opponent_policies: Sequence, opponent_solution) -> ValuePolicy:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteGame, NoEquilibriumFound
-from .games import EmpiricalGame, MixedStrategy, deviation_values, payoff_tensor
+from .games import EmpiricalGame, MixedStrategy, deviation_values, payoff_tensor, tensor_gains
 
 RIDGE = 1e-12  # regulariser for degenerate indifference systems
 NEGATIVITY_SLACK = 1e-9  # supports whose solution dips below -slack are rejected
@@ -47,11 +47,7 @@ def _profile(weight_vectors, solver_name: str, residual: float) -> SolutionProfi
 
 
 def _measured_residual(tensor: np.ndarray, weights: list[np.ndarray]) -> float:
-    worst = 0.0
-    for player, w in enumerate(weights):
-        values = deviation_values(tensor, weights, player)
-        worst = max(worst, float(values.max() - values @ w))
-    return worst
+    return max(0.0, *(float(g.max()) for g in tensor_gains(tensor, weights)))
 
 
 def _require_complete(game: EmpiricalGame) -> np.ndarray:

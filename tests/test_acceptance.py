@@ -120,7 +120,7 @@ def test_criterion_3_double_oracle_convergence():
         algorithm="psro", env="rps", mss="nash", epochs=4,
         oracle="exact", analytic_cells=True, seed=11,
     )
-    record = pm.run_psro(config)
+    record = pm.run_algorithm(config)
     env = pm.rps_env()
     deviations = pm.DeviationSet(
         tuple(tuple(pm.pure_action_policy(3, a) for a in range(3)) for _ in range(2))

@@ -10,9 +10,6 @@ from psromix.engine import (
     export_regret_curve,
     resume,
     run_algorithm,
-    run_mixed_opponents,
-    run_mixed_oracles,
-    run_psro,
 )
 from psromix.envs import MATRIX_OBSERVATION, rps_env, save_matrix_env
 from psromix.errors import ConfigError, CorruptCheckpoint, PlayerCountUnsupported
@@ -139,15 +136,15 @@ def test_expand_generalized_count_random_shapes():
 
 
 def test_single_epoch_grows_to_2x2_complete():
-    record = run_psro(fast_config(epochs=1))
+    record = run_algorithm(fast_config(epochs=1))
     assert record.game.shape == (2, 2)
     assert record.game.missing_profiles() == []
     assert len(record.entries) == 2  # epoch 0 baseline + epoch 1
 
 
 def test_fixed_seed_runs_are_identical():
-    a = run_psro(fast_config(seed=7))
-    b = run_psro(fast_config(seed=7))
+    a = run_algorithm(fast_config(seed=7))
+    b = run_algorithm(fast_config(seed=7))
     assert export_regret_curve(a) == export_regret_curve(b)
     for entry_a, entry_b in zip(a.entries, b.entries):
         for player in range(2):
@@ -157,7 +154,7 @@ def test_fixed_seed_runs_are_identical():
 
 
 def test_one_policy_per_player_per_epoch_and_counters_monotonic():
-    record = run_mixed_opponents(fast_config(algorithm="mixed-opponents", epochs=4))
+    record = run_algorithm(fast_config(algorithm="mixed-opponents", epochs=4))
     assert record.game.shape == (5, 5)
     steps = [entry.train_steps for entry in record.entries]
     assert steps == sorted(steps)
@@ -166,7 +163,7 @@ def test_one_policy_per_player_per_epoch_and_counters_monotonic():
 
 
 def test_enfg_complete_after_each_epoch():
-    record = run_mixed_oracles(fast_config(algorithm="mixed-oracles", epochs=3))
+    record = run_algorithm(fast_config(algorithm="mixed-oracles", epochs=3))
     assert record.game.missing_profiles() == []
     assert all(len(e.new_ids) in (0, 2) for e in record.entries)
 
@@ -188,7 +185,7 @@ def test_mixed_oracles_per_epoch_cost_is_pure_budget():
         ]
         # pure-hparams budget per player per epoch, regardless of support size
         assert deltas == [2 * 400] * 3
-    psro_record = run_psro(fast_config(pure_hparams=pure, mix_hparams=mix, epochs=3))
+    psro_record = run_algorithm(fast_config(pure_hparams=pure, mix_hparams=mix, epochs=3))
     psro_deltas = [
         psro_record.entries[i].train_steps - psro_record.entries[i - 1].train_steps
         for i in range(1, len(psro_record.entries))
@@ -197,7 +194,7 @@ def test_mixed_oracles_per_epoch_cost_is_pure_budget():
 
 
 def test_mixed_oracles_epoch_one_equals_pure_response():
-    record = run_mixed_oracles(fast_config(algorithm="mixed-oracles", epochs=1, seed=5))
+    record = run_algorithm(fast_config(algorithm="mixed-oracles", epochs=1, seed=5))
     added = record.game.strategy_sets[0][1]
     response = record.libraries[0][0]
     key = MATRIX_OBSERVATION.key
@@ -213,8 +210,8 @@ def test_mixed_oracles_reduces_to_psro_under_last_mss():
     # are the same task; the whole run must coincide with plain best-response
     # iteration, bit for bit.
     base = dict(mss="last", epochs=3, seed=13)
-    psro_record = run_psro(fast_config(**base))
-    oracle_record = run_mixed_oracles(fast_config(algorithm="mixed-oracles", **base))
+    psro_record = run_algorithm(fast_config(**base))
+    oracle_record = run_algorithm(fast_config(algorithm="mixed-oracles", **base))
     assert export_regret_curve(psro_record) == export_regret_curve(oracle_record)
     key = MATRIX_OBSERVATION.key
     for player in range(2):
@@ -254,7 +251,7 @@ def test_mixed_opponents_three_player_smoke(tmp_path):
         epochs=2,
         episodes_per_cell=2,
     )
-    record = run_mixed_opponents(cfg)
+    record = run_algorithm(cfg)
     assert record.game.shape == (3, 3, 3)
     assert record.game.missing_profiles() == []
     assert len(record.game.payoffs.cells) == 27
@@ -267,7 +264,7 @@ def test_mixed_oracles_rejects_three_players(tmp_path):
     path = tmp_path / "three.matrix"
     save_matrix_env(MatrixGameEnv(rng.random((2, 2, 2, 3))), path)
     with pytest.raises(PlayerCountUnsupported):
-        run_mixed_oracles(fast_config(algorithm="mixed-oracles", env=f"matrix:{path}"))
+        run_algorithm(fast_config(algorithm="mixed-oracles", env=f"matrix:{path}"))
 
 
 def test_opponents_resampled_once_per_episode():
@@ -301,12 +298,12 @@ def test_opponents_resampled_once_per_episode():
 def test_early_stop():
     cfg = fast_config(algorithm="psro", oracle="exact", analytic_cells=True, epochs=10,
                       early_stop_sum_regret=1e-9)
-    record = run_psro(cfg)
+    record = run_algorithm(cfg)
     assert record.entries[-1].epoch < 10
 
 
 def test_solution_indexing_targets_previous_epoch():
-    record = run_psro(fast_config(epochs=2))
+    record = run_algorithm(fast_config(epochs=2))
     for i in range(1, len(record.entries)):
         entry = record.entries[i]
         previous = record.entries[i - 1]
@@ -348,7 +345,7 @@ def test_checkpoint_resume_continues_identically(tmp_path):
 
 
 def test_checkpoint_round_trip_preserves_payoffs_exactly(tmp_path):
-    record = run_psro(fast_config(epochs=2, seed=3))
+    record = run_algorithm(fast_config(epochs=2, seed=3))
     ck = tmp_path / "ck"
     checkpoint(record, ck)
     restored = resume(ck)
@@ -363,7 +360,7 @@ def test_resume_missing_or_corrupt(tmp_path):
     with pytest.raises(CorruptCheckpoint):
         resume(tmp_path / "absent")
     ck = tmp_path / "ck"
-    record = run_psro(fast_config(epochs=1))
+    record = run_algorithm(fast_config(epochs=1))
     checkpoint(record, ck)
     (ck / "game.txt").write_text("garbage\n")
     with pytest.raises(CorruptCheckpoint):
@@ -372,7 +369,7 @@ def test_resume_missing_or_corrupt(tmp_path):
 
 def test_checkpoint_writes_only_config_game_record_and_policies(tmp_path):
     ck = tmp_path / "ck"
-    checkpoint(run_mixed_oracles(fast_config(epochs=2)), ck)
+    checkpoint(run_algorithm(fast_config(algorithm="mixed-oracles", epochs=2)), ck)
     written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
     policies = [f"policies/p{p}_{i}.txt" for p in range(2) for i in range(3)]
     library = [f"library/p{p}_{i}.txt" for p in range(2) for i in range(2)]
@@ -381,21 +378,21 @@ def test_checkpoint_writes_only_config_game_record_and_policies(tmp_path):
 
 def test_checkpoint_over_longer_run_leaves_no_stale_policies(tmp_path):
     ck = tmp_path / "ck"
-    checkpoint(run_mixed_oracles(fast_config(epochs=3)), ck)
-    checkpoint(run_mixed_oracles(fast_config(epochs=1)), ck)
+    checkpoint(run_algorithm(fast_config(algorithm="mixed-oracles", epochs=3)), ck)
+    checkpoint(run_algorithm(fast_config(algorithm="mixed-oracles", epochs=1)), ck)
     written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
     policies = [f"policies/p{p}_{i}.txt" for p in range(2) for i in range(2)]
     library = [f"library/p{p}_0.txt" for p in range(2)]
     assert written == sorted(["config.json", "game.txt", "record.json"] + policies + library)
     # A run without a response library also drops the library files.
-    checkpoint(run_psro(fast_config(epochs=1)), ck)
+    checkpoint(run_algorithm(fast_config(epochs=1)), ck)
     written = sorted(str(p.relative_to(ck)) for p in ck.rglob("*") if p.is_file())
     assert written == sorted(["config.json", "game.txt", "record.json"] + policies)
     assert resume(ck).next_epoch == 2
 
 
 def test_resume_ignores_legacy_side_files(tmp_path):
-    record = run_mixed_oracles(fast_config(epochs=2, seed=4))
+    record = run_algorithm(fast_config(algorithm="mixed-oracles", epochs=2, seed=4))
     ck = tmp_path / "ck"
     checkpoint(record, ck)
     # Files older versions wrote beside the state; stale values must not leak in.
@@ -412,7 +409,7 @@ def test_checkpoint_cut_short_is_rejected(tmp_path, monkeypatch):
     import psromix.engine as engine
 
     ck = tmp_path / "ck"
-    checkpoint(run_psro(fast_config(epochs=1, seed=2)), ck)
+    checkpoint(run_algorithm(fast_config(epochs=1, seed=2)), ck)
     assert resume(ck).next_epoch == 2
     real_save = engine.save_policy
     saved = []
@@ -427,7 +424,7 @@ def test_checkpoint_cut_short_is_rejected(tmp_path, monkeypatch):
     # Same shape, other seed: without a commit marker the half-overwritten
     # files would load as one consistent-looking run.
     with pytest.raises(OSError, match="disk full"):
-        checkpoint(run_psro(fast_config(epochs=1, seed=3)), ck)
+        checkpoint(run_algorithm(fast_config(epochs=1, seed=3)), ck)
     monkeypatch.undo()
     with pytest.raises(CorruptCheckpoint, match="record.json"):
         resume(ck)

@@ -108,6 +108,31 @@ def test_illegal_action_detected():
         simulate_episode(env, [Rogue(), pure_action_policy(2, 0)], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("action", [-1, 3])
+def test_matrix_step_rejects_out_of_range_actions(action):
+    # Negative indexing would otherwise play action 2 silently.
+    state = rps_env().reset(np.random.default_rng(0))
+    with pytest.raises(IllegalAction):
+        state.step({0: action, 1: 0})
+
+
+def test_matrix_step_returns_read_only_rewards():
+    env = rps_env()
+    rewards = env.reset(np.random.default_rng(0)).step({0: 0, 1: 1})
+    assert not rewards.flags.writeable
+    with pytest.raises(ValueError):
+        rewards += 1.0
+    assert env.payoff_tensor[0, 1] == pytest.approx([0.0, 1.0])
+
+
+def test_matrix_env_copies_its_payoff_tensor():
+    tensor = np.zeros((2, 2, 2))
+    env = MatrixGameEnv(tensor)
+    tensor[0, 0] = 5.0
+    assert np.array_equal(env.payoff_tensor, np.zeros((2, 2, 2)))
+    assert env.reset(np.random.default_rng(0)).step({0: 0, 1: 0}) == pytest.approx([0.0, 0.0])
+
+
 def test_opponent_policies_fixed_within_episode():
     # Policies are invoked exactly once per matrix episode: fixed throughout.
     env = rps_env()

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psromix.envs import LeducEnv, rps_env
-from psromix.envs.matrix import MatrixGameEnv
+from psromix.envs.matrix import MatrixGameEnv, analytic_payoffs
 from psromix.errors import EmptyCorpus, EmptyDeviationSet
 from psromix.evaluation import (
     DeviationSet,
@@ -155,6 +157,56 @@ def test_deviation_monotonicity_randomized():
         r_small = regret(env, sigma, DeviationSet(tuple(map(tuple, small))), populations=populations)
         r_big = regret(env, sigma, DeviationSet(tuple(map(tuple, big))), populations=populations)
         assert (r_big >= r_small - 1e-12).all()
+
+
+@st.composite
+def regret_cases(draw):
+    """A random 2-player matrix game, populations with a sparse mixture over
+    them, and deviation sets mixing population members and held-out policies."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    actions = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    env = MatrixGameEnv(rng.standard_normal(actions + (2,)))
+    populations, sigma, deviations = [], [], []
+    for player in range(2):
+
+        def random_policy():
+            return FixedMixturePolicy(rng.dirichlet(np.ones(actions[player])))
+
+        population = [random_policy() for _ in range(draw(st.integers(1, 4)))]
+        weights = rng.dirichlet(np.ones(len(population)))
+        dropped = draw(st.lists(st.integers(0, len(population) - 1), max_size=len(population) - 1))
+        weights[dropped] = 0.0
+        members = draw(st.lists(st.sampled_from(population), max_size=3))
+        held_out = [random_policy() for _ in range(draw(st.integers(0, 3)))]
+        populations.append(population)
+        sigma.append(weights / weights.sum())
+        deviations.append(tuple(members + held_out) or (population[0],))
+    return env, populations, sigma, deviations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(regret_cases())
+def test_env_regret_equals_regret_in_analytic_game(case):
+    # The env path sums matchups over the mixture supports; the game path
+    # reads the gain vectors of a game filled with the same analytic cells.
+    env, populations, sigma, deviations = case
+    env_regret = regret(env, sigma, DeviationSet(deviations), populations=populations)
+    game = EmpiricalGame(2)
+    pools = []
+    for player in range(2):
+        pool = list(populations[player])
+        pool += [p for p in deviations[player] if not any(p is q for q in pool)]
+        for policy in pool:
+            game.add_policy(player, policy)
+        pools.append(pool)
+    for i, j in game.all_profiles():
+        game.payoffs.record((i, j), analytic_payoffs(env, [pools[0][i], pools[1][j]]), 1)
+    indices = DeviationSet(tuple(
+        tuple(next(k for k, q in enumerate(pool) if q is p) for p in devs)
+        for pool, devs in zip(pools, deviations)
+    ))
+    padded = [np.pad(w, (0, len(pool) - len(w))) for w, pool in zip(sigma, pools)]
+    assert regret(game, padded, indices) == pytest.approx(env_regret, abs=1e-12)
 
 
 class _HideMatrixStructure:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psromix.envs import (
     MATRIX_OBSERVATION,
@@ -10,7 +14,7 @@ from psromix.envs import (
     rps_env,
 )
 from psromix.envs.matrix import MatrixGameEnv
-from psromix.errors import BudgetZero, WrongEnvironment
+from psromix.errors import BudgetZero, IllegalAction, WrongEnvironment
 from psromix.oracle import (
     OracleHParams,
     SimulationCounter,
@@ -225,6 +229,18 @@ def test_greedy_determinism():
     assert len(actions) == 1
 
 
+def test_training_on_matrix_game_rejects_illegal_opponent_action():
+    class Rogue:
+        def act(self, obs, legal, rng):
+            return 3
+
+    with pytest.raises(IllegalAction):
+        train_best_response(
+            rps_env(), 0, {1: Rogue()}, hp(total_timesteps=10, exploration_timesteps=5),
+            np.random.default_rng(0),
+        )
+
+
 def test_exact_best_response_vs_pure_scissors():
     env = rps_env()
     policy, value = exact_best_response(env, 0, {1: np.array([0.0, 0.0, 1.0])})
@@ -272,6 +288,46 @@ def test_three_player_exact_best_response():
     expected = 0.5 * tensor[0, :, 0] + 0.5 * tensor[1, :, 0]
     assert policy.q.lookup(KEY) == pytest.approx(list(expected))
     assert value == pytest.approx(expected.max())
+
+
+@st.composite
+def matrix_opponents(draw):
+    """A random 2- or 3-player tensor, a learner, and each opponent's
+    distribution given as a vector, a bare policy and a weighted mixture."""
+    n_players = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(n_players))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tensor = rng.standard_normal(shape + (n_players,))
+    learner = draw(st.integers(0, n_players - 1))
+    forms = {}
+    for player in range(n_players):
+        if player == learner:
+            continue
+        components = [FixedMixturePolicy(rng.dirichlet(np.ones(shape[player]))) for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        weights[draw(st.integers(0, 2))] = 0.0
+        weights /= weights.sum()
+        blended = sum(w * c.probs for w, c in zip(weights, components))
+        forms[player] = (blended, FixedMixturePolicy(blended), (components, weights))
+    return tensor, learner, forms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_opponents())
+def test_exact_best_response_equals_brute_force_sum(case):
+    tensor, learner, forms = case
+    env = MatrixGameEnv(tensor)
+    dists = {player: form[0] for player, form in forms.items()}
+    expected = np.zeros(tensor.shape[learner])
+    for joint in itertools.product(*(range(k) for k in tensor.shape[:-1])):
+        prob = np.prod([dists[p][a] for p, a in enumerate(joint) if p != learner])
+        expected[joint[learner]] += prob * tensor[joint][learner]
+    for form in range(3):
+        policy, value = exact_best_response(
+            env, learner, {player: forms[player][form] for player in forms}
+        )
+        assert policy.q.lookup(KEY) == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected.max(), abs=1e-12)
 
 
 def test_convergence_matches_exact_oracle_when_gap_clear():
