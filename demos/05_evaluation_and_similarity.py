@@ -4,12 +4,17 @@ Proxy regret measures deviation gain against discovered plus held-out
 policies, clipped at zero; the similarity report checks how behaviourally
 diverse a policy set is by greedy-action agreement over a deduplicated
 corpus of visited states.
+
+The held-out evaluation set is written under PSROMIX_OUTPUT_ROOT (default:
+the working directory), as the command-line tool writes its outputs.
 """
+
+import os
 
 import numpy as np
 
 import psromix as pm
-from psromix.evaluation import export_similarity
+from psromix.evaluation import export_eval_set, export_similarity
 
 env = pm.rps_env()
 
@@ -42,9 +47,8 @@ independent = pm.run_algorithm(
                  episodes_per_cell=20, oracle="tabular",
                  pure_hparams=hparams, mix_hparams=hparams, seed=99)
 )
-from psromix.evaluation import export_eval_set
-
-eval_set = export_eval_set(independent, "/tmp/psromix-demo-eval", size=2, seed=1)
+eval_dir = os.path.join(os.environ.get("PSROMIX_OUTPUT_ROOT", "."), "psromix-demo-eval")
+eval_set = export_eval_set(independent, eval_dir, size=2, seed=1)
 proxy = pm.proxy_regret(env, record.solution,
                         psro_set=record.game.strategy_sets, eval_set=eval_set,
                         populations=record.game.strategy_sets,

@@ -42,7 +42,6 @@ from .evaluation import (
 )
 from .games import (
     EmpiricalGame,
-    MixedStrategy,
     PayoffTable,
     StrategyId,
     deviation_gains,

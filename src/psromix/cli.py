@@ -23,6 +23,7 @@ from .engine import RunConfig, checkpoint, export_regret_curve, resume, run_algo
 from .envs import derived_rng, make_env
 from .errors import ConfigError, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
+from .games import save_game
 from .hparams import HParamSearchSpec, hparam_search
 from .policies import uniform_random_policy
 from .serialize import load_policy
@@ -50,8 +51,6 @@ def _cmd_run(args) -> int:
         )
     with open(os.path.join(out_dir, "regret_curve.tsv"), "w") as fh:
         fh.write(export_regret_curve(record))
-    from .games import save_game
-
     save_game(record.game, os.path.join(out_dir, "game.txt"))
     checkpoint(record, os.path.join(out_dir, "checkpoint"))
     print(f"wrote {out_dir}")

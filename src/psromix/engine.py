@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     CorruptCheckpoint,
     PlayerCountUnsupported,
 )
-from .games import EmpiricalGame, MixedStrategy, StrategyId, deviation_gains, load_game, save_game
+from .games import EmpiricalGame, StrategyId, deviation_gains, load_game, save_game
 from .oracle import ExactMatrixOracle, OracleHParams, SimulationCounter, TabularOracle
 from .policies import uniform_random_policy
 from .qmixing import combine_opponents, combine_responses
@@ -51,6 +51,10 @@ class RunConfig:
     pure_hparams: OracleHParams | None = None
     mix_hparams: OracleHParams | None = None
     seed: int = 0
+    # Stop after the first epoch whose internal empirical-game sum regret is
+    # below this. Two-player ``nash`` verifies that regret to about 0 every
+    # epoch, so such a run stops after epoch 1; the threshold matters only
+    # for solvers that do not solve the empirical game, such as ``replicator``.
     early_stop_sum_regret: float | None = None
     # Matrix environments only: fill cells by exact tensor contraction
     # instead of simulation (pairs with the exact best-response oracle).
@@ -155,9 +159,7 @@ def _make_oracle(config: RunConfig, env_name: str):
 
 
 def _uniform_solution(game: EmpiricalGame) -> SolutionProfile:
-    mixtures = tuple(
-        MixedStrategy(p, np.full(k, 1.0 / k)) for p, k in enumerate(game.shape)
-    )
+    mixtures = tuple(np.full(k, 1.0 / k) for k in game.shape)
     return SolutionProfile(mixtures, "uniform-init", 0.0)
 
 
@@ -226,10 +228,9 @@ def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int)
         draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
         others = _opponent_indices(env.n_players, player)
         if config.algorithm == "psro":
-            opponent_sets = {p: list(game.strategy_sets[p]) for p in others}
-            weights = {p: target.weights(p) for p in others}
+            mixtures = {p: (list(game.strategy_sets[p]), target.weights(p)) for p in others}
             policy = oracle.respond_mixture(
-                env, player, opponent_sets, weights, train_rng, record.counter, draw_rng
+                env, player, mixtures, train_rng, record.counter, draw_rng
             )
         elif config.algorithm == "mixed-oracles":
             opponent = others[0]
@@ -238,10 +239,10 @@ def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int)
                 env, player, {opponent: newest}, train_rng, record.counter
             )
             record.libraries[player].append(response)
-            policy = combine_responses(record.libraries[player], target.mixtures[opponent])
+            policy = combine_responses(record.libraries[player], target.weights(opponent))
         else:  # mixed-opponents: collapse each opponent's mixture separately
             combined = {
-                p: combine_opponents(game.strategy_sets[p], target.mixtures[p])
+                p: combine_opponents(game.strategy_sets[p], target.weights(p))
                 for p in others
             }
             policy = oracle.respond_fixed(
@@ -319,25 +320,6 @@ def export_regret_curve(record: RunRecord) -> str:
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def _solution_to_json(solution: SolutionProfile | None):
-    if solution is None:
-        return None
-    return {
-        "solver_name": solution.solver_name,
-        "residual": solution.residual,
-        "mixtures": [list(map(float, m.weights)) for m in solution.mixtures],
-    }
-
-
-def _solution_from_json(data) -> SolutionProfile | None:
-    if data is None:
-        return None
-    mixtures = tuple(
-        MixedStrategy(p, np.array(w)) for p, w in enumerate(data["mixtures"])
-    )
-    return SolutionProfile(mixtures, data["solver_name"], data["residual"])
-
-
 def _save_policies(directory: str, policy_sets) -> None:
     """Write ``p{player}_{index}.txt`` per policy and delete every other file
     in ``directory``, so an overwritten longer run leaves nothing behind."""
@@ -380,22 +362,10 @@ def checkpoint(record: RunRecord, path) -> None:
     _save_policies(os.path.join(path, "policies"), record.game.strategy_sets)
     _save_policies(os.path.join(path, "library"), record.libraries or [])
 
-    entries = [
-        {
-            "epoch": e.epoch,
-            "solution": _solution_to_json(e.solution),
-            "target": _solution_to_json(e.target),
-            "new_ids": [list(i) for i in e.new_ids],
-            "train_steps": e.train_steps,
-            "eval_episodes": e.eval_episodes,
-            "regrets": list(e.regrets),
-            "sum_regret": e.sum_regret,
-        }
-        for e in record.entries
-    ]
+    entries = [asdict(e) for e in record.entries]
     partial_path = record_path + ".partial"
     with open(partial_path, "w") as fh:
-        json.dump(entries, fh, indent=1, sort_keys=True)
+        json.dump(entries, fh, indent=1, sort_keys=True, default=np.ndarray.tolist)
     os.replace(partial_path, record_path)
 
 
@@ -414,14 +384,13 @@ def resume(path) -> RunRecord:
             raw_entries = json.load(fh)
         entries = [
             EpochEntry(
-                epoch=e["epoch"],
-                solution=_solution_from_json(e["solution"]),
-                target=_solution_from_json(e["target"]),
-                new_ids=tuple(StrategyId(*i) for i in e["new_ids"]),
-                train_steps=e["train_steps"],
-                eval_episodes=e["eval_episodes"],
-                regrets=tuple(e["regrets"]),
-                sum_regret=e["sum_regret"],
+                **{
+                    **e,
+                    "solution": SolutionProfile(**e["solution"]),
+                    "target": None if e["target"] is None else SolutionProfile(**e["target"]),
+                    "new_ids": tuple(StrategyId(*i) for i in e["new_ids"]),
+                    "regrets": tuple(e["regrets"]),
+                }
             )
             for e in raw_entries
         ]
@@ -430,6 +399,11 @@ def resume(path) -> RunRecord:
         with open(os.path.join(path, "config.json")) as fh:
             config = config_from_json(fh.read())
         game = load_game(os.path.join(path, "game.txt"))
+        if not game.is_complete():
+            raise CorruptCheckpoint(
+                f"{path}: game.txt holds {len(game.payoffs.cells)} of "
+                f"{int(np.prod(game.shape))} payoff cells"
+            )
         policy_dir = os.path.join(path, "policies")
         for player, strategies in enumerate(game.strategy_sets):
             for index in range(len(strategies)):

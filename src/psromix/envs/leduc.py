@@ -41,13 +41,11 @@ from .base import Environment, EpisodeState, Observation
 FOLD, CALL, RAISE = 0, 1, 2
 
 N_CARDS = 6  # card index = rank * 2 + suit; ranks J, Q, K = 0, 1, 2
-N_RANKS = 3
 RAISE_AMOUNTS = (2, 4)
 MAX_RAISES_PER_ROUND = 2
 ANTE = 1
 MAX_ACTIONS_PER_ROUND = 4  # reached only by CALL, RAISE, RAISE, CALL
 
-ENCODING_LENGTH = 30
 _PRIVATE_OFFSET = 2
 _PUBLIC_OFFSET = 8
 _ACTIONS_OFFSET = 14  # round one's 4 slots, then round two's

@@ -9,6 +9,7 @@ simulation, caching matchup estimates so repeated pairings are simulated once.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .envs.base import Environment, derive_stream_seed, derived_rng, simulate_ep
 from .envs.matrix import MatrixGameEnv, analytic_payoffs
 from .errors import EmptyCorpus, EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
+from .serialize import save_policy
 from .solvers import SolutionProfile
 
 
@@ -39,9 +41,9 @@ class DeviationSet:
         return cls(tuple(players))
 
 
-def _solution_weights(sigma, n_players: int) -> list[np.ndarray]:
+def _solution_weights(sigma) -> list[np.ndarray]:
     if isinstance(sigma, SolutionProfile):
-        return [sigma.weights(p) for p in range(n_players)]
+        sigma = sigma.mixtures
     return [as_weights(m) for m in sigma]
 
 
@@ -85,7 +87,7 @@ def _check_nonempty(deviations: DeviationSet, n_players: int) -> None:
 
 def _regret_in_game(game: EmpiricalGame, sigma, deviations: DeviationSet) -> np.ndarray:
     _check_nonempty(deviations, game.n_players)
-    weights = _solution_weights(sigma, game.n_players)
+    weights = _solution_weights(sigma)
     gains = tensor_gains(payoff_tensor(game), weights)
     return np.array(
         [max(g[int(i)] for i in devs) for g, devs in zip(gains, deviations.per_player)]
@@ -159,7 +161,7 @@ def _mixture_value(cache, weights, player: int, replace: int | None = None) -> f
 
 def _regret_in_env(env, populations, sigma, deviations, episodes, rng) -> np.ndarray:
     _check_nonempty(deviations, env.n_players)
-    weights = _solution_weights(sigma, env.n_players)
+    weights = _solution_weights(sigma)
     seats = [
         _seat_pool(population, devs)
         for population, devs in zip(populations, deviations.per_player)
@@ -267,10 +269,6 @@ def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
     writes one policy file per entry (``p<player>_<k>.txt``). Returns the
     sampled per-player policy lists.
     """
-    import os
-
-    from .serialize import save_policy
-
     os.makedirs(path, exist_ok=True)
     rng = derived_rng(seed, 101)
     sampled: list[list] = []

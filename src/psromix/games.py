@@ -26,27 +26,9 @@ class StrategyId(NamedTuple):
     index: int
 
 
-@dataclass
-class MixedStrategy:
-    """Probability distribution over one player's strategy set."""
-
-    player: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if self.weights.min() < -1e-12:
-            raise ValueError(f"negative weight in {self.weights}")
-        total = self.weights.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-
-
 def as_weights(mixture, size: int | None = None) -> np.ndarray:
-    """Accept a MixedStrategy or raw weight vector and return the weights."""
-    weights = mixture.weights if isinstance(mixture, MixedStrategy) else np.asarray(mixture, dtype=float)
+    """The mixture as a float weight vector, of length ``size`` if given."""
+    weights = np.asarray(mixture, dtype=float)
     if size is not None and len(weights) != size:
         raise ValueError(f"mixture has length {len(weights)}, expected {size}")
     return weights

@@ -218,17 +218,19 @@ class TabularOracle:
     def respond_fixed(self, env, player, opponents, rng, counter):
         return train_best_response(env, player, opponents, self.pure_hparams, rng, counter)
 
-    def respond_mixture(self, env, player, opponent_sets, weights, rng, counter, opponent_rng=None):
+    def respond_mixture(self, env, player, mixtures, rng, counter, opponent_rng=None):
+        """Train against opponents drawn afresh each episode: ``mixtures``
+        maps each opponent to a ``(policies, weights)`` pair."""
         # bisect_right over the cumsum picks what np.searchsorted(side="right") would.
-        cumulative = {
-            other: np.cumsum(np.asarray(weights[other], dtype=float)).tolist()
-            for other in opponent_sets
-        }
+        draws = [
+            (other, policies, np.cumsum(np.asarray(weights, dtype=float)).tolist())
+            for other, (policies, weights) in mixtures.items()
+        ]
 
         def provider(sample_rng):
             return {
-                other: policies[bisect.bisect_right(cumulative[other], sample_rng.random())]
-                for other, policies in opponent_sets.items()
+                other: policies[bisect.bisect_right(cumulative, sample_rng.random())]
+                for other, policies, cumulative in draws
             }
 
         return train_best_response(
@@ -243,10 +245,6 @@ class ExactMatrixOracle:
         policy, _ = exact_best_response(env, player, opponents)
         return policy
 
-    def respond_mixture(self, env, player, opponent_sets, weights, rng, counter, opponent_rng=None):
-        mixtures = {
-            other: (list(policies), weights[other])
-            for other, policies in opponent_sets.items()
-        }
+    def respond_mixture(self, env, player, mixtures, rng, counter, opponent_rng=None):
         policy, _ = exact_best_response(env, player, mixtures)
         return policy

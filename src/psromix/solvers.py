@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteGame, NoEquilibriumFound
-from .games import EmpiricalGame, MixedStrategy, deviation_values, payoff_tensor, tensor_gains
+from .games import EmpiricalGame, deviation_values, payoff_tensor, tensor_gains
 
 RIDGE = 1e-12  # regulariser for degenerate indifference systems
 NEGATIVITY_SLACK = 1e-9  # supports whose solution dips below -slack are rejected
@@ -29,21 +29,30 @@ SUPPORT_EPS = 1e-9  # LP weights at or below this stay out of the candidate supp
 
 @dataclass
 class SolutionProfile:
-    """One mixed strategy per player plus the solver's own residual check."""
+    """One mixture per player, a weight vector over that player's strategy
+    set, plus the solver's own residual check."""
 
-    mixtures: tuple[MixedStrategy, ...]
+    mixtures: tuple[np.ndarray, ...]
     solver_name: str
     residual: float
 
+    def __post_init__(self):
+        self.mixtures = tuple(np.asarray(w, dtype=float) for w in self.mixtures)
+        for weights in self.mixtures:
+            if weights.ndim != 1:
+                raise ValueError("weights must be a vector")
+            if weights.min() < -1e-12:
+                raise ValueError(f"negative weight in {weights}")
+            total = weights.sum()
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"weights sum to {total!r}, expected 1")
+
     def weights(self, player: int) -> np.ndarray:
-        return self.mixtures[player].weights
+        return self.mixtures[player]
 
 
 def _profile(weight_vectors, solver_name: str, residual: float) -> SolutionProfile:
-    mixtures = tuple(
-        MixedStrategy(player, w) for player, w in enumerate(weight_vectors)
-    )
-    return SolutionProfile(mixtures, solver_name, max(0.0, float(residual)))
+    return SolutionProfile(weight_vectors, solver_name, max(0.0, float(residual)))
 
 
 def _measured_residual(tensor: np.ndarray, weights: list[np.ndarray]) -> float:

@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from psromix.config import load_config
 from psromix.engine import (
     RunConfig,
     checkpoint,
@@ -17,6 +19,7 @@ from psromix.games import EmpiricalGame
 from psromix.oracle import OracleHParams, SimulationCounter, train_best_response
 from psromix.policies import QTable, ValuePolicy, pure_action_policy, uniform_random_policy
 
+ROOT = Path(__file__).resolve().parent.parent
 LEGAL = (0, 1, 2)
 
 FAST_HP = OracleHParams(
@@ -296,10 +299,21 @@ def test_opponents_resampled_once_per_episode():
 
 
 def test_early_stop():
+    # The threshold is compared with internal empirical-game regret, which
+    # nash verifies to about 0 every epoch: the first check stops the run.
     cfg = fast_config(algorithm="psro", oracle="exact", analytic_cells=True, epochs=10,
                       early_stop_sum_regret=1e-9)
     record = run_algorithm(cfg)
-    assert record.entries[-1].epoch < 10
+    assert record.entries[-1].epoch == 1
+
+
+def test_early_stop_under_replicator_runs_all_epochs():
+    # Replicator's time-averaged profile leaves internal regret above 1e-3.
+    cfg = fast_config(epochs=4, mss="replicator", mss_params={"steps": 2000},
+                      early_stop_sum_regret=1e-3)
+    record = run_algorithm(cfg)
+    assert [e.epoch for e in record.entries] == [0, 1, 2, 3, 4]
+    assert all(e.sum_regret >= 1e-3 for e in record.entries[1:])
 
 
 def test_solution_indexing_targets_previous_epoch():
@@ -367,6 +381,16 @@ def test_resume_missing_or_corrupt(tmp_path):
         resume(ck)
 
 
+def test_resume_rejects_game_with_lost_cell(tmp_path):
+    ck = tmp_path / "ck"
+    checkpoint(run_algorithm(fast_config(epochs=2)), ck)
+    lines = (ck / "game.txt").read_text().splitlines(keepends=True)
+    cell = next(i for i, line in enumerate(lines) if line.startswith("cell "))
+    (ck / "game.txt").write_text("".join(lines[:cell] + lines[cell + 1 :]))
+    with pytest.raises(CorruptCheckpoint, match="8 of 9 payoff cells"):
+        resume(ck)
+
+
 def test_checkpoint_writes_only_config_game_record_and_policies(tmp_path):
     ck = tmp_path / "ck"
     checkpoint(run_algorithm(fast_config(algorithm="mixed-oracles", epochs=2)), ck)
@@ -428,3 +452,89 @@ def test_checkpoint_cut_short_is_rejected(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(CorruptCheckpoint, match="record.json"):
         resume(ck)
+
+
+# record.json of a run of demos/configs/rps_psro_exact.json. Checkpoints on
+# disk use this schema, so a renamed EpochEntry or SolutionProfile field, or
+# any other change to the bytes, must fail here.
+RPS_PSRO_EXACT_RECORD = """\
+[
+ {
+  "epoch": 0,
+  "eval_episodes": 0,
+  "new_ids": [],
+  "regrets": [
+   0.0,
+   0.0
+  ],
+  "solution": {
+   "mixtures": [
+    [
+     1.0
+    ],
+    [
+     1.0
+    ]
+   ],
+   "residual": 0.0,
+   "solver_name": "uniform-init"
+  },
+  "sum_regret": 0.0,
+  "target": null,
+  "train_steps": 0
+ },
+ {
+  "epoch": 1,
+  "eval_episodes": 0,
+  "new_ids": [
+   [
+    0,
+    1
+   ],
+   [
+    1,
+    1
+   ]
+  ],
+  "regrets": [
+   0.0,
+   0.0
+  ],
+  "solution": {
+   "mixtures": [
+    [
+     1.0,
+     0.0
+    ],
+    [
+     1.0,
+     0.0
+    ]
+   ],
+   "residual": 0.0,
+   "solver_name": "nash"
+  },
+  "sum_regret": 0.0,
+  "target": {
+   "mixtures": [
+    [
+     1.0
+    ],
+    [
+     1.0
+    ]
+   ],
+   "residual": 0.0,
+   "solver_name": "uniform-init"
+  },
+  "train_steps": 0
+ }
+]"""
+
+
+def test_record_json_text_is_pinned(tmp_path):
+    config = load_config(ROOT / "demos" / "configs" / "rps_psro_exact.json")
+    checkpoint(run_algorithm(config), tmp_path / "ck")
+    text = (tmp_path / "ck" / "record.json").read_text()
+    assert len(text) == 770
+    assert text == RPS_PSRO_EXACT_RECORD

@@ -6,13 +6,13 @@ import pytest
 from psromix.errors import MissingEntry, OutOfBounds
 from psromix.games import (
     EmpiricalGame,
-    MixedStrategy,
     StrategyId,
     deviation_gains,
     load_game,
     payoff_tensor,
     save_game,
 )
+from psromix.solvers import SolutionProfile
 
 # Player-2 payoff block of the two-strategies-each RPS empirical game; the
 # full cells carry (1 - u2, u2) since the convention is constant-sum.
@@ -167,11 +167,11 @@ def test_record_merges_by_exact_weighted_mean():
 
 
 def test_mixed_strategy_invariants():
-    MixedStrategy(0, np.array([0.5, 0.5]))
+    SolutionProfile((np.array([0.5, 0.5]),), "test", 0.0)
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([0.6, 0.5]))
+        SolutionProfile((np.array([0.6, 0.5]),), "test", 0.0)
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([-0.1, 1.1]))
+        SolutionProfile((np.array([-0.1, 1.1]),), "test", 0.0)
 
 
 def test_serialization_round_trip(tmp_path):

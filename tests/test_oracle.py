@@ -149,7 +149,7 @@ def test_mixture_draws_match_searchsorted():
     opponents = [RecordingPolicy(i, log) for i in range(len(weights))]
     oracle = TabularOracle(hp(), hp(total_timesteps=400, exploration_timesteps=100))
     oracle.respond_mixture(
-        rps_env(), 1, {0: opponents}, {0: weights}, np.random.default_rng(0),
+        rps_env(), 1, {0: (opponents, weights)}, np.random.default_rng(0),
         SimulationCounter(), np.random.default_rng(5),
     )
     replay = np.random.default_rng(5)
