@@ -27,9 +27,9 @@ print("\nplayer-1 strategies: pi_1 = (0, .3, .7), pi_2 = (.4, .6, 0)")
 br1, v1 = pm.exact_best_response(env, 1, {0: pi11})
 br2, v2 = pm.exact_best_response(env, 1, {0: pi12})
 print(f"BR to pi_1: {ACTIONS[br1.greedy_action(MATRIX_OBSERVATION, (0,1,2))]}"
-      f"  values {br1.q.lookup(MATRIX_OBSERVATION.key)}")
+      f"  values {br1.q.lookup(MATRIX_OBSERVATION)}")
 print(f"BR to pi_2: {ACTIONS[br2.greedy_action(MATRIX_OBSERVATION, (0,1,2))]}"
-      f"  values {br2.q.lookup(MATRIX_OBSERVATION.key)}")
+      f"  values {br2.q.lookup(MATRIX_OBSERVATION)}")
 
 # Build the 2x2 empirical game over {pi_1, pi_2} x {BR1, BR2}.
 game = pm.EmpiricalGame(2)
@@ -52,7 +52,7 @@ print("player 2 never plays S here, although S scores well against both pi_1 and
 # Mixing the opponents' action-VALUE tables instead of their action choices
 # surfaces S as the aggregate's greedy action.
 combined = pm.combine_opponents([br1, br2], solution.mixtures[1])
-mixed_values = combined.q.lookup(MATRIX_OBSERVATION.key)
+mixed_values = combined.q.lookup(MATRIX_OBSERVATION)
 print(f"\nvalue-mixed opponent: values {np.round(mixed_values, 4)}"
       f" -> plays {ACTIONS[int(np.argmax(mixed_values))]}")
 next_br, value = pm.exact_best_response(env, 0, {1: combined})

@@ -18,21 +18,21 @@ ACTION_NAMES = {0: "FOLD", 1: "CALL", 2: "RAISE"}
 print("== a scripted hand ==")
 state = env.deal(private0=4, private1=0, public=2)  # K0 vs J0, board Q0
 for action in (RAISE, CALL, RAISE, CALL):
-    (player,) = state.to_act
+    player = state.player
     print(f"player {player} sees legal {tuple(ACTION_NAMES[a] for a in state.legal_actions(player))}"
           f" -> {ACTION_NAMES[action]}")
-    rewards = state.step({player: action})
+    rewards = state.step(action)
 print(f"showdown: K beats J, returns {rewards} (chips conserved: sum {rewards.sum()})")
 
 print("\n== the 30-entry observation ==")
-obs = state.observation(0)
-f = obs.features.astype(int)
+key = state.observation(0)
+f = np.frombuffer(key, np.uint8)
 print(f"player one-hot     {f[0:2]}")
 print(f"private card       {f[2:8]}   (K0 = index 4)")
 print(f"public card        {f[8:14]}   (Q0 = index 2)")
 print(f"round-1 actions    {f[14:22]}   (RAISE=10, CALL=01 per 2-bit slot)")
 print(f"round-2 actions    {f[22:30]}")
-print(f"key: {obs.key.hex()[:20]}... ({len(obs.key)} bytes, injective over information states)")
+print(f"key: {key.hex()[:20]}... ({len(key)} bytes, injective over information states)")
 
 print("\n== random play is exactly zero-sum ==")
 rng = np.random.default_rng(0)

@@ -23,7 +23,6 @@ from .envs import (
     EpisodeResult,
     LeducEnv,
     MatrixGameEnv,
-    Observation,
     Transition,
     estimate_payoffs,
     leduc_encode,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -109,11 +110,18 @@ def _cmd_compare(args) -> int:
 
 
 def _load_eval_set(path: str, n_players: int) -> list[list]:
+    """The policies in ``p<player>_<k>.txt`` files, in listing order; other
+    files are skipped."""
     eval_set: list[list] = [[] for _ in range(n_players)]
     for name in sorted(os.listdir(path)):
-        if not (name.startswith("p") and name.endswith(".txt")):
+        match = re.fullmatch(r"p(\d+)_\d+\.txt", name)
+        if match is None:
             continue
-        player = int(name.split("_")[0][1:])
+        player = int(match.group(1))
+        if player >= n_players:
+            raise PsromixError(
+                f"{os.path.join(path, name)}: player {player} is not one of {n_players} players"
+            )
         eval_set[player].append(load_policy(os.path.join(path, name)))
     return eval_set
 

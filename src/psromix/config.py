@@ -76,6 +76,9 @@ def config_from_json(text: str) -> RunConfig:
     unknown = set(sections) - {"run", "env", "mss", "oracle"}
     if unknown:
         raise ConfigError(f"unknown config section(s) {sorted(unknown)}")
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name}: the section must be a JSON object")
 
     run = dict(sections.get("run", {}))
     # run.workers sized a payoff-simulation thread pool that no longer exists.

@@ -22,6 +22,7 @@ from .envs.matrix import require_matrix_env
 from .errors import (
     ConfigError,
     CorruptCheckpoint,
+    OutOfBounds,
     PlayerCountUnsupported,
 )
 from .games import EmpiricalGame, StrategyId, deviation_gains, load_game, save_game
@@ -72,12 +73,15 @@ class RunConfig:
             )
         if self.oracle not in ("tabular", "exact"):
             raise ConfigError(f"oracle.kind: unknown oracle {self.oracle!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"run.epochs: must be >= 1, got {self.epochs}")
-        if self.episodes_per_cell < 1:
-            raise ConfigError(
-                f"run.episodes_per_cell: must be >= 1, got {self.episodes_per_cell}"
-            )
+        for name, least in (("epochs", 1), ("episodes_per_cell", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"run.{name}: must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.analytic_cells, bool):
+            raise ConfigError(f"run.analytic_cells: must be a bool, got {self.analytic_cells!r}")
+        stop = self.early_stop_sum_regret
+        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, (int, float))):
+            raise ConfigError(f"run.early_stop_sum_regret: must be a number or null, got {stop!r}")
         return self
 
 
@@ -433,5 +437,5 @@ def resume(path) -> RunRecord:
         )
     except CorruptCheckpoint:
         raise
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OutOfBounds) as exc:
         raise CorruptCheckpoint(f"cannot restore checkpoint at {path}: {exc}") from exc

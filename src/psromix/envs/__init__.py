@@ -1,10 +1,10 @@
 """Environment suite: matrix games and two-player Leduc Poker."""
 
+from ..errors import ConfigError
 from .base import (
     Environment,
     EpisodeResult,
     EpisodeState,
-    Observation,
     Transition,
     derive_stream_seed,
     derived_rng,
@@ -28,14 +28,18 @@ def make_env(spec: str) -> Environment:
 
     Recognised forms: ``"rps"``, ``"leduc"``, and ``"matrix:<file>"`` where
     the file holds a payoff tensor in the structured text format written by
-    :func:`save_matrix_env`.
+    :func:`save_matrix_env`. A matrix file that cannot be read or parsed
+    raises ``ConfigError``.
     """
     if spec == "rps":
         return rps_env()
     if spec == "leduc":
         return LeducEnv()
     if spec.startswith("matrix:"):
-        return load_matrix_env(spec.split(":", 1)[1], name=spec)
+        try:
+            return load_matrix_env(spec.split(":", 1)[1], name=spec)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"env.name: {exc}") from exc
     raise ValueError(f"unknown environment spec {spec!r}")
 
 
@@ -43,7 +47,6 @@ __all__ = [
     "Environment",
     "EpisodeResult",
     "EpisodeState",
-    "Observation",
     "Transition",
     "FOLD",
     "CALL",

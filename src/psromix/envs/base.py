@@ -3,44 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-class Observation:
-    """An agent's view of its information state.
-
-    ``key`` is a canonical byte string: two information states with different
-    legal histories never share a key. ``features`` is the read-only
-    real-vector rendering of the same state (length 30 for Leduc, length 1
-    for matrix games). Tabular code reads only the key, so when no features
-    are given they are computed on first access from the key's bytes, one
-    float per byte (the Leduc encoding), and cached.
-    """
-
-    __slots__ = ("key", "_features")
-
-    def __init__(self, key: bytes, features=None):
-        self.key = key
-        if features is not None:
-            features = np.asarray(features, dtype=float).view()
-            features.flags.writeable = False
-        self._features = features
-
-    @property
-    def features(self) -> np.ndarray:
-        if self._features is None:
-            features = np.frombuffer(self.key, np.uint8).astype(float)
-            features.flags.writeable = False
-            self._features = features
-        return self._features
 
 
 class Transition(NamedTuple):
     """One recorded decision: what the player saw and could choose from."""
 
-    observation: Observation
+    observation: bytes
     legal_actions: tuple[int, ...]
 
 
@@ -53,27 +24,28 @@ class EpisodeResult:
 
 
 class EpisodeState:
-    """State of one in-progress episode.
+    """State of one in-progress episode, one acting player at a time.
 
-    Subclasses expose ``to_act`` (players acting this step, simultaneously),
-    per-player observations and legal actions, and ``step`` which applies a
-    joint action and returns the per-player reward vector for the step.
-    ``step`` raises ``IllegalAction`` when an acting player's action is not in
-    its legal set; it is the only legality check, so the episode runner and
-    training share it. The returned vector may be shared and read-only, so
-    callers add it into their own sums rather than keep or modify it.
+    ``player`` is the player to act, None once ``terminal``. An observation
+    is the player's canonical key: two information states with different
+    legal histories never share a key. ``step`` applies the acting player's
+    action and returns the per-player reward vector for the step. It raises
+    ``IllegalAction`` when the action is not in the legal set; it is the only
+    legality check, so the episode runner and training share it. The
+    returned vector may be shared and read-only, so callers add it into
+    their own sums rather than keep or modify it.
     """
 
-    to_act: tuple[int, ...]
+    player: int | None
     terminal: bool
 
-    def observation(self, player: int) -> Observation:
+    def observation(self, player: int) -> bytes:
         raise NotImplementedError
 
     def legal_actions(self, player: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def step(self, actions: Mapping[int, int]) -> np.ndarray:
+    def step(self, action: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -112,15 +84,12 @@ def simulate_episode(
     transitions: dict[int, list[Transition]] = {p: [] for p in record_for}
 
     while not state.terminal:
-        actions = {}
-        for player in state.to_act:
-            obs = state.observation(player)
-            legal = state.legal_actions(player)
-            action = policies[player].act(obs, legal, rng)
-            if player in transitions:
-                transitions[player].append(Transition(obs, legal))
-            actions[player] = action
-        returns += state.step(actions)
+        player = state.player
+        obs = state.observation(player)
+        legal = state.legal_actions(player)
+        if player in transitions:
+            transitions[player].append(Transition(obs, legal))
+        returns += state.step(policies[player].act(obs, legal, rng))
     return EpisodeResult(returns=returns, transitions=transitions)
 
 

@@ -8,11 +8,11 @@ After round one a single public card is revealed. Showdown: a private card
 pairing the public card wins, otherwise the higher rank wins, equal ranks
 split the pot. Chips are conserved, so returns sum to zero every episode.
 
-Observations are 30-entry binary vectors: acting-player one-hot (2), private
-card one-hot (6), public card one-hot (6, all zero in round one), then the
-round-one and round-two action sequences (4 slots of 2 bits each per round;
-CALL = 01, RAISE = 10, empty slot = 00; FOLD ends the episode and never
-occupies a slot). The observation key is the byte rendering of this vector.
+An observation is a 30-byte key, one byte (0 or 1) per entry: acting-player
+one-hot (2), private card one-hot (6), public card one-hot (6, all zero in
+round one), then the round-one and round-two action sequences (4 slots of 2
+bits each per round; CALL = 01, RAISE = 10, empty slot = 00; FOLD ends the
+episode and never occupies a slot).
 
 Betting depends only on the seating and the action history, never on the
 cards, so the betting tree is compiled once at import: 170 nodes over both
@@ -20,23 +20,24 @@ seatings, 72 of them decisions. Each node holds the acting player, the legal
 actions per player, the child per legal action, the round and the chips put
 in; each terminal node holds one read-only reward vector per outcome (player 0
 wins, player 1 wins, split). A deal adds only the cards: per (player, private
-card, public card) view, one tuple of shared :class:`Observation` objects
-indexed by node id, keyed by :func:`leduc_encode` and interned so that each
-distinct key is one object, and the showdown outcome. Views and deals are
-built on first use and then shared by every episode, so an episode is a deal
-plus a node: ``step`` is a child lookup and ``observation`` one table index.
+card, public card) view, one tuple of keys indexed by node id, built by
+:func:`leduc_encode`, which interns them so that each distinct key is one
+object, and the showdown outcome. Views and deals are built on first use and
+then shared by every episode, so an episode is a deal plus a node: ``player``
+is the node's acting player, ``step`` is a child lookup and ``observation``
+one table index.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import IllegalAction
-from .base import Environment, EpisodeState, Observation
+from .base import Environment, EpisodeState
 
 FOLD, CALL, RAISE = 0, 1, 2
 
@@ -76,6 +77,9 @@ _ROUND_KEYS = {
     for actions in itertools.product((CALL, RAISE), repeat=length)
 }
 
+# Every key leduc_encode has built, by itself: one object per distinct key.
+_KEYS: dict[bytes, bytes] = {}
+
 # Returned by every non-terminal step; callers only add it into their own sums.
 _NO_REWARDS = np.zeros(2)
 _NO_REWARDS.flags.writeable = False
@@ -94,18 +98,15 @@ def leduc_encode(
     public_card: int | None,
     round1_actions: Sequence[int],
     round2_actions: Sequence[int],
-) -> Observation:
-    """Encode one player's information state as a 30-entry binary vector.
-
-    The key is joined from precomputed byte blocks; the float features are
-    derived from it only when read (see :class:`Observation`).
-    """
+) -> bytes:
+    """One player's information state as its 30-byte key, joined from
+    precomputed byte blocks and interned: equal keys are one object."""
     key = (
         _PREFIXES[player, private_card, public_card]
         + _ROUND_KEYS[tuple(round1_actions)]
         + _ROUND_KEYS[tuple(round2_actions)]
     )
-    return Observation(key)
+    return _KEYS.setdefault(key, key)
 
 
 # -- the betting tree ------------------------------------------------------
@@ -125,7 +126,6 @@ class _Node:
         "current_bet",
         "raises_made",
         "player",
-        "to_act",
         "terminal",
         "legal",
         "children",
@@ -142,7 +142,6 @@ class _Node:
         self.current_bet = current_bet
         self.raises_made = raises_made
         self.player = player  # None at a terminal node
-        self.to_act = () if player is None else (player,)
         self.terminal = player is None
         self.legal = (self._legal(0), self._legal(1))
         self.children: dict[int, _Node] = {}
@@ -231,17 +230,12 @@ _NODES, _ROOTS = _build_tree()
 # These caches only grow, and what they hold never changes once built, so
 # every episode and environment in the process can share them.
 
-# The encoding is one-to-one, so interning by its arguments gives one object per key.
-_shared_observation = functools.cache(leduc_encode)
-
 
 @functools.cache
-def _view(player: int, private: int, public: int) -> tuple[Observation, ...]:
+def _view(player: int, private: int, public: int) -> tuple[bytes, ...]:
     """What ``player`` holding ``private`` sees at every node, by node id."""
     return tuple(
-        _shared_observation(
-            player, private, public if node.round_index else None, *node.round_actions
-        )
+        leduc_encode(player, private, public if node.round_index else None, *node.round_actions)
         for node in _NODES
     )
 
@@ -291,13 +285,13 @@ class LeducEnv(Environment):
 
 
 class LeducEpisode(EpisodeState):
-    """A deal plus a node of the betting tree. ``to_act`` and ``terminal``
+    """A deal plus a node of the betting tree. ``player`` and ``terminal``
     are plain attributes; the betting state is read from the node."""
 
     def __init__(self, deal: _Deal, node: _Node):
         self._deal = deal
         self._node = node
-        self.to_act = node.to_act
+        self.player = node.player
         self.terminal = node.terminal
 
     def __deepcopy__(self, memo) -> "LeducEpisode":
@@ -306,7 +300,7 @@ class LeducEpisode(EpisodeState):
 
     # -- observation / legality ------------------------------------------
 
-    def observation(self, player: int) -> Observation:
+    def observation(self, player: int) -> bytes:
         return self._deal.views[player][self._node.id]
 
     def legal_actions(self, player: int) -> tuple[int, ...]:
@@ -314,9 +308,8 @@ class LeducEpisode(EpisodeState):
 
     # -- dynamics ---------------------------------------------------------
 
-    def step(self, actions: Mapping[int, int]) -> np.ndarray:
+    def step(self, action: int) -> np.ndarray:
         node = self._node
-        action = actions[node.player]
         child = node.children.get(action)
         if child is None:
             raise IllegalAction(
@@ -324,7 +317,7 @@ class LeducEpisode(EpisodeState):
                 f"legal set is {node.legal[node.player]}"
             )
         self._node = child
-        self.to_act = child.to_act
+        self.player = child.player
         if child.terminal:
             self.terminal = True
             return child.rewards[self._deal.outcome]

@@ -1,7 +1,8 @@
 """One-shot matrix-game environments.
 
-Every episode is a single simultaneous joint action; the payoff tensor has
-shape ``(*action_counts, n_players)``. The built-in rock-paper-scissors game
+Every episode is one joint action, chosen seat by seat; no seat observes
+anything, so this is the simultaneous game. The payoff tensor has shape
+``(*action_counts, n_players)``. The built-in rock-paper-scissors game
 uses the win=1 / tie=0.5 / lose=0 convention, which makes per-action values
 against a fixed opponent mixture land on round numbers (e.g. the value of R
 against (0, 0.3, 0.7) is exactly 0.7).
@@ -10,21 +11,21 @@ against (0, 0.3, 0.7) is exactly 0.7).
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import IllegalAction, WrongEnvironment
-from .base import Environment, EpisodeState, Observation
+from .base import Environment, EpisodeState
 
 # Matrix games have a single information state shared by all players.
-MATRIX_OBSERVATION = Observation(key=b"matrix", features=np.ones(1))
+MATRIX_OBSERVATION = b"matrix"
 
 ROCK, PAPER, SCISSORS = 0, 1, 2
 
 
 class MatrixGameEnv(Environment):
-    """Simultaneous one-shot game given by a dense payoff tensor.
+    """One-shot game given by a dense payoff tensor.
 
     The tensor is copied and made read-only, so neither the caller's array
     nor a returned reward vector can change the game.
@@ -45,6 +46,8 @@ class MatrixGameEnv(Environment):
         self.action_counts = tensor.shape[:-1]
         self.name = name
         self._legal = tuple(tuple(range(k)) for k in self.action_counts)
+        self._no_rewards = np.zeros(self.n_players)
+        self._no_rewards.flags.writeable = False
 
     def action_count(self, player: int) -> int:
         return self.action_counts[player]
@@ -54,28 +57,36 @@ class MatrixGameEnv(Environment):
 
 
 class MatrixEpisode(EpisodeState):
+    """The seats act in order, each unaware of the earlier choices. Every step
+    but the last returns a shared read-only zero vector; the last returns the
+    tensor cell of the joint action."""
+
     def __init__(self, env: MatrixGameEnv):
         self.env = env
-        self.to_act = tuple(range(env.n_players))
+        self.player = 0
         self.terminal = False
+        self._joint: list[int] = []
 
-    def observation(self, player: int) -> Observation:
+    def observation(self, player: int) -> bytes:
         return MATRIX_OBSERVATION
 
     def legal_actions(self, player: int) -> tuple[int, ...]:
         return self.env._legal[player]
 
-    def step(self, actions: Mapping[int, int]) -> np.ndarray:
-        joint = tuple(actions[p] for p in range(self.env.n_players))
-        for player, action in enumerate(joint):
-            if action not in self.env._legal[player]:
-                raise IllegalAction(
-                    f"player {player} chose action {action}; "
-                    f"legal set is {self.env._legal[player]}"
-                )
+    def step(self, action: int) -> np.ndarray:
+        player = self.player
+        if action not in self.env._legal[player]:
+            raise IllegalAction(
+                f"player {player} chose action {action}; "
+                f"legal set is {self.env._legal[player]}"
+            )
+        self._joint.append(action)
+        if player + 1 < self.env.n_players:
+            self.player = player + 1
+            return self.env._no_rewards
+        self.player = None
         self.terminal = True
-        self.to_act = ()
-        return self.env.payoff_tensor[joint]
+        return self.env.payoff_tensor[tuple(self._joint)]
 
 
 def rps_env() -> MatrixGameEnv:
@@ -124,17 +135,26 @@ def save_matrix_env(env: MatrixGameEnv, path) -> None:
 
 
 def load_matrix_env(path, name: str | None = None) -> MatrixGameEnv:
+    """Read a file written by :func:`save_matrix_env`.
+
+    Every joint action must have exactly one ``cell`` line; any other file
+    raises ``ValueError``.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "psromix-matrix v1":
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if len(lines) < 3 or lines[0] != ["psromix-matrix", "v1"] or len(lines[1]) != 2:
         raise ValueError(f"{path}: not a psromix matrix file")
-    n_players = int(lines[1].split()[1])
-    counts = tuple(int(tok) for tok in lines[2].split()[1:])
+    n_players = int(lines[1][1])
+    counts = tuple(int(tok) for tok in lines[2][1:])
     tensor = np.zeros(counts + (n_players,))
-    for line in lines[3:]:
-        tokens = line.split()
-        if tokens[0] != "cell":
-            raise ValueError(f"{path}: unexpected line {line!r}")
+    missing = set(itertools.product(*(range(k) for k in counts)))
+    for tokens in lines[3:]:
         joint = tuple(int(tok) for tok in tokens[1 : 1 + n_players])
-        tensor[joint] = [float(tok) for tok in tokens[1 + n_players :]]
+        payoffs = [float(tok) for tok in tokens[1 + n_players :]]
+        if tokens[0] != "cell" or joint not in missing or len(payoffs) != n_players:
+            raise ValueError(f"{path}: unexpected or repeated line {' '.join(tokens)!r}")
+        missing.remove(joint)
+        tensor[joint] = payoffs
+    if missing:
+        raise ValueError(f"{path}: {len(missing)} joint actions lack a cell, first {min(missing)}")
     return MatrixGameEnv(tensor, name=name or f"matrix:{path}")

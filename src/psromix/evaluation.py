@@ -230,7 +230,7 @@ def similarity_report(
         all_profiles = [all_profiles[i] for i in sorted(chosen)]
 
     base = derive_stream_seed(rng)
-    corpus: dict[bytes, tuple] = {}
+    corpus: dict[bytes, tuple[int, ...]] = {}  # observation -> legal actions
     raw_count = 0
     for profile_index, assignment in enumerate(all_profiles):
         seated = tuple(policies[i] for i in assignment)
@@ -245,15 +245,14 @@ def similarity_report(
             for transitions in result.transitions.values():
                 for tr in transitions:
                     raw_count += 1
-                    if tr.observation.key not in corpus:
-                        corpus[tr.observation.key] = (tr.observation, tr.legal_actions)
+                    corpus.setdefault(tr.observation, tr.legal_actions)
     if not corpus:
         raise EmptyCorpus("no states collected from the sampled profiles")
 
     n = len(policies)
     greedy = np.empty((n, len(corpus)), dtype=int)
     for pi, policy in enumerate(policies):
-        for si, (obs, legal) in enumerate(corpus.values()):
+        for si, (obs, legal) in enumerate(corpus.items()):
             greedy[pi, si] = policy.greedy_action(obs, legal)
     agreement = np.empty((n, n))
     for i in range(n):

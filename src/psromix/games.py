@@ -43,7 +43,8 @@ class PayoffTable:
     sample_counts: dict[PureProfile, int] = field(default_factory=dict)
 
     def record(self, profile: PureProfile, mean_returns, episodes: int) -> None:
-        """Merge ``episodes`` new episodes into the cell by exact weighted mean."""
+        """Record a cell's mean returns over ``episodes`` episodes. A cell is
+        recorded once: recording it again raises ``ValueError``."""
         if episodes < 1:
             raise ValueError("episodes must be >= 1")
         mean_returns = np.asarray(mean_returns, dtype=float)
@@ -52,15 +53,9 @@ class PayoffTable:
                 f"payoff vector has shape {mean_returns.shape}, expected ({self.n_players},)"
             )
         if profile in self.cells:
-            old_count = self.sample_counts[profile]
-            total = old_count + episodes
-            self.cells[profile] = (
-                self.cells[profile] * old_count + mean_returns * episodes
-            ) / total
-            self.sample_counts[profile] = total
-        else:
-            self.cells[profile] = mean_returns.copy()
-            self.sample_counts[profile] = episodes
+            raise ValueError(f"profile {profile} is already recorded")
+        self.cells[profile] = mean_returns.copy()
+        self.sample_counts[profile] = episodes
 
 
 class EmpiricalGame:
@@ -218,24 +213,31 @@ def load_game(path) -> EmpiricalGame:
     """Read a game written by :func:`save_game`.
 
     Strategy handles are not stored in the file; the loaded sets contain None
-    placeholders which the engine replaces when restoring a checkpoint.
+    placeholders which the engine replaces when restoring a checkpoint. A
+    malformed file raises ``ValueError``, or ``OutOfBounds`` for a profile
+    outside the strategy sets.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != GAME_FILE_HEADER:
         raise ValueError(f"{path}: not a psromix game file")
-    n_players = int(lines[1].split()[1])
-    epoch = int(lines[2].split()[1])
-    sizes = [int(tok) for tok in lines[3].split()[1:]]
-    game = EmpiricalGame(n_players)
-    game.epoch = epoch
+    header = [ln.split() for ln in lines[1:4]]
+    if [tokens[:1] for tokens in header] != [["players"], ["epoch"], ["strategies"]]:
+        raise ValueError(f"{path}: the players, epoch and strategies lines are required")
+    (n_players,), (epoch,), sizes = header[0][1:], header[1][1:], header[2][1:]
+    game = EmpiricalGame(int(n_players))
+    game.epoch = int(epoch)
+    if len(sizes) != game.n_players:
+        raise ValueError(f"{path}: {len(sizes)} strategy-set sizes for {n_players} players")
     for player, size in enumerate(sizes):
-        for _ in range(size):
+        for _ in range(int(size)):
             game.add_policy(player, None)
     for line in lines[4:]:
+        if not line.startswith("cell "):
+            raise ValueError(f"{path}: unexpected line {line!r}")
         body = line[len("cell ") :]
         profile_part, payoff_part, count_part = (part.strip() for part in body.split("|"))
-        profile = tuple(int(tok) for tok in profile_part.split())
+        profile = game._check_bounds(profile_part.split())
         payoffs = [float(tok) for tok in payoff_part.split()]
         game.payoffs.record(profile, payoffs, int(count_part))
     return game

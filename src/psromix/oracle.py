@@ -105,9 +105,8 @@ def train_best_response(
     total = hparams.total_timesteps
     t = 0
     episode = 0
-    done = False
 
-    while not done:
+    while t < total:
         opponent_policies = provider(opponent_rng)
         state = env.reset(rng, first_player=episode % 2)
         episode += 1
@@ -115,44 +114,36 @@ def train_best_response(
         pending_action = 0
         acc_reward = 0.0
         while not state.terminal:
-            actions = {}
-            for player in state.to_act:
-                if player == learner:
-                    obs_key = state.observation(player).key
-                    legal = state.legal_actions(player)
-                    if pending_key is not None:
-                        vec = ensure(pending_key)
-                        bootstrap = max(lookup(obs_key)[a] for a in legal)
-                        target = acc_reward + gamma * bootstrap
-                        vec[pending_action] += lr * (target - vec[pending_action])
-                        pending_key = None
-                        acc_reward = 0.0
-                        if t >= total:
-                            done = True
-                            break
-                    epsilon = epsilon_at(t, hparams)
-                    if epsilon > 0.0 and random() < epsilon:
-                        action = legal[integers(len(legal))]
-                    else:
-                        action = greedy_over(lookup(obs_key), legal)
-                    pending_key, pending_action = obs_key, action
-                    t += 1
+            player = state.player
+            if player == learner:
+                key = state.observation(player)
+                legal = state.legal_actions(player)
+                if pending_key is not None:
+                    vec = ensure(pending_key)
+                    bootstrap = max(lookup(key)[a] for a in legal)
+                    target = acc_reward + gamma * bootstrap
+                    vec[pending_action] += lr * (target - vec[pending_action])
+                    pending_key = None
+                    acc_reward = 0.0
+                    if t >= total:
+                        break
+                epsilon = epsilon_at(t, hparams)
+                if epsilon > 0.0 and random() < epsilon:
+                    action = legal[integers(len(legal))]
                 else:
-                    obs = state.observation(player)
-                    legal = state.legal_actions(player)
-                    action = opponent_policies[player].act(obs, legal, rng)
-                actions[player] = action
-            if done:
-                break
-            rewards = state.step(actions)
+                    action = greedy_over(lookup(key), legal)
+                pending_key, pending_action = key, action
+                t += 1
+            else:
+                action = opponent_policies[player].act(
+                    state.observation(player), state.legal_actions(player), rng
+                )
+            rewards = state.step(action)
             if pending_key is not None:
                 acc_reward += rewards[learner]
-        if state.terminal and pending_key is not None:
+        if pending_key is not None:
             vec = ensure(pending_key)
             vec[pending_action] += lr * (acc_reward - vec[pending_action])
-            pending_key = None
-        if t >= total:
-            done = True
     if counter is not None:
         counter.train_steps += t
     return ValuePolicy(q)
@@ -175,7 +166,7 @@ def exact_best_response(
     ]
     values = deviation_values(env.payoff_tensor, dists, learner)
     table = QTable(env.action_count(learner))
-    table.set(MATRIX_OBSERVATION.key, values)
+    table.set(MATRIX_OBSERVATION, values)
     best = int(np.argmax(values))  # lowest index among maximisers
     return ValuePolicy(table), float(values[best])
 

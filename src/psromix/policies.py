@@ -25,7 +25,7 @@ class ValueTable(Protocol):
 
 
 class QTable:
-    """Observation-keyed action-value table with a default for unseen keys.
+    """Action-value table keyed by observation, with a default for unseen keys.
 
     Every unseen key looks up the same read-only default vector; ``ensure``
     inserts a fresh writable copy before a key's values are updated.
@@ -99,7 +99,7 @@ class ValuePolicy:
         return self.q.action_count
 
     def greedy_action(self, observation, legal_actions: Sequence[int]) -> int:
-        return greedy_over(self.q.lookup(observation.key), legal_actions)
+        return greedy_over(self.q.lookup(observation), legal_actions)
 
     def act(self, observation, legal_actions: Sequence[int], rng) -> int:
         if self.epsilon > 0.0 and rng.random() < self.epsilon:

@@ -281,3 +281,81 @@ def test_corrupt_policy_file_rejected(tmp_path, capsys, corrupt):
     assert main(["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _edit_run_section(cfg, **changes):
+    cfg["run"].update(changes)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda cfg: _edit_run_section(cfg, epochs="3"), id="epochs-string"),
+        pytest.param(lambda cfg: _edit_run_section(cfg, epochs=2.5), id="epochs-float"),
+        pytest.param(lambda cfg: _edit_run_section(cfg, seed=-1), id="negative-seed"),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, episodes_per_cell=True), id="episodes-bool"
+        ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, analytic_cells="yes"), id="analytic-cells-string"
+        ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, early_stop_sum_regret="0.1"),
+            id="early-stop-string",
+        ),
+        pytest.param(lambda cfg: cfg.update(run=[3]), id="run-not-an-object"),
+        pytest.param(lambda cfg: cfg.update(oracle=[]), id="oracle-not-an-object"),
+    ],
+)
+def test_run_config_field_types_checked(tmp_path, capsys, edit):
+    path = write_config(tmp_path / "cfg.json", epochs=1)
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _matrix_lines():
+    return ["psromix-matrix v1", "players 2", "actions 2 2"] + [
+        f"cell {a} {b} {float(a == b)} {float(a != b)}" for a in range(2) for b in range(2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        pytest.param(_matrix_lines()[:-3], id="missing-cells"),
+        pytest.param(_matrix_lines()[:1], id="header-only"),
+        pytest.param(None, id="missing-file"),
+        pytest.param(_matrix_lines() + _matrix_lines()[-1:], id="duplicated-cell"),
+        pytest.param(_matrix_lines()[:-1] + ["cell 2 1 0.0 1.0"], id="action-out-of-range"),
+    ],
+)
+def test_matrix_file_loads_whole_or_not_at_all(tmp_path, capsys, lines):
+    matrix = tmp_path / "game.matrix"
+    if lines is not None:
+        matrix.write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path / "cfg.json", epochs=1)
+    cfg = json.loads(path.read_text())
+    cfg["env"]["name"] = f"matrix:{matrix}"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: env.name: ")
+
+
+def test_eval_set_file_names_checked(tmp_path, capsys):
+    cfg = write_config(tmp_path / "a.json", epochs=1)
+    out = tmp_path / "oa"
+    main(["run", str(cfg), "--output", str(out)])
+    eval_set = tmp_path / "eval_set"
+    eval_set.mkdir()
+    policy_text = (out / "checkpoint" / "policies" / "p0_0.txt").read_text()
+    (eval_set / "p1_0.txt").write_text(policy_text)
+    (eval_set / "pnotes.txt").write_text("not a policy\n")
+    argv = ["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]
+    capsys.readouterr()
+    assert main(argv) == 0  # pnotes.txt is not a policy file name: skipped
+    (eval_set / "p2_0.txt").write_text(policy_text)
+    assert main(argv) == 2
+    assert "p2_0.txt" in capsys.readouterr().err

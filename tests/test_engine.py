@@ -47,7 +47,7 @@ def greedy_rps_policy(action):
     table = QTable(3)
     values = np.zeros(3)
     values[action] = 1.0
-    table.set(MATRIX_OBSERVATION.key, values)
+    table.set(MATRIX_OBSERVATION, values)
     return ValuePolicy(table)
 
 
@@ -200,7 +200,7 @@ def test_mixed_oracles_epoch_one_equals_pure_response():
     record = run_algorithm(fast_config(algorithm="mixed-oracles", epochs=1, seed=5))
     added = record.game.strategy_sets[0][1]
     response = record.libraries[0][0]
-    key = MATRIX_OBSERVATION.key
+    key = MATRIX_OBSERVATION
     assert np.array_equal(added.q.lookup(key), response.q.lookup(key))
     assert added.greedy_action(MATRIX_OBSERVATION, LEGAL) == response.greedy_action(
         MATRIX_OBSERVATION, LEGAL
@@ -216,7 +216,7 @@ def test_mixed_oracles_reduces_to_psro_under_last_mss():
     psro_record = run_algorithm(fast_config(**base))
     oracle_record = run_algorithm(fast_config(algorithm="mixed-oracles", **base))
     assert export_regret_curve(psro_record) == export_regret_curve(oracle_record)
-    key = MATRIX_OBSERVATION.key
+    key = MATRIX_OBSERVATION
     for player in range(2):
         for a, b in zip(
             psro_record.game.strategy_sets[player][1:],
@@ -233,7 +233,7 @@ def test_mixed_opponents_singleton_set_matches_psro_epoch():
     cfg_b = fast_config(algorithm="mixed-opponents", epochs=1, seed=21)
     rec_a = run_algorithm(cfg_a, initial_policies=list(initial))
     rec_b = run_algorithm(cfg_b, initial_policies=list(initial))
-    key = MATRIX_OBSERVATION.key
+    key = MATRIX_OBSERVATION
     for player in range(2):
         a = rec_a.game.strategy_sets[player][1]
         b = rec_b.game.strategy_sets[player][1]
@@ -350,7 +350,7 @@ def test_checkpoint_resume_continues_identically(tmp_path):
     resumed = resume(ck)
     continued = run_algorithm(fast_config(epochs=4, **base), resume_record=resumed)
     assert export_regret_curve(straight) == export_regret_curve(continued)
-    key = MATRIX_OBSERVATION.key
+    key = MATRIX_OBSERVATION
     for player in range(2):
         for a, b in zip(
             straight.game.strategy_sets[player], continued.game.strategy_sets[player]
@@ -388,6 +388,32 @@ def test_resume_rejects_game_with_lost_cell(tmp_path):
     cell = next(i for i, line in enumerate(lines) if line.startswith("cell "))
     (ck / "game.txt").write_text("".join(lines[:cell] + lines[cell + 1 :]))
     with pytest.raises(CorruptCheckpoint, match="8 of 9 payoff cells"):
+        resume(ck)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines[:1], id="header-only"),
+        pytest.param(
+            lambda lines: [ln.replace("cell 1 1 |", "cell 5 5 |") for ln in lines],
+            id="profile-out-of-range",
+        ),
+        pytest.param(
+            lambda lines: [ln.replace("cell 1 1 |", "cell 1 |") for ln in lines],
+            id="short-profile",
+        ),
+        pytest.param(lambda lines: lines + lines[-1:], id="duplicated-cell"),
+    ],
+)
+def test_resume_rejects_malformed_game(tmp_path, edit):
+    config = load_config(ROOT / "demos" / "configs" / "rps_psro_exact.json")
+    ck = tmp_path / "ck"
+    checkpoint(run_algorithm(config), ck)
+    lines = (ck / "game.txt").read_text().splitlines()
+    assert "cell 1 1 |" in lines[-1]
+    (ck / "game.txt").write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(CorruptCheckpoint):
         resume(ck)
 
 

@@ -113,12 +113,34 @@ def test_matrix_step_rejects_out_of_range_actions(action):
     # Negative indexing would otherwise play action 2 silently.
     state = rps_env().reset(np.random.default_rng(0))
     with pytest.raises(IllegalAction):
-        state.step({0: action, 1: 0})
+        state.step(action)
+
+
+def test_three_player_episode_is_played_seat_by_seat():
+    tensor = np.arange(2 * 3 * 2 * 3, dtype=float).reshape(2, 3, 2, 3)
+    env = MatrixGameEnv(tensor)
+    joint = (1, 2, 0)
+    state = env.reset(np.random.default_rng(0))
+    players = [state.player]
+    rewards = []
+    for seat, action in enumerate(joint):
+        for illegal in (-1, env.action_count(seat)):
+            with pytest.raises(IllegalAction):
+                state.step(illegal)
+            assert state.player == seat and not state.terminal
+        rewards.append(state.step(action))
+        players.append(state.player)
+    assert players == [0, 1, 2, None] and state.terminal
+    for zeros in rewards[:2]:
+        assert np.array_equal(zeros, np.zeros(3)) and not zeros.flags.writeable
+    assert np.array_equal(rewards[2], tensor[joint])
 
 
 def test_matrix_step_returns_read_only_rewards():
     env = rps_env()
-    rewards = env.reset(np.random.default_rng(0)).step({0: 0, 1: 1})
+    state = env.reset(np.random.default_rng(0))
+    state.step(0)
+    rewards = state.step(1)
     assert not rewards.flags.writeable
     with pytest.raises(ValueError):
         rewards += 1.0
@@ -130,7 +152,9 @@ def test_matrix_env_copies_its_payoff_tensor():
     env = MatrixGameEnv(tensor)
     tensor[0, 0] = 5.0
     assert np.array_equal(env.payoff_tensor, np.zeros((2, 2, 2)))
-    assert env.reset(np.random.default_rng(0)).step({0: 0, 1: 0}) == pytest.approx([0.0, 0.0])
+    state = env.reset(np.random.default_rng(0))
+    state.step(0)
+    assert state.step(0) == pytest.approx([0.0, 0.0])
 
 
 def test_opponent_policies_fixed_within_episode():
@@ -171,6 +195,6 @@ def test_make_env_names():
 def test_observation_constant():
     env = rps_env()
     state = env.reset(np.random.default_rng(0))
-    obs = state.observation(0)
-    assert obs.key == MATRIX_OBSERVATION.key
-    assert obs.features.shape == (1,)
+    assert state.observation(0) == MATRIX_OBSERVATION == b"matrix"
+    state.step(0)
+    assert state.observation(1) is MATRIX_OBSERVATION

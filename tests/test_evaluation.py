@@ -256,8 +256,8 @@ def leduc_value_policy(seed):
         result = simulate_episode(env, explorer, rng, first_player=ep % 2, record_for=(0, 1))
         for transitions in result.transitions.values():
             for tr in transitions:
-                if tr.observation.key not in table.values:
-                    table.set(tr.observation.key, rng.normal(size=3))
+                if tr.observation not in table.values:
+                    table.set(tr.observation, rng.normal(size=3))
     return policy
 
 
@@ -279,7 +279,7 @@ def _table(values):
     from psromix.envs import MATRIX_OBSERVATION
 
     table = QTable(3)
-    table.set(MATRIX_OBSERVATION.key, np.asarray(values))
+    table.set(MATRIX_OBSERVATION, np.asarray(values))
     return table
 
 

@@ -157,13 +157,14 @@ def test_expected_payoff_linear_in_each_mixture():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_record_merges_by_exact_weighted_mean():
+def test_record_refuses_a_recorded_cell():
     game = EmpiricalGame(1)
     game.add_policy(0, "a")
     game.payoffs.record((0,), [1.0], 10)
-    game.payoffs.record((0,), [4.0], 30)
-    assert game.payoffs.sample_counts[(0,)] == 40
-    assert game.payoffs.cells[(0,)][0] == pytest.approx((10 * 1.0 + 30 * 4.0) / 40, abs=0)
+    with pytest.raises(ValueError, match="already recorded"):
+        game.payoffs.record((0,), [4.0], 30)
+    assert game.payoffs.sample_counts[(0,)] == 10
+    assert game.payoffs.cells[(0,)][0] == 1.0
 
 
 def test_mixed_strategy_invariants():
@@ -176,8 +177,9 @@ def test_mixed_strategy_invariants():
 
 def test_serialization_round_trip(tmp_path):
     game = make_2x2_game()
+    game.add_policy(0, "extra")
     # Adversarial payoff to exercise 17-significant-digit round-tripping.
-    game.payoffs.record((0, 0), [1 / 3, np.pi], 7)
+    game.payoffs.record((2, 0), [1 / 3, np.pi], 7)
     path = tmp_path / "game.txt"
     save_game(game, path)
     loaded = load_game(path)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from psromix.envs import MATRIX_OBSERVATION, Observation, simulate_episode
+from psromix.envs import simulate_episode
 from psromix.envs.leduc import CALL, FOLD, RAISE, LeducEnv, leduc_encode
 from psromix.errors import IllegalAction
 from psromix.oracle import OracleHParams, train_best_response
@@ -20,31 +20,31 @@ def play(env, actions, deal=(0, 2, 4), first=0):
     state = env.deal(*deal, first_player=first)
     rewards = np.zeros(2)
     for action in actions:
-        (player,) = state.to_act
+        player = state.player
         assert action in state.legal_actions(player), (action, state.legal_actions(player))
-        rewards += state.step({player: action})
+        rewards += state.step(action)
     return state, rewards
 
 
 def test_encoding_example_positions():
-    obs = leduc_encode(0, 3, None, [], [])
-    assert len(obs.features) == 30
-    assert set(np.flatnonzero(obs.features)) == {0, 2 + 3}
+    key = leduc_encode(0, 3, None, [], [])
+    assert len(key) == 30
+    assert set(np.flatnonzero(np.frombuffer(key, np.uint8))) == {0, 2 + 3}
 
 
 def test_encoding_binary_and_action_bits():
-    obs = leduc_encode(1, 5, 2, [CALL, RAISE, RAISE, CALL], [RAISE])
-    assert set(np.unique(obs.features)).issubset({0.0, 1.0})
+    key = leduc_encode(1, 5, 2, [CALL, RAISE, RAISE, CALL], [RAISE])
+    assert set(key).issubset({0, 1})
     # round-1 slots start at 14: CALL=01 RAISE=10
-    assert list(obs.features[14:22]) == [0, 1, 1, 0, 1, 0, 0, 1]
-    assert list(obs.features[22:24]) == [1, 0]
+    assert list(key[14:22]) == [0, 1, 1, 0, 1, 0, 0, 1]
+    assert list(key[22:24]) == [1, 0]
 
 
 def test_keys_distinct_for_distinct_histories():
     a = leduc_encode(0, 1, None, [CALL], [])
     b = leduc_encode(0, 1, None, [RAISE], [])
     c = leduc_encode(0, 1, None, [], [])
-    assert len({a.key, b.key, c.key}) == 3
+    assert len({a, b, c}) == 3
 
 
 def decision_points(env):
@@ -55,10 +55,10 @@ def decision_points(env):
         if episode.terminal:
             return
         yield episode
-        (player,) = episode.to_act
+        player = episode.player
         for action in episode.legal_actions(player):
             child = copy.deepcopy(episode)
-            child.step({player: action})
+            child.step(action)
             yield from walk(child)
 
     for first in (0, 1):
@@ -71,8 +71,8 @@ def enumerate_information_states(env):
     """Collect the information state seen at each decision point."""
     states = {}
     for episode in decision_points(env):
-        (player,) = episode.to_act
-        obs = episode.observation(player)
+        player = episode.player
+        key = episode.observation(player)
         description = (
             episode.first_player,
             player,
@@ -81,10 +81,10 @@ def enumerate_information_states(env):
             tuple(episode.round_actions[0]),
             tuple(episode.round_actions[1]),
         )
-        if obs.key in states:
-            assert states[obs.key] == description, "key collision for distinct states"
+        if key in states:
+            assert states[key] == description, "key collision for distinct states"
         else:
-            states[obs.key] = description
+            states[key] = description
     return states
 
 
@@ -95,54 +95,40 @@ def test_key_injectivity_exhaustive(env):
 
 
 def reference_encode(player, private_card, public_card, round1_actions, round2_actions):
-    """The numpy encoder the lookup-table encoder replaced: features, then key."""
-    features = np.zeros(30)
-    features[player] = 1.0
-    features[2 + private_card] = 1.0
+    """The numpy encoder the lookup-table encoder replaced: a float vector,
+    rendered one byte per entry."""
+    vector = np.zeros(30)
+    vector[player] = 1.0
+    vector[2 + private_card] = 1.0
     if public_card is not None:
-        features[8 + public_card] = 1.0
+        vector[8 + public_card] = 1.0
     bits = {CALL: (0, 1), RAISE: (1, 0)}
     for offset, actions in zip((14, 22), (round1_actions, round2_actions)):
         for slot, action in enumerate(actions):
-            features[offset + 2 * slot : offset + 2 * slot + 2] = bits[action]
-    return bytes(features.astype(np.uint8)), features
+            vector[offset + 2 * slot : offset + 2 * slot + 2] = bits[action]
+    return bytes(vector.astype(np.uint8))
 
 
 def test_encoding_equals_numpy_reference_exhaustive(env):
     checked = 0
     for episode in decision_points(env):
         for player in (0, 1):
-            obs = episode.observation(player)
-            key, features = reference_encode(
+            key = episode.observation(player)
+            assert type(key) is bytes
+            assert key == reference_encode(
                 player,
                 episode.privates[player],
                 episode.public,
                 episode.round_actions[0],
                 episode.round_actions[1],
             )
-            assert obs.key == key
-            assert obs.features.dtype == np.float64 and obs.features.shape == (30,)
-            assert np.array_equal(obs.features, features)
             checked += 1
     assert checked == 2 * 240 * 36  # both players, 240 seated deals x 36 decisions
-    with pytest.raises(ValueError):
-        obs.features[0] = 1.0
-
-
-def test_given_features_are_kept_read_only():
-    given = np.array([2.0, 3.0])
-    obs = Observation(key=b"k", features=given)
-    assert np.array_equal(obs.features, given)
-    with pytest.raises(ValueError):
-        obs.features[0] = 0.0
-    given[0] = 5.0  # the caller's array stays writable
-    with pytest.raises(ValueError):
-        MATRIX_OBSERVATION.features[0] = 0.0
 
 
 def test_non_terminal_rewards_are_read_only_zeros(env):
     state = env.deal(0, 2, 4)
-    rewards = state.step({0: RAISE})
+    rewards = state.step(RAISE)
     assert not state.terminal
     assert np.array_equal(rewards, [0.0, 0.0])
     with pytest.raises(ValueError):
@@ -172,19 +158,19 @@ def test_action_slots_never_exceed_four(env):
         for transitions in result.transitions.values():
             for tr in transitions:
                 for offset in (14, 22):
-                    bits = tr.observation.features[offset : offset + 8]
-                    slots = [bits[2 * s : 2 * s + 2].sum() for s in range(4)]
+                    bits = tr.observation[offset : offset + 8]
+                    slots = [sum(bits[2 * s : 2 * s + 2]) for s in range(4)]
                     assert all(s <= 1 for s in slots)
 
 
 def test_raise_cap_and_fold_legality(env):
     state = env.deal(0, 2, 4)
     assert state.legal_actions(0) == (CALL, RAISE)  # no outstanding bet: no fold
-    state.step({0: RAISE})
+    state.step(RAISE)
     assert state.legal_actions(1) == (FOLD, CALL, RAISE)
-    state.step({1: RAISE})
+    state.step(RAISE)
     assert state.legal_actions(0) == (FOLD, CALL)  # two raises: cap reached
-    state.step({0: CALL})
+    state.step(CALL)
     assert state.round_index == 1
     assert state.public == 4
 
@@ -224,12 +210,11 @@ def test_second_round_raise_amount(env):
 
 def test_first_player_seating(env):
     state = env.deal(0, 2, 4, first_player=1)
-    assert state.to_act == (1,)
+    assert state.player == 1
     # second player to move sees the opener's action in the sequence
-    state.step({1: CALL})
-    assert state.to_act == (0,)
-    obs = state.observation(0)
-    assert list(obs.features[14:16]) == [0, 1]
+    state.step(CALL)
+    assert state.player == 0
+    assert list(state.observation(0)[14:16]) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +238,20 @@ class ReferenceLeduc:
         self.round_actions = ([], [])
         self.terminal = False
         self.fold_winner = None
-        self.to_act = (first_player,)
+        self.player = first_player
 
     def legal_actions(self, player):
         facing_bet = self.current_bet > self.round_contrib[player]
         raises = (RAISE,) if self.raises_made < 2 else ()
         return ((FOLD,) if facing_bet else ()) + (CALL,) + raises
 
-    def step(self, actions):
-        (player,) = self.to_act
-        action = actions[player]
+    def step(self, action):
+        player = self.player
         opponent = 1 - player
         if action == FOLD:
             self.terminal = True
             self.fold_winner = opponent
-            self.to_act = ()
+            self.player = None
             return self.terminal_rewards()
         sequence = self.round_actions[self.round_index]
         opening_action = not sequence
@@ -277,7 +261,7 @@ class ReferenceLeduc:
             self.round_contrib[player] += owed
             self.contributions[player] += owed
             if opening_action:
-                self.to_act = (opponent,)
+                self.player = opponent
             else:
                 self.end_round()
         else:
@@ -287,7 +271,7 @@ class ReferenceLeduc:
             self.contributions[player] += owed
             self.current_bet = target
             self.raises_made += 1
-            self.to_act = (opponent,)
+            self.player = opponent
         if self.terminal:
             return self.terminal_rewards()
         return np.zeros(2)
@@ -299,10 +283,10 @@ class ReferenceLeduc:
             self.round_contrib = [0, 0]
             self.current_bet = 0
             self.raises_made = 0
-            self.to_act = (self.first_player,)
+            self.player = self.first_player
         else:
             self.terminal = True
-            self.to_act = ()
+            self.player = None
 
     def terminal_rewards(self):
         pot = sum(self.contributions)
@@ -327,7 +311,7 @@ class ReferenceLeduc:
 
 
 def assert_same_state(episode, reference):
-    assert episode.to_act == reference.to_act
+    assert episode.player == reference.player
     assert episode.terminal == reference.terminal
     assert episode.contributions == reference.contributions
     assert episode.round_index == reference.round_index
@@ -349,11 +333,11 @@ def test_tree_equals_reference_dynamics_exhaustive(env):
         nodes += 1
         if episode.terminal:
             return
-        (player,) = episode.to_act
+        player = episode.player
         for action in reference.legal_actions(player):
             child, ref_child = copy.deepcopy(episode), copy.deepcopy(reference)
-            rewards = child.step({player: action})
-            ref_rewards = ref_child.step({player: action})
+            rewards = child.step(action)
+            ref_rewards = ref_child.step(action)
             assert rewards.dtype == ref_rewards.dtype
             assert np.array_equal(rewards, ref_rewards)
             terminals += child.terminal
@@ -369,17 +353,17 @@ def test_tree_equals_reference_dynamics_exhaustive(env):
 def test_fold_with_no_bet_outstanding_is_illegal(env):
     state = env.deal(0, 2, 4)
     with pytest.raises(IllegalAction):
-        state.step({0: FOLD})
-    assert not state.terminal and state.to_act == (0,)  # the episode is unchanged
+        state.step(FOLD)
+    assert not state.terminal and state.player == 0  # the episode is unchanged
 
 
 def test_third_raise_in_a_round_is_illegal(env):
     state, _ = play(env, [RAISE, RAISE])
     with pytest.raises(IllegalAction):
-        state.step({0: RAISE})
+        state.step(RAISE)
     state, _ = play(env, [CALL, CALL, RAISE, RAISE])
     with pytest.raises(IllegalAction):
-        state.step({0: RAISE})
+        state.step(RAISE)
 
 
 def test_training_against_an_illegal_opponent_raises(env):
@@ -393,8 +377,8 @@ def test_training_against_an_illegal_opponent_raises(env):
 def test_terminal_rewards_are_shared_and_read_only(env):
     def fold_rewards(deal):
         state = env.deal(*deal)
-        state.step({0: RAISE})
-        return state.step({1: FOLD})
+        state.step(RAISE)
+        return state.step(FOLD)
 
     rewards = fold_rewards((0, 2, 4))
     assert np.array_equal(rewards, [1.0, -1.0])
@@ -405,12 +389,12 @@ def test_terminal_rewards_are_shared_and_read_only(env):
 
 def test_deepcopy_steps_independently(env):
     state = env.deal(0, 2, 4)
-    state.step({0: RAISE})
+    state.step(RAISE)
     clone = copy.deepcopy(state)
-    clone.step({1: FOLD})
+    clone.step(FOLD)
     assert clone.terminal and not state.terminal
-    assert state.to_act == (1,) and state.legal_actions(1) == (FOLD, CALL, RAISE)
-    state.step({1: CALL})
+    assert state.player == 1 and state.legal_actions(1) == (FOLD, CALL, RAISE)
+    state.step(CALL)
     assert state.round_index == 1 and clone.round_index == 0
     assert state.contributions == [3, 3] and clone.contributions == [3, 1]
 
@@ -418,7 +402,5 @@ def test_deepcopy_steps_independently(env):
 def test_shared_observation_features_are_read_only(env):
     first = env.deal(0, 2, 4).observation(0)
     again = env.deal(0, 3, 5).observation(0)  # same key: round one hides the public card
-    assert first.key == again.key
-    assert again.features is first.features
-    with pytest.raises(ValueError):
-        again.features[0] = 0.0
+    assert again is first  # one interned, immutable key object
+    assert leduc_encode(0, 0, None, [], []) is first

@@ -10,7 +10,6 @@ from psromix.envs import (
     Environment,
     EpisodeState,
     LeducEnv,
-    Observation,
     rps_env,
 )
 from psromix.envs.matrix import MatrixGameEnv
@@ -25,7 +24,7 @@ from psromix.oracle import (
 )
 from psromix.policies import FixedMixturePolicy, pure_action_policy
 
-KEY = MATRIX_OBSERVATION.key
+KEY = MATRIX_OBSERVATION
 LEGAL = (0, 1, 2)
 
 
@@ -164,20 +163,20 @@ class RepeatedKeyEpisode(EpisodeState):
 
     def __init__(self):
         self.steps_left = 2
-        self.to_act = (0,)
+        self.player = 0
         self.terminal = False
 
     def observation(self, player):
-        return Observation(b"k")
+        return b"k"
 
     def legal_actions(self, player):
         return (0, 1)
 
-    def step(self, actions):
+    def step(self, action):
         self.steps_left -= 1
         self.terminal = self.steps_left == 0
-        self.to_act = () if self.terminal else (0,)
-        return np.array([-1.0 if actions[0] == 0 else 0.0])
+        self.player = None if self.terminal else 0
+        return np.array([-1.0 if action == 0 else 0.0])
 
 
 class RepeatedKeyEnv(Environment):

@@ -15,7 +15,7 @@ from psromix.policies import (
 from psromix.qmixing import MixedQPolicy, combine_opponents, combine_responses
 from psromix.serialize import policy_from_text, policy_to_text
 
-KEY = MATRIX_OBSERVATION.key
+KEY = MATRIX_OBSERVATION
 LEGAL = (0, 1, 2)
 
 
@@ -64,19 +64,19 @@ def test_fixed_mixture_action_sampling():
 
 def test_mixed_q_degenerate_weight_one():
     mixture = MixedQPolicy([value_policy(Q21).q, value_policy(Q22).q], [1.0, 0.0])
-    assert np.array_equal(mixture.lookup(MATRIX_OBSERVATION.key), np.asarray(Q21))
+    assert np.array_equal(mixture.lookup(MATRIX_OBSERVATION), np.asarray(Q21))
 
 
 def test_mixed_q_reference_weights():
     mixture = MixedQPolicy([value_policy(Q21).q, value_policy(Q22).q], [0.52, 0.48])
-    values = mixture.lookup(MATRIX_OBSERVATION.key)
+    values = mixture.lookup(MATRIX_OBSERVATION)
     assert values == pytest.approx([0.46, 0.414, 0.626], abs=1e-12)
     assert int(np.argmax(values)) == 2  # scissors
 
 
 def test_mixed_q_even_weights():
     mixture = MixedQPolicy([value_policy(Q21).q, value_policy(Q22).q], [0.5, 0.5])
-    assert mixture.lookup(MATRIX_OBSERVATION.key) == pytest.approx([0.45, 0.425, 0.625])
+    assert mixture.lookup(MATRIX_OBSERVATION) == pytest.approx([0.45, 0.425, 0.625])
 
 
 def test_mixed_q_unseen_keys_use_component_defaults():
