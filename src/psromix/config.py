@@ -17,9 +17,14 @@ from .oracle import OracleHParams
 from .solvers import SOLVERS
 
 _HPARAM_FIELDS = {f.name for f in dataclasses.fields(OracleHParams)}
-# Parameters each solver accepts in the "mss" section, besides its name.
+# Parameters each solver accepts in the "mss" section, besides its name,
+# each with its default, whose type a given value must have.
 _MSS_PARAMS = {
-    name: set(inspect.signature(solver).parameters) - {"game"}
+    name: {
+        param.name: param.default
+        for param in inspect.signature(solver).parameters.values()
+        if param.name != "game"
+    }
     for name, solver in SOLVERS.items()
 }
 # RunConfig fields that live in the "run" section; their defaults live only
@@ -43,6 +48,8 @@ def _hparams_to_dict(hp: OracleHParams | None):
 def _hparams_from_dict(data, section: str) -> OracleHParams | None:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: must be a JSON object or null, got {data!r}")
     unknown = set(data) - _HPARAM_FIELDS
     if unknown:
         raise ConfigError(f"{section}: unknown hyperparameter field(s) {sorted(unknown)}")
@@ -50,6 +57,25 @@ def _hparams_from_dict(data, section: str) -> OracleHParams | None:
         return OracleHParams(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _check_mss_params(solver: str, params: dict) -> None:
+    """Each parameter must be one the solver takes, of its default's type:
+    an int where the default is an int, an int or a float where it is a
+    float, and never a bool."""
+    defaults = _MSS_PARAMS[solver]
+    bad = set(params) - set(defaults)
+    if bad:
+        raise ConfigError(
+            f"mss: field(s) {sorted(bad)} are not parameters of the {solver!r} solver"
+        )
+    for name, value in params.items():
+        if isinstance(defaults[name], float):
+            allowed, kind = (int, float), "a number"
+        else:
+            allowed, kind = type(defaults[name]), f"of type {type(defaults[name]).__name__}"
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"mss.{name}: must be {kind}, got {value!r}")
 
 
 def config_to_json(config: RunConfig) -> str:
@@ -98,12 +124,7 @@ def config_from_json(text: str) -> RunConfig:
     if mss_name is None:
         raise ConfigError("mss.name: required field is missing")
     if mss_name in _MSS_PARAMS:
-        bad = set(mss) - _MSS_PARAMS[mss_name]
-        if bad:
-            raise ConfigError(
-                f"mss: field(s) {sorted(bad)} are not parameters of the "
-                f"{mss_name!r} solver"
-            )
+        _check_mss_params(mss_name, mss)
     oracle = sections.get("oracle", {})
 
     config = RunConfig(

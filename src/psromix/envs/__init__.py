@@ -28,8 +28,8 @@ def make_env(spec: str) -> Environment:
 
     Recognised forms: ``"rps"``, ``"leduc"``, and ``"matrix:<file>"`` where
     the file holds a payoff tensor in the structured text format written by
-    :func:`save_matrix_env`. A matrix file that cannot be read or parsed
-    raises ``ConfigError``.
+    :func:`save_matrix_env`. An unknown name, or a matrix file that cannot
+    be read or parsed, raises ``ConfigError``.
     """
     if spec == "rps":
         return rps_env()
@@ -40,7 +40,7 @@ def make_env(spec: str) -> Environment:
             return load_matrix_env(spec.split(":", 1)[1], name=spec)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"env.name: {exc}") from exc
-    raise ValueError(f"unknown environment spec {spec!r}")
+    raise ConfigError(f"env.name: unknown environment {spec!r}")
 
 
 __all__ = [

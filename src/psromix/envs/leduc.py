@@ -274,8 +274,10 @@ class LeducEnv(Environment):
         return 3
 
     def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
-        private0, private1, public = rng.permutation(N_CARDS).tolist()[:3]
-        return LeducEpisode(_deal(private0, private1, public), _ROOTS[first_player])
+        # Shuffling a list makes the draws rng.permutation(N_CARDS) would.
+        cards = list(range(N_CARDS))
+        rng.shuffle(cards)
+        return LeducEpisode(_deal(cards[0], cards[1], cards[2]), _ROOTS[first_player])
 
     def deal(
         self, private0: int, private1: int, public: int, first_player: int = 0

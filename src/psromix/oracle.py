@@ -9,6 +9,7 @@ exists to make convergence tests deterministic.
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -18,7 +19,7 @@ from .envs.base import Environment
 from .envs.matrix import MATRIX_OBSERVATION, require_matrix_env
 from .errors import BudgetZero
 from .games import deviation_values
-from .policies import QTable, ValuePolicy, greedy_over
+from .policies import QTable, ValuePolicy, greedy_over, is_greedy
 
 
 @dataclass
@@ -90,6 +91,12 @@ def train_best_response(
     trainings are unaffected by how the provider samples. Actions are not
     checked here: every environment's ``step`` raises ``IllegalAction`` on
     an opponent action it does not allow.
+
+    Opponents do not change during a call, so a greedy one (see
+    :func:`~psromix.policies.is_greedy`) is asked to ``act`` once per
+    (observation, legal actions) and its answer is reused for the rest of
+    the call; it draws nothing, so the random streams are those of asking
+    it every time. Every other opponent is asked at every step.
     """
     if hparams.total_timesteps == 0:
         raise BudgetZero("total_timesteps is 0")
@@ -97,8 +104,14 @@ def train_best_response(
     if opponent_rng is None:
         opponent_rng = rng
     n_actions = env.action_count(learner)
-    q = QTable(n_actions)
-    lookup, ensure = q.lookup, q.ensure
+    # The learner's rows are lists of Python floats until the end: a float is
+    # the same double as a float64 and rounds each update alike, without
+    # numpy's per-element boxing (``float(acc_reward)`` keeps numpy scalars
+    # out of the rows). Indexing ``rows`` inserts a key's zero row.
+    default_row = [0.0] * n_actions
+    rows: defaultdict[bytes, list[float]] = defaultdict(default_row.copy)
+    get_row = rows.get
+    memos: dict[object, dict | None] = {}  # opponent -> its actions, or None
     random, integers = rng.random, rng.integers
     gamma = hparams.discount
     lr = hparams.learning_rate
@@ -115,14 +128,14 @@ def train_best_response(
         acc_reward = 0.0
         while not state.terminal:
             player = state.player
+            key = state.observation(player)
+            legal = state.legal_actions(player)
             if player == learner:
-                key = state.observation(player)
-                legal = state.legal_actions(player)
                 if pending_key is not None:
-                    vec = ensure(pending_key)
-                    bootstrap = max(lookup(key)[a] for a in legal)
-                    target = acc_reward + gamma * bootstrap
-                    vec[pending_action] += lr * (target - vec[pending_action])
+                    row = rows[pending_key]
+                    bootstrap = max(get_row(key, default_row)[a] for a in legal)
+                    target = float(acc_reward) + gamma * bootstrap
+                    row[pending_action] += lr * (target - row[pending_action])
                     pending_key = None
                     acc_reward = 0.0
                     if t >= total:
@@ -131,22 +144,30 @@ def train_best_response(
                 if epsilon > 0.0 and random() < epsilon:
                     action = legal[integers(len(legal))]
                 else:
-                    action = greedy_over(lookup(key), legal)
+                    action = greedy_over(get_row(key, default_row), legal)
                 pending_key, pending_action = key, action
                 t += 1
             else:
-                action = opponent_policies[player].act(
-                    state.observation(player), state.legal_actions(player), rng
-                )
+                policy = opponent_policies[player]
+                try:
+                    memo = memos[policy]
+                except KeyError:
+                    memo = memos[policy] = {} if is_greedy(policy) else None
+                if memo is None:
+                    action = policy.act(key, legal, rng)
+                else:
+                    action = memo.get((key, legal))
+                    if action is None:
+                        action = memo[key, legal] = policy.act(key, legal, rng)
             rewards = state.step(action)
             if pending_key is not None:
                 acc_reward += rewards[learner]
         if pending_key is not None:
-            vec = ensure(pending_key)
-            vec[pending_action] += lr * (acc_reward - vec[pending_action])
+            row = rows[pending_key]
+            row[pending_action] += lr * (float(acc_reward) - row[pending_action])
     if counter is not None:
         counter.train_steps += t
-    return ValuePolicy(q)
+    return ValuePolicy(QTable(n_actions, rows))
 
 
 def exact_best_response(

@@ -114,6 +114,13 @@ class ValuePolicy:
         return probs
 
 
+def is_greedy(policy) -> bool:
+    """True when ``policy.act`` draws nothing from its ``rng`` and returns
+    the same action for the same observation and legal actions, as long as
+    its table does not change: a ``ValuePolicy`` with ``epsilon == 0``."""
+    return isinstance(policy, ValuePolicy) and policy.epsilon == 0.0
+
+
 class FixedMixturePolicy:
     """Scripted policy playing a fixed distribution over actions every step.
 

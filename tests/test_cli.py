@@ -316,6 +316,45 @@ def test_run_config_field_types_checked(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def _mss(**params):
+    return lambda cfg: cfg.update(mss={"name": "replicator", **params})
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(
+            lambda cfg: cfg.update(env={"name": "gridworld"}), "env.name", id="unknown-env"
+        ),
+        pytest.param(lambda cfg: cfg["oracle"].update(pure=5), "oracle.pure", id="pure-int"),
+        pytest.param(lambda cfg: cfg["oracle"].update(mix=[1]), "oracle.mix", id="mix-list"),
+        pytest.param(_mss(steps="many"), "mss.steps", id="int-given-string"),
+        pytest.param(_mss(steps=2.5), "mss.steps", id="int-given-float"),
+        pytest.param(_mss(steps=True), "mss.steps", id="int-given-bool"),
+        pytest.param(_mss(step_size="big"), "mss.step_size", id="float-given-string"),
+        pytest.param(_mss(step_size=False), "mss.step_size", id="float-given-bool"),
+        pytest.param(
+            lambda cfg: cfg.update(mss={"name": "nash", "tolerance": None}),
+            "mss.tolerance",
+            id="float-given-null",
+        ),
+    ],
+)
+def test_config_error_names_the_field(tmp_path, capsys, edit, field):
+    path = write_config(tmp_path / "cfg.json", epochs=1)
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_solver_parameter_of_the_default_type_accepted():
+    mss = {"name": "replicator", "steps": 50, "step_size": 1}
+    config = config_from_json(json.dumps({"env": {"name": "rps"}, "mss": mss}))
+    assert config.mss_params == {"steps": 50, "step_size": 1}
+
+
 def _matrix_lines():
     return ["psromix-matrix v1", "players 2", "actions 2 2"] + [
         f"cell {a} {b} {float(a == b)} {float(a != b)}" for a in range(2) for b in range(2)

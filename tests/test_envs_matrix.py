@@ -12,7 +12,7 @@ from psromix.envs import (
     simulate_episode,
 )
 from psromix.envs.matrix import MatrixGameEnv
-from psromix.errors import IllegalAction
+from psromix.errors import ConfigError, IllegalAction
 from psromix.policies import FixedMixturePolicy, pure_action_policy
 
 
@@ -188,7 +188,7 @@ def test_matrix_env_file_round_trip(tmp_path):
 def test_make_env_names():
     assert make_env("rps").name == "rps"
     assert make_env("leduc").name == "leduc"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="env.name: unknown environment 'gridworld'"):
         make_env("gridworld")
 
 

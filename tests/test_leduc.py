@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psromix.envs import simulate_episode
 from psromix.envs.leduc import CALL, FOLD, RAISE, LeducEnv, leduc_encode
@@ -124,6 +126,23 @@ def test_encoding_equals_numpy_reference_exhaustive(env):
             )
             checked += 1
     assert checked == 2 * 240 * 36  # both players, 240 seated deals x 36 decisions
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 1))
+def test_reset_deals_as_permutation_and_leaves_the_stream_alike(seed, first):
+    # reset shuffles a list; it must deal what rng.permutation(6) put first,
+    # and leave the generator where permutation would.
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        state = LeducEnv().reset(rng, first_player=first)
+        private0, private1, public = replay.permutation(6).tolist()[:3]
+        assert state.privates == (private0, private1)
+        assert state.player == first
+        state.step(CALL)
+        state.step(CALL)  # round two: the public card is shown
+        assert state.public == public
+    assert rng.random() == replay.random()
 
 
 def test_non_terminal_rewards_are_read_only_zeros(env):

@@ -22,7 +22,16 @@ from psromix.oracle import (
     exact_best_response,
     train_best_response,
 )
-from psromix.policies import FixedMixturePolicy, pure_action_policy
+from psromix.policies import (
+    FixedMixturePolicy,
+    QTable,
+    ValuePolicy,
+    greedy_over,
+    pure_action_policy,
+    uniform_random_policy,
+)
+from psromix.qmixing import combine_opponents
+from psromix.serialize import policy_to_text
 
 KEY = MATRIX_OBSERVATION
 LEGAL = (0, 1, 2)
@@ -354,3 +363,129 @@ def test_convergence_matches_exact_oracle_when_gap_clear():
             MATRIX_OBSERVATION, LEGAL
         )
     assert checked >= 10
+
+
+def reference_train_best_response(
+    env, learner, opponents, hparams, rng, counter=None, opponent_rng=None
+):
+    """``train_best_response`` as it was before opponents were memoized and
+    the learner's rows became lists: every opponent acts at every step, and
+    the learner updates float64 rows of a QTable in place."""
+    provider = opponents if callable(opponents) else lambda r: opponents
+    if opponent_rng is None:
+        opponent_rng = rng
+    q = QTable(env.action_count(learner))
+    t = 0
+    episode = 0
+    while t < hparams.total_timesteps:
+        opponent_policies = provider(opponent_rng)
+        state = env.reset(rng, first_player=episode % 2)
+        episode += 1
+        pending_key = None
+        pending_action = 0
+        acc_reward = 0.0
+        while not state.terminal:
+            player = state.player
+            if player == learner:
+                key = state.observation(player)
+                legal = state.legal_actions(player)
+                if pending_key is not None:
+                    vec = q.ensure(pending_key)
+                    bootstrap = max(q.lookup(key)[a] for a in legal)
+                    target = acc_reward + hparams.discount * bootstrap
+                    vec[pending_action] += hparams.learning_rate * (target - vec[pending_action])
+                    pending_key = None
+                    acc_reward = 0.0
+                    if t >= hparams.total_timesteps:
+                        break
+                epsilon = epsilon_at(t, hparams)
+                if epsilon > 0.0 and rng.random() < epsilon:
+                    action = legal[rng.integers(len(legal))]
+                else:
+                    action = greedy_over(q.lookup(key), legal)
+                pending_key, pending_action = key, action
+                t += 1
+            else:
+                action = opponent_policies[player].act(
+                    state.observation(player), state.legal_actions(player), rng
+                )
+            rewards = state.step(action)
+            if pending_key is not None:
+                acc_reward += rewards[learner]
+        if pending_key is not None:
+            vec = q.ensure(pending_key)
+            vec[pending_action] += hparams.learning_rate * (acc_reward - vec[pending_action])
+    if counter is not None:
+        counter.train_steps += t
+    return ValuePolicy(q)
+
+
+def _psro_provider(opponent, policies, weights):
+    """One policy drawn per episode, as TabularOracle.respond_mixture draws."""
+    cumulative = np.cumsum(weights)
+    return lambda rng: {
+        opponent: policies[int(np.searchsorted(cumulative, rng.random(), side="right"))]
+    }
+
+
+def _opponents_of_each_kind(env, opponent, fixed_probs):
+    """A greedy trained policy, the same at epsilon 0.3, uniform random, a
+    fixed mixture, a value mixture, and a psro-style draw over all of them."""
+    budget = hp(discount=1.0, total_timesteps=1500, exploration_timesteps=1000)
+    uniform = uniform_random_policy(env.action_count(opponent))
+    learner = 1 - opponent
+    greedy = reference_train_best_response(
+        env, opponent, {learner: uniform}, budget, np.random.default_rng(11)
+    )
+    other = reference_train_best_response(
+        env, opponent, {learner: uniform}, budget, np.random.default_rng(12)
+    )
+    kinds = {
+        "greedy": greedy,
+        "epsilon-0.3": ValuePolicy(greedy.q, epsilon=0.3),
+        "uniform": uniform,
+        "fixed-mixture": FixedMixturePolicy(fixed_probs),
+        "value-mixture": combine_opponents([greedy, other, uniform], [0.5, 0.3, 0.2]),
+    }
+    members = list(kinds.values())
+    kinds["psro-draw"] = _psro_provider(opponent, members, [0.3, 0.2, 0.1, 0.1, 0.3])
+    return {
+        name: policy if callable(policy) else {opponent: policy}
+        for name, policy in kinds.items()
+    }
+
+
+OPPONENT_KINDS = (
+    "greedy", "epsilon-0.3", "uniform", "fixed-mixture", "value-mixture", "psro-draw"
+)
+
+
+@pytest.fixture(scope="module")
+def opponents_by_env():
+    return {
+        # Leduc's fixed mixture always calls: FOLD and RAISE are not always legal.
+        "leduc": (LeducEnv(), _opponents_of_each_kind(LeducEnv(), 1, [0.0, 1.0, 0.0])),
+        "rps": (rps_env(), _opponents_of_each_kind(rps_env(), 1, [0.2, 0.5, 0.3])),
+    }
+
+
+@pytest.mark.parametrize("kind", OPPONENT_KINDS)
+@pytest.mark.parametrize("env_name", ["leduc", "rps"])
+def test_training_equals_the_reference_loop(opponents_by_env, env_name, kind):
+    env, kinds = opponents_by_env[env_name]
+    budget = hp(discount=1.0, learning_rate=0.05, total_timesteps=2500, exploration_timesteps=1500)
+    runs = []
+    for train in (train_best_response, reference_train_best_response):
+        rng, opponent_rng = np.random.default_rng(21), np.random.default_rng(22)
+        counter = SimulationCounter()
+        policy = train(env, 0, kinds[kind], budget, rng, counter, opponent_rng)
+        runs.append(
+            (
+                policy_to_text(policy),
+                list(policy.q.known_keys()),
+                counter.train_steps,
+                rng.random(),
+                opponent_rng.random(),
+            )
+        )
+    assert runs[0] == runs[1]
