@@ -9,7 +9,6 @@ exists to make convergence tests deterministic.
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -107,9 +106,9 @@ def train_best_response(
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
     # numpy's per-element boxing (``float(acc_reward)`` keeps numpy scalars
-    # out of the rows). Indexing ``rows`` inserts a key's zero row.
+    # out of the rows). A key gets its own zero row when first updated.
     default_row = [0.0] * n_actions
-    rows: defaultdict[bytes, list[float]] = defaultdict(default_row.copy)
+    rows: dict[bytes, list[float]] = {}
     get_row = rows.get
     memos: dict[object, dict | None] = {}  # opponent -> its actions, or None
     random, integers = rng.random, rng.integers
@@ -132,7 +131,9 @@ def train_best_response(
             legal = state.legal_actions(player)
             if player == learner:
                 if pending_key is not None:
-                    row = rows[pending_key]
+                    row = get_row(pending_key)
+                    if row is None:
+                        row = rows[pending_key] = default_row.copy()
                     bootstrap = max(get_row(key, default_row)[a] for a in legal)
                     target = float(acc_reward) + gamma * bootstrap
                     row[pending_action] += lr * (target - row[pending_action])
@@ -163,7 +164,9 @@ def train_best_response(
             if pending_key is not None:
                 acc_reward += rewards[learner]
         if pending_key is not None:
-            row = rows[pending_key]
+            row = get_row(pending_key)
+            if row is None:
+                row = rows[pending_key] = default_row.copy()
             row[pending_action] += lr * (float(acc_reward) - row[pending_action])
     if counter is not None:
         counter.train_steps += t
