@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -564,3 +565,44 @@ def test_record_json_text_is_pinned(tmp_path):
     text = (tmp_path / "ck" / "record.json").read_text()
     assert len(text) == 770
     assert text == RPS_PSRO_EXACT_RECORD
+
+
+def _skewed_start(values, epsilon):
+    return ValuePolicy(QTable(3, {MATRIX_OBSERVATION: values}), epsilon=epsilon)
+
+
+# sha256 of (game.txt, record.json). From uniform starts every cell of these
+# runs is 0.5, so the skewed starts are what exercise the contraction bits.
+EXACT_RUN_DIGESTS = {
+    "uniform": (
+        "0b2207bbdca15ad1d2c4048a825b5af2e6631bb02c00ce389a3d0b0e5b955957",
+        "99d57c99aad10de5d0fdb4087ee640e0ed2de0b64a17e463076f5fffde4854db",
+    ),
+    "skewed": (
+        "24982af9671eb3830377524f8fa7f142e0cf47f2494360af6cd3c994c59b6efe",
+        "d36da4386df05f3317a2adf565563e1cc241ed7d4c34e38caf004c1e1e14ed44",
+    ),
+}
+
+
+@pytest.mark.parametrize("start", ["uniform", "skewed"])
+@pytest.mark.parametrize("algorithm", ["psro", "mixed-oracles", "mixed-opponents"])
+def test_exact_run_bytes_are_pinned(tmp_path, algorithm, start):
+    config = RunConfig(
+        algorithm=algorithm, env="rps", oracle="exact", analytic_cells=True, epochs=6, seed=11
+    )
+    initial = None
+    if start == "skewed":
+        initial = [_skewed_start([0.2, 0.7, 0.1], 0.3), _skewed_start([0.6, 0.1, 0.3], 0.6)]
+    record = run_algorithm(config, initial_policies=initial)
+    assert [e.epoch for e in record.entries] == list(range(7))
+    checkpoint(record, tmp_path / "ck")
+    digests = tuple(
+        hashlib.sha256((tmp_path / "ck" / name).read_bytes()).hexdigest()
+        for name in ("game.txt", "record.json")
+    )
+    game_digest, record_digest = EXACT_RUN_DIGESTS[start]
+    if algorithm == "mixed-opponents" and start == "skewed":
+        # Value-mixing the opponents adds a response that psro does not find.
+        game_digest = "acb03d332ae2896b630e17b077e536deddc3571465937c50aa1f25392e0a21ba"
+    assert digests == (game_digest, record_digest)
