@@ -9,7 +9,8 @@ motivating effect behind training against collapsed opponents.
 import numpy as np
 
 import psromix as pm
-from psromix.envs import MATRIX_OBSERVATION, analytic_payoffs
+from psromix.envs import MATRIX_OBSERVATION
+from psromix.exact import analytic_payoffs
 
 ACTIONS = ["R", "P", "S"]
 env = pm.rps_env()

@@ -8,7 +8,7 @@ epochs by value-mixing them, the other collapses the opponent mixture into a
 single value-mixed policy before training.
 """
 
-from . import envs
+from . import envs, exact
 from .engine import (
     RunConfig,
     RunRecord,
@@ -31,6 +31,7 @@ from .envs import (
     simulate_episode,
 )
 from .errors import *  # noqa: F401,F403 -- the error module defines __all__-safe names only
+from .exact import ExactOracle, analytic_payoffs, exact_best_response, has_exact_values
 from .evaluation import (
     DeviationSet,
     SimilarityReport,
@@ -50,12 +51,10 @@ from .games import (
 )
 from .hparams import HParamSearchResult, HParamSearchSpec, hparam_search, preset_hparams
 from .oracle import (
-    ExactMatrixOracle,
     OracleHParams,
     SimulationCounter,
     TabularOracle,
     epsilon_at,
-    exact_best_response,
     train_best_response,
 )
 from .policies import (

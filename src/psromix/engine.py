@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .envs import Environment, analytic_payoffs, derived_rng, estimate_payoffs, make_env
-from .envs.matrix import require_matrix_env
+from . import exact
+from .envs import Environment, derived_rng, estimate_payoffs, make_env
 from .errors import (
     ConfigError,
     CorruptCheckpoint,
@@ -26,7 +26,7 @@ from .errors import (
     PlayerCountUnsupported,
 )
 from .games import EmpiricalGame, StrategyId, deviation_gains, load_game, save_game
-from .oracle import ExactMatrixOracle, OracleHParams, SimulationCounter, TabularOracle
+from .oracle import OracleHParams, SimulationCounter, TabularOracle
 from .policies import uniform_random_policy
 from .qmixing import combine_opponents, combine_responses
 from .serialize import load_policy, save_policy
@@ -57,8 +57,7 @@ class RunConfig:
     # epoch, so such a run stops after epoch 1; the threshold matters only
     # for solvers that do not solve the empirical game, such as ``replicator``.
     early_stop_sum_regret: float | None = None
-    # Matrix environments only: fill cells by exact tensor contraction
-    # instead of simulation (pairs with the exact best-response oracle).
+    # Fill cells with exact values (see psromix.exact) instead of simulation.
     analytic_cells: bool = False
 
     def validate(self) -> "RunConfig":
@@ -129,8 +128,7 @@ def expand_enfg(
     Existing cells are never re-simulated. Each cell runs on a stream derived
     from the profile indices, so cells for distinct profiles commute and the
     filled table does not depend on their order. With ``analytic=True``
-    (matrix environments) cells are exact expectations and consume no
-    episodes.
+    cells hold exact values and consume no episodes.
     """
     missing = game.missing_profiles()
     if not missing:
@@ -139,7 +137,7 @@ def expand_enfg(
     for profile in missing:
         policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
         if analytic:
-            mean = analytic_payoffs(env, policies)
+            mean = exact.analytic_payoffs(env, policies)
         else:
             cell_rng = derived_rng(base, *profile)
             mean = estimate_payoffs(env, policies, episodes_per_cell, cell_rng)
@@ -149,16 +147,11 @@ def expand_enfg(
     return game
 
 
-def _resolve_hparams(config: RunConfig, env_name: str) -> tuple[OracleHParams, OracleHParams]:
-    pure = config.pure_hparams or preset_hparams(env_name, "pure")
-    mix = config.mix_hparams or preset_hparams(env_name, "mix")
-    return pure, mix
-
-
 def _make_oracle(config: RunConfig, env_name: str):
     if config.oracle == "exact":
-        return ExactMatrixOracle()
-    pure, mix = _resolve_hparams(config, env_name)
+        return exact.ExactOracle()
+    pure = config.pure_hparams or preset_hparams(env_name, "pure")
+    mix = config.mix_hparams or preset_hparams(env_name, "mix")
     return TabularOracle(pure, mix)
 
 
@@ -268,8 +261,12 @@ def run_algorithm(
         raise PlayerCountUnsupported(
             f"mixed-oracles supports exactly 2 players, env has {env.n_players}"
         )
-    if config.analytic_cells:
-        require_matrix_env(env)
+    for field, needs_exact in (
+        ("oracle.kind", config.oracle == "exact"),
+        ("run.analytic_cells", config.analytic_cells),
+    ):
+        if needs_exact and not exact.has_exact_values(env):
+            raise ConfigError(f"{field}: environment {config.env!r} has no exact values")
     oracle = _make_oracle(config, env.name)
     solver = get_solver(config.mss, **config.mss_params)
 

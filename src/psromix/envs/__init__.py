@@ -15,9 +15,7 @@ from .leduc import FOLD, CALL, RAISE, LeducEnv, leduc_encode
 from .matrix import (
     MATRIX_OBSERVATION,
     MatrixGameEnv,
-    analytic_payoffs,
     load_matrix_env,
-    require_matrix_env,
     rps_env,
     save_matrix_env,
 )
@@ -55,9 +53,7 @@ __all__ = [
     "leduc_encode",
     "MATRIX_OBSERVATION",
     "MatrixGameEnv",
-    "analytic_payoffs",
     "load_matrix_env",
-    "require_matrix_env",
     "rps_env",
     "save_matrix_env",
     "make_env",

@@ -3,19 +3,16 @@
 Every episode is one joint action, chosen seat by seat; no seat observes
 anything, so this is the simultaneous game. The payoff tensor has shape
 ``(*action_counts, n_players)``. The built-in rock-paper-scissors game
-uses the win=1 / tie=0.5 / lose=0 convention, which makes per-action values
-against a fixed opponent mixture land on round numbers (e.g. the value of R
-against (0, 0.3, 0.7) is exactly 0.7).
+uses the win=1 / tie=0.5 / lose=0 convention.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
-from ..errors import IllegalAction, WrongEnvironment
+from ..errors import IllegalAction
 from .base import Environment, EpisodeState
 
 # Matrix games have a single information state shared by all players.
@@ -101,27 +98,6 @@ def rps_env() -> MatrixGameEnv:
             u = 0.0
         tensor[a, b] = (u, 1.0 - u)
     return MatrixGameEnv(tensor, name="rps")
-
-
-def analytic_payoffs(env: MatrixGameEnv, policies: Sequence) -> np.ndarray:
-    """Exact expected payoff vector of a policy profile, by tensor contraction."""
-    require_matrix_env(env)
-    dists = [
-        np.asarray(p.action_probabilities(MATRIX_OBSERVATION, env._legal[i]))
-        for i, p in enumerate(policies)
-    ]
-    value = env.payoff_tensor
-    for dist in dists:
-        value = np.tensordot(dist, value, axes=(0, 0))
-    return value
-
-
-def require_matrix_env(env) -> MatrixGameEnv:
-    if not isinstance(env, MatrixGameEnv):
-        raise WrongEnvironment(
-            f"expected a matrix-game environment, got {type(env).__name__}"
-        )
-    return env
 
 
 def save_matrix_env(env: MatrixGameEnv, path) -> None:

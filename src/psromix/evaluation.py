@@ -1,9 +1,8 @@
 """Regret metrics against deviation sets and policy-similarity analysis.
 
 Regret of a profile is the best payoff gain available by deviating to a
-policy in the deviation set. Matrix-game payoffs are computed analytically
-from action distributions; other environments estimate each matchup by
-simulation, caching matchup estimates so repeated pairings are simulated once.
+policy in the deviation set. Each matchup's payoffs are computed once and
+cached, so repeated pairings cost nothing.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import exact
 from .envs.base import Environment, derive_stream_seed, derived_rng, simulate_episode
-from .envs.matrix import MatrixGameEnv, analytic_payoffs
 from .errors import EmptyCorpus, EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
 from .serialize import save_policy
@@ -65,7 +64,7 @@ def regret(
     With an EmpiricalGame, deviation entries are strategy indices and payoffs
     come from the table. With an environment, deviation entries are policies,
     ``populations`` holds the per-player policy lists that ``sigma`` mixes
-    over, and payoffs are analytic (matrix games) or simulated with
+    over, and payoffs are exact (see :mod:`psromix.exact`) or simulated with
     ``episodes`` per matchup. May be negative when the set is weak.
     """
     if isinstance(env_or_game, EmpiricalGame):
@@ -115,9 +114,9 @@ def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[i
 class _MatchupCache:
     """Mean returns per profile of pool indices, computed at most once.
 
-    Matrix games are evaluated analytically. Other environments simulate each
-    matchup on streams derived from its pool indices, so an estimate does not
-    depend on which matchups were evaluated before it.
+    Returns are exact where :mod:`psromix.exact` has them. Otherwise each
+    matchup is simulated on streams derived from its pool indices, so an
+    estimate does not depend on which matchups were evaluated before it.
     """
 
     def __init__(self, env: Environment, pools: Sequence[list], episodes: int, rng):
@@ -132,8 +131,8 @@ class _MatchupCache:
         if hit is not None:
             return hit
         policies = tuple(pool[i] for pool, i in zip(self.pools, profile))
-        if isinstance(self.env, MatrixGameEnv):
-            mean = analytic_payoffs(self.env, policies)
+        if exact.has_exact_values(self.env):
+            mean = exact.analytic_payoffs(self.env, policies)
         else:
             total = np.zeros(self.env.n_players)
             for ep in range(self.episodes):

@@ -1,10 +1,6 @@
-"""Best-response oracles.
-
-The tabular oracle runs one-step Q-learning against fixed opponents (fixed
-for each episode; a provider callable may resample them at episode starts).
-The exact oracle computes best responses analytically for matrix games and
-exists to make convergence tests deterministic.
-"""
+"""The tabular best-response oracle: one-step Q-learning against fixed
+opponents (fixed for each episode; a provider callable may resample them at
+episode starts)."""
 
 from __future__ import annotations
 
@@ -15,9 +11,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .envs.base import Environment
-from .envs.matrix import MATRIX_OBSERVATION, require_matrix_env
 from .errors import BudgetZero
-from .games import deviation_values
 from .policies import QTable, ValuePolicy, greedy_over, is_greedy
 
 
@@ -173,51 +167,6 @@ def train_best_response(
     return ValuePolicy(QTable(n_actions, rows))
 
 
-def exact_best_response(
-    env, learner: int, opponent_mixtures: Mapping[int, object]
-) -> tuple[ValuePolicy, float]:
-    """Analytic best response in a matrix game.
-
-    Each opponent entry may be an action-distribution vector, a policy with
-    known action probabilities, or a ``(policies, weights)`` pair whose
-    blended action distribution is used. The returned greedy policy stores
-    the exact action values in its table; ties break toward the lowest index.
-    """
-    env = require_matrix_env(env)
-    dists = [
-        None if player == learner else _action_distribution(env, player, opponent_mixtures[player])
-        for player in range(env.n_players)
-    ]
-    values = deviation_values(env.payoff_tensor, dists, learner)
-    table = QTable(env.action_count(learner))
-    table.set(MATRIX_OBSERVATION, values)
-    best = int(np.argmax(values))  # lowest index among maximisers
-    return ValuePolicy(table), float(values[best])
-
-
-def _action_distribution(env, player: int, spec) -> np.ndarray:
-    legal = tuple(range(env.action_count(player)))
-    if hasattr(spec, "action_probabilities"):
-        spec = ([spec], [1.0])
-    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple)):
-        policies, weights = spec
-        weights = np.asarray(weights, dtype=float)
-        blended = np.zeros(env.action_count(player))
-        for weight, policy in zip(weights, policies):
-            if weight == 0.0:
-                continue
-            blended += weight * np.asarray(
-                policy.action_probabilities(MATRIX_OBSERVATION, legal)
-            )
-        return blended
-    dist = np.asarray(spec, dtype=float)
-    if dist.shape != (env.action_count(player),):
-        raise ValueError(
-            f"opponent distribution for player {player} has shape {dist.shape}"
-        )
-    return dist
-
-
 class TabularOracle:
     """Best-response oracle backed by tabular Q-learning.
 
@@ -251,15 +200,3 @@ class TabularOracle:
         return train_best_response(
             env, player, provider, self.mix_hparams, rng, counter, opponent_rng
         )
-
-
-class ExactMatrixOracle:
-    """Analytic best-response oracle for matrix games (no simulation cost)."""
-
-    def respond_fixed(self, env, player, opponents, rng, counter):
-        policy, _ = exact_best_response(env, player, opponents)
-        return policy
-
-    def respond_mixture(self, env, player, mixtures, rng, counter, opponent_rng=None):
-        policy, _ = exact_best_response(env, player, mixtures)
-        return policy

@@ -13,8 +13,9 @@ import numpy as np
 
 import psromix as pm
 from psromix.cli import main as cli_main
-from psromix.envs import MATRIX_OBSERVATION, analytic_payoffs, estimate_payoffs
+from psromix.envs import MATRIX_OBSERVATION, estimate_payoffs
 from psromix.envs.leduc import LeducEnv
+from psromix.exact import analytic_payoffs
 from psromix.policies import QTable, ValuePolicy
 
 KEY = MATRIX_OBSERVATION

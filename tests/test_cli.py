@@ -320,6 +320,17 @@ def _mss(**params):
     return lambda cfg: cfg.update(mss={"name": "replicator", **params})
 
 
+def _on_leduc(kind="tabular", **run):
+    """Leduc has no exact values: both exact settings are rejected before any run."""
+
+    def edit(cfg):
+        cfg["env"]["name"] = "leduc"
+        cfg["oracle"]["kind"] = kind
+        cfg["run"].update(run)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -337,6 +348,10 @@ def _mss(**params):
             lambda cfg: cfg.update(mss={"name": "nash", "tolerance": None}),
             "mss.tolerance",
             id="float-given-null",
+        ),
+        pytest.param(_on_leduc(kind="exact"), "oracle.kind", id="exact-oracle-on-leduc"),
+        pytest.param(
+            _on_leduc(analytic_cells=True), "run.analytic_cells", id="analytic-cells-on-leduc"
         ),
     ],
 )

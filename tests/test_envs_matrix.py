@@ -3,7 +3,6 @@ import pytest
 
 from psromix.envs import (
     MATRIX_OBSERVATION,
-    analytic_payoffs,
     estimate_payoffs,
     load_matrix_env,
     make_env,
@@ -13,6 +12,7 @@ from psromix.envs import (
 )
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import ConfigError, IllegalAction
+from psromix.exact import analytic_payoffs
 from psromix.policies import FixedMixturePolicy, pure_action_policy
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psromix.envs import LeducEnv, rps_env
-from psromix.envs.matrix import MatrixGameEnv, analytic_payoffs
+from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import EmptyCorpus, EmptyDeviationSet
+from psromix.exact import analytic_payoffs
 from psromix.evaluation import (
     DeviationSet,
     export_similarity,

@@ -14,12 +14,12 @@ from psromix.envs import (
 )
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import BudgetZero, IllegalAction, WrongEnvironment
+from psromix.exact import exact_best_response
 from psromix.oracle import (
     OracleHParams,
     SimulationCounter,
     TabularOracle,
     epsilon_at,
-    exact_best_response,
     train_best_response,
 )
 from psromix.policies import (
