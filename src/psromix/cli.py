@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import check_fields, load_config, read_sections
 from .engine import RunConfig, checkpoint, export_regret_curve, resume, run_algorithm
-from .envs import derived_rng, make_env
+from .envs import Environment, derived_rng, make_env
 from .errors import ConfigError, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
 from .games import save_game
@@ -150,21 +150,31 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_hparam_search(args) -> int:
+def load_search_config(path) -> tuple[Environment, HParamSearchSpec, dict]:
+    """The environment, search spec and ``opponents`` section of a
+    hyperparameter-search config file, checked field by field."""
     try:
-        with open(args.config) as fh:
-            sections = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read search config {args.config}: {exc}") from exc
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read search config {path}: {exc}") from exc
+    sections = read_sections(text, ("env", "search", "opponents"))
     env_section = sections.get("env", {})
     if "name" not in env_section:
         raise ConfigError("env.name: required field is missing")
-    env = make_env(env_section["name"])
+    check_fields("env", env_section, ("name",))
     try:
         spec = HParamSearchSpec(**sections.get("search", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"search: {exc}") from exc
-    opponents = _build_opponents(sections.get("opponents", {}), env, spec)
+    opponents = sections.get("opponents", {})
+    check_fields("opponents", opponents, ("source", "path"))
+    return make_env(env_section["name"]), spec, opponents
+
+
+def _cmd_hparam_search(args) -> int:
+    env, spec, opponents_section = load_search_config(args.config)
+    opponents = _build_opponents(opponents_section, env, spec)
     result = hparam_search(spec, env, opponents)
     payload = {
         "pure": dataclasses.asdict(result.pure_hparams),

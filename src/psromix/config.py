@@ -92,20 +92,32 @@ def config_to_json(config: RunConfig) -> str:
     return json.dumps(sections, indent=1, sort_keys=True) + "\n"
 
 
-def config_from_json(text: str) -> RunConfig:
+def read_sections(text: str, allowed) -> dict:
+    """Parse a config file's JSON: an object of ``allowed`` sections, each
+    itself an object."""
     try:
         sections = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(sections, dict):
         raise ConfigError("config must be a JSON object with sections")
-    unknown = set(sections) - {"run", "env", "mss", "oracle"}
+    unknown = set(sections) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config section(s) {sorted(unknown)}")
     for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: the section must be a JSON object")
+    return sections
 
+
+def check_fields(section: str, data: dict, allowed) -> None:
+    bad = set(data) - set(allowed)
+    if bad:
+        raise ConfigError(f"{section}: unknown field(s) {sorted(bad)}")
+
+
+def config_from_json(text: str) -> RunConfig:
+    sections = read_sections(text, ("run", "env", "mss", "oracle"))
     run = dict(sections.get("run", {}))
     # run.workers sized a payoff-simulation thread pool that no longer exists.
     # Older configs (the benchmark's among them) and older checkpoints still
@@ -113,12 +125,11 @@ def config_from_json(text: str) -> RunConfig:
     workers = run.pop("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"run.workers: must be >= 1, got {workers!r}")
-    bad = set(run) - set(_RUN_FIELDS)
-    if bad:
-        raise ConfigError(f"run: unknown field(s) {sorted(bad)}")
+    check_fields("run", run, _RUN_FIELDS)
     env = sections.get("env", {})
     if "name" not in env:
         raise ConfigError("env.name: required field is missing")
+    check_fields("env", env, ("name",))
     mss = dict(sections.get("mss", {"name": "nash"}))
     mss_name = mss.pop("name", None)
     if mss_name is None:
@@ -126,6 +137,7 @@ def config_from_json(text: str) -> RunConfig:
     if mss_name in _MSS_PARAMS:
         _check_mss_params(mss_name, mss)
     oracle = sections.get("oracle", {})
+    check_fields("oracle", oracle, ("kind", "pure", "mix"))
 
     config = RunConfig(
         env=env["name"],

@@ -78,8 +78,12 @@ class HParamSearchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        for name in ("sample_count", "opponent_count", "eval_episodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(self.learner, bool) or self.learner not in (0, 1):
+            raise ValueError(f"learner must be seat 0 or 1, got {self.learner!r}")
         for name in ("learning_rate", "exploration_timesteps", "total_timesteps"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"candidate list {name} is empty")

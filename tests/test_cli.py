@@ -209,8 +209,8 @@ def test_eval_missing_eval_set(tmp_path):
     assert main(["eval", str(out / "checkpoint"), "--eval-set", str(empty)]) == 2
 
 
-def test_hparam_search_subcommand(tmp_path, capsys):
-    spec = {
+def search_config():
+    return {
         "env": {"name": "rps"},
         "search": {
             "learning_rate": [5e-3],
@@ -224,14 +224,48 @@ def test_hparam_search_subcommand(tmp_path, capsys):
         },
         "opponents": {"source": "random"},
     }
+
+
+def test_hparam_search_subcommand(tmp_path, capsys):
     path = tmp_path / "search.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(search_config()))
     out = tmp_path / "chosen.json"
     assert main(["hparam-search", str(path), "--output", str(out)]) == 0
     chosen = json.loads(out.read_text())
     assert chosen["pure"]["total_timesteps"] == 200
     assert chosen["mix"]["learning_rate"] == pytest.approx(5e-3)
     assert len(chosen["pure_scores"]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit, prefix",
+    [
+        pytest.param(lambda cfg: cfg["search"].update(learner=5), "search: learner", id="learner"),
+        pytest.param(
+            lambda cfg: cfg["search"].update(opponent_count=0),
+            "search: opponent_count",
+            id="no-opponents",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(eval_episodes=0),
+            "search: eval_episodes",
+            id="no-eval-episodes",
+        ),
+        pytest.param(
+            lambda cfg: cfg.update(serch={}), "unknown config section(s) ['serch']", id="section"
+        ),
+        pytest.param(
+            lambda cfg: cfg["opponents"].update(sorce="checkpoint"), "opponents", id="opponents"
+        ),
+    ],
+)
+def test_hparam_search_config_errors(tmp_path, capsys, edit, prefix):
+    cfg = search_config()
+    edit(cfg)
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["hparam-search", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
 
 
 def test_output_root_env_var(tmp_path, monkeypatch, capsys):
@@ -349,6 +383,8 @@ def _on_leduc(kind="tabular", **run):
             "mss.tolerance",
             id="float-given-null",
         ),
+        pytest.param(lambda cfg: cfg["env"].update(nme=1), "env", id="env-typo"),
+        pytest.param(lambda cfg: cfg["oracle"].update(pur={}), "oracle", id="oracle-typo"),
         pytest.param(_on_leduc(kind="exact"), "oracle.kind", id="exact-oracle-on-leduc"),
         pytest.param(
             _on_leduc(analytic_cells=True), "run.analytic_cells", id="analytic-cells-on-leduc"

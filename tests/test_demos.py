@@ -1,12 +1,16 @@
-"""The demos run end to end. Demo 02 is left out: its 3-player replicator
-solve alone takes about 10 s."""
+"""The demos run end to end, and the shipped configs load. Demo 02 is left
+out: its 3-player replicator solve alone takes about 10 s."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from psromix.cli import load_search_config
+from psromix.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +36,13 @@ def test_demo_runs(tmp_path, demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "demos" / "configs").glob("*.json")), ids=lambda path: path.name
+)
+def test_shipped_config_loads(path):
+    if "search" in json.loads(path.read_text()):
+        load_search_config(path)
+    else:
+        load_config(path)
