@@ -243,7 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="proxy regret of a checkpoint vs an eval set")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--eval-set", required=True, dest="eval_set")
-    p_eval.add_argument("--episodes", type=int, default=30)
+    p_eval.add_argument(
+        "--episodes",
+        type=int,
+        default=30,
+        help="episodes per simulated matchup (default 30). Every built-in environment "
+        "(rps, leduc, matrix:<file>) has exact values, so it changes no output there",
+    )
     p_eval.set_defaults(func=_cmd_eval)
     return parser
 

@@ -134,10 +134,11 @@ def expand_enfg(
     if not missing:
         return game
     base = int(rng.integers(2**62))
+    tables: dict = {}  # each policy's exact-value table, built once per call
     for profile in missing:
         policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
         if analytic:
-            mean = exact.analytic_payoffs(env, policies)
+            mean = exact.analytic_payoffs(env, policies, tables)
         else:
             cell_rng = derived_rng(base, *profile)
             mean = estimate_payoffs(env, policies, episodes_per_cell, cell_rng)
@@ -261,12 +262,6 @@ def run_algorithm(
         raise PlayerCountUnsupported(
             f"mixed-oracles supports exactly 2 players, env has {env.n_players}"
         )
-    for field, needs_exact in (
-        ("oracle.kind", config.oracle == "exact"),
-        ("run.analytic_cells", config.analytic_cells),
-    ):
-        if needs_exact and not exact.has_exact_values(env):
-            raise ConfigError(f"{field}: environment {config.env!r} has no exact values")
     oracle = _make_oracle(config, env.name)
     solver = get_solver(config.mss, **config.mss_params)
 

@@ -16,16 +16,19 @@ episode and never occupies a slot).
 
 Betting depends only on the seating and the action history, never on the
 cards, so the betting tree is compiled once at import: 170 nodes over both
-seatings, 72 of them decisions. Each node holds the acting player, the legal
-actions per player, the child per legal action, the round and the chips put
-in; each terminal node holds one read-only reward vector per outcome (player 0
-wins, player 1 wins, split). A deal adds only the cards: per (player, private
-card, public card) view, one tuple of keys indexed by node id, built by
-:func:`leduc_encode`, which interns them so that each distinct key is one
-object, and the showdown outcome. Views and deals are built on first use and
-then shared by every episode, so an episode is a deal plus a node: ``player``
-is the node's acting player, ``step`` is a child lookup and ``observation``
-one table index.
+seatings, 72 of them decisions. Each :class:`Node` holds the acting player,
+the legal actions per player, the child per legal action, the round and the
+chips put in; each terminal node holds one read-only reward vector per
+outcome (player 0 wins, player 1 wins, split). A :class:`Deal` adds only the
+cards: per (player, private card, public card) view, one tuple of keys
+indexed by node id, built by :func:`leduc_encode`, which interns them so that
+each distinct key is one object, and the showdown outcome. Views and deals
+are built on first use and then shared by every episode, so an episode is a
+deal plus a node: ``player`` is the node's acting player, ``step`` is a child
+lookup and ``observation`` one table index.
+
+:func:`betting_tree` and :func:`all_deals` expose the tree and the 120
+equally likely deals, so :mod:`psromix.exact` can walk every episode at once.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def leduc_encode(
 # -- the betting tree ------------------------------------------------------
 
 
-class _Node:
+class Node:
     """One betting state: a seating plus the action history so far. Immutable
     once the tree is built, and shared by every episode that reaches it."""
 
@@ -144,7 +147,7 @@ class _Node:
         self.player = player  # None at a terminal node
         self.terminal = player is None
         self.legal = (self._legal(0), self._legal(1))
-        self.children: dict[int, _Node] = {}
+        self.children: dict[int, Node] = {}
         self.rewards: tuple[np.ndarray, ...] | None = None
 
     def _legal(self, player: int) -> tuple[int, ...]:
@@ -152,7 +155,7 @@ class _Node:
         facing_bet = self.current_bet > self.round_contrib[player]
         return ((FOLD,) if facing_bet else ()) + (CALL,) + raises
 
-    def _after(self, action: int) -> "_Node":
+    def _after(self, action: int) -> "Node":
         """The node that ``action`` by the acting player leads to."""
         player, round_index = self.player, self.round_index
         if action == FOLD:
@@ -180,14 +183,14 @@ class _Node:
                 )
             round_index, next_player = 1, self.first_player
             round_contrib, current_bet, raises_made = (0, 0), 0, 0
-        return _Node(self.first_player, round_index, round_actions, tuple(contributions),
-                     tuple(round_contrib), current_bet, raises_made, next_player)
+        return Node(self.first_player, round_index, round_actions, tuple(contributions),
+                    tuple(round_contrib), current_bet, raises_made, next_player)
 
-    def _terminal(self, round_actions, contributions, round_contrib, winners) -> "_Node":
+    def _terminal(self, round_actions, contributions, round_contrib, winners) -> "Node":
         """A terminal child; ``winners`` names the winner (None: split) for
         each showdown outcome. After a fold it is the same for all three."""
-        node = _Node(self.first_player, self.round_index, round_actions, contributions,
-                     round_contrib, self.current_bet, self.raises_made, None)
+        node = Node(self.first_player, self.round_index, round_actions, contributions,
+                    round_contrib, self.current_bet, self.raises_made, None)
         node.rewards = tuple(_reward_vector(contributions, winner) for winner in winners)
         return node
 
@@ -206,10 +209,10 @@ def _reward_vector(contributions: tuple[int, int], winner: int | None) -> np.nda
     return rewards
 
 
-def _build_tree() -> tuple[list[_Node], tuple[_Node, _Node]]:
-    nodes: list[_Node] = []
+def _build_tree() -> tuple[list[Node], tuple[Node, Node]]:
+    nodes: list[Node] = []
 
-    def expand(node: _Node) -> _Node:
+    def expand(node: Node) -> Node:
         node.id = len(nodes)
         nodes.append(node)
         if not node.terminal:
@@ -218,12 +221,19 @@ def _build_tree() -> tuple[list[_Node], tuple[_Node, _Node]]:
         return node
 
     roots = tuple(
-        expand(_Node(first, 0, ((), ()), (ANTE, ANTE), (0, 0), 0, 0, first)) for first in range(2)
+        expand(Node(first, 0, ((), ()), (ANTE, ANTE), (0, 0), 0, 0, first)) for first in range(2)
     )
     return nodes, roots
 
 
 _NODES, _ROOTS = _build_tree()
+
+
+def betting_tree() -> tuple[list[Node], tuple[Node, Node]]:
+    """The compiled betting tree, shared and read-only: every node by id, and
+    the root of each seating (indexed by the first player). Ids number the
+    nodes depth first, so a parent's id is below its children's."""
+    return _NODES, _ROOTS
 
 
 # -- per-deal tables, built on first use -----------------------------------
@@ -251,7 +261,7 @@ def _showdown_outcome(private0: int, private1: int, public: int) -> int:
     return _SPLIT
 
 
-class _Deal:
+class Deal:
     """The cards of one deal: both players' views and the showdown outcome."""
 
     __slots__ = ("privates", "public", "views", "outcome")
@@ -263,7 +273,15 @@ class _Deal:
         self.outcome = _showdown_outcome(private0, private1, public)
 
 
-_deal = functools.cache(_Deal)  # one shared deal per (private0, private1, public)
+_deal = functools.cache(Deal)  # one shared deal per (private0, private1, public)
+
+
+@functools.cache
+def all_deals() -> tuple[Deal, ...]:
+    """The 120 ordered deals of three distinct cards (private0, private1,
+    public), in lexicographic order. ``reset`` draws each with equal
+    probability."""
+    return tuple(_deal(*cards) for cards in itertools.permutations(range(N_CARDS), 3))
 
 
 class LeducEnv(Environment):
@@ -290,7 +308,7 @@ class LeducEpisode(EpisodeState):
     """A deal plus a node of the betting tree. ``player`` and ``terminal``
     are plain attributes; the betting state is read from the node."""
 
-    def __init__(self, deal: _Deal, node: _Node):
+    def __init__(self, deal: Deal, node: Node):
         self._deal = deal
         self._node = node
         self.player = node.player

@@ -2,7 +2,9 @@
 
 Regret of a profile is the best payoff gain available by deviating to a
 policy in the deviation set. Each matchup's payoffs are computed once and
-cached, so repeated pairings cost nothing.
+cached, so repeated pairings cost nothing. On every built-in environment
+(matrix games and Leduc) they are exact (see :mod:`psromix.exact`); only
+other environments simulate them.
 """
 
 from __future__ import annotations
@@ -114,9 +116,11 @@ def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[i
 class _MatchupCache:
     """Mean returns per profile of pool indices, computed at most once.
 
-    Returns are exact where :mod:`psromix.exact` has them. Otherwise each
-    matchup is simulated on streams derived from its pool indices, so an
-    estimate does not depend on which matchups were evaluated before it.
+    Returns are exact where :mod:`psromix.exact` has them; each pool
+    policy's table is built once and kept for the cache's lifetime.
+    Otherwise each matchup is simulated on streams derived from its pool
+    indices, so an estimate does not depend on which matchups were evaluated
+    before it.
     """
 
     def __init__(self, env: Environment, pools: Sequence[list], episodes: int, rng):
@@ -125,6 +129,7 @@ class _MatchupCache:
         self.episodes = episodes
         self.base_seed = derive_stream_seed(rng if rng is not None else np.random.default_rng(0))
         self.cache: dict[tuple[int, ...], np.ndarray] = {}
+        self.tables: dict = {}  # exact values' per-policy tables
 
     def value(self, profile: tuple[int, ...]) -> np.ndarray:
         hit = self.cache.get(profile)
@@ -132,7 +137,7 @@ class _MatchupCache:
             return hit
         policies = tuple(pool[i] for pool, i in zip(self.pools, profile))
         if exact.has_exact_values(self.env):
-            mean = exact.analytic_payoffs(self.env, policies)
+            mean = exact.analytic_payoffs(self.env, policies, self.tables)
         else:
             total = np.zeros(self.env.n_players)
             for ep in range(self.episodes):

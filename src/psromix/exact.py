@@ -3,34 +3,67 @@
 Matrix games have them: the payoff tensor contracted with each seat's action
 distribution gives a profile's expected payoffs and a best response's action
 values.
+
+Leduc has them too: its betting tree is small enough to walk every episode
+at once. A game is a seating (who acts first) and one of the 120 ordered
+deals; exact values weigh the two seatings equally, as every simulated
+estimate in psromix alternates them, and the deals uniformly, as ``reset``
+draws them. Each policy becomes a table of action probabilities, one row per
+information-state key of its seat (936 per seat), and the walk runs on index
+arrays over (node, deal) built on first use:
+
+- a profile's value sums, over terminal nodes and deals, each seat's reach
+  (the product of its own action probabilities along the path) times the
+  chance-weighted reward;
+- a best response sends the opponents' reach down to the terminal nodes, one
+  component at a time weighted by its prior weight, and brings the values
+  back up. At a learner node the deals are grouped by the learner's key, and
+  the key's counterfactual action values (summed over its deals, each
+  weighted by its chance and the opponents' reach) pick the action; ties go
+  to the lowest index. A key that no opponent component reaches has all
+  action values 0; such keys are left out of the response's table, so it
+  plays the lowest legal action there (FOLD when facing a bet, otherwise
+  CALL), as at an untrained key of a tabular response.
+
+Building a policy's table costs more than a walk, so callers that evaluate
+many cells pass :func:`analytic_payoffs` one ``tables`` dict for as long as
+they need it: a table is then built once per policy and seat. It is keyed by
+identity and holds the policy, so the key stays unique while the dict lives.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .envs.leduc import LeducEnv, all_deals, betting_tree
 from .envs.matrix import MATRIX_OBSERVATION, MatrixGameEnv
-from .errors import WrongEnvironment
+from .errors import IllegalAction, WrongEnvironment
 from .games import deviation_values
 from .policies import QTable, ValuePolicy
 
 
 def has_exact_values(env) -> bool:
     """Whether this module computes exact values for ``env``'s game."""
-    return isinstance(env, MatrixGameEnv)
+    return isinstance(env, (MatrixGameEnv, LeducEnv))
 
 
-def analytic_payoffs(env, policies: Sequence) -> np.ndarray:
+def analytic_payoffs(env, policies: Sequence, tables: dict | None = None) -> np.ndarray:
     """Exact expected payoff vector of a policy profile.
 
-    The seats are contracted first to last; that order sets the bits of the
-    analytic cells in ``game.txt``.
+    ``tables`` caches each policy's table across calls (see the module
+    docstring). On a matrix game the seats are contracted first to last;
+    that order sets the bits of the analytic cells in ``game.txt``.
     """
-    dists = _distributions(env, policies)
+    _check(env)
+    tables = {} if tables is None else tables
+    per_seat = [_table(env, seat, policy, tables) for seat, policy in enumerate(policies)]
+    if isinstance(env, LeducEnv):
+        return _leduc_value(per_seat)
     value = env.payoff_tensor
-    for dist in dists:
+    for dist in per_seat:
         value = np.tensordot(dist, value, axes=(0, 0))
     return value
 
@@ -40,32 +73,52 @@ def exact_best_response(
 ) -> tuple[ValuePolicy, float]:
     """Best response of ``learner`` and its value.
 
-    Each opponent entry may be an action-distribution vector, a policy with
-    known action probabilities, or a ``(policies, weights)`` pair whose
-    blended action distribution is used. The returned greedy policy stores
-    the exact action values in its table; ties break toward the lowest index.
+    Each opponent entry may be a policy with known action probabilities or a
+    ``(policies, weights)`` pair; on a matrix game also an action-distribution
+    vector, and a pair is blended into one distribution. The returned greedy
+    policy stores the exact action values in its table (on Leduc, each key's
+    counterfactual values); ties break toward the lowest index.
     """
-    dists = _distributions(env, opponent_mixtures, learner)
+    _check(env)
+    if isinstance(env, LeducEnv):
+        return _leduc_best_response(env, learner, opponent_mixtures[1 - learner])
+    dists = [
+        None if player == learner else _action_distribution(env, player, opponent_mixtures[player])
+        for player in range(env.n_players)
+    ]
     values = deviation_values(env.payoff_tensor, dists, learner)
     table = QTable(env.action_count(learner), {MATRIX_OBSERVATION: values})
     return ValuePolicy(table), float(values.max())
 
 
-def _distributions(env, specs, learner: int | None = None) -> list:
-    """Each seat's action distribution under ``specs[seat]``; None for ``learner``."""
+def _check(env) -> None:
     if not has_exact_values(env):
         raise WrongEnvironment(f"{type(env).__name__} has no exact values")
-    return [
-        None if player == learner else _action_distribution(env, player, specs[player])
-        for player in range(env.n_players)
-    ]
+
+
+def _table(env, seat: int, policy, tables: dict) -> np.ndarray:
+    """``policy``'s table for ``seat``, built once per ``tables`` dict."""
+    key = (id(policy), seat)
+    hit = tables.get(key)
+    if hit is None:
+        if isinstance(env, LeducEnv):
+            table = _leduc_probability_table(policy, seat)
+        else:
+            table = _action_distribution(env, seat, policy)
+        hit = tables[key] = (policy, table)
+    return hit[1]
+
+
+def _is_mixture(spec) -> bool:
+    """Whether an opponent entry is a ``(policies, weights)`` pair."""
+    return isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple))
 
 
 def _action_distribution(env, player: int, spec) -> np.ndarray:
     legal = tuple(range(env.action_count(player)))
     if hasattr(spec, "action_probabilities"):
         return np.asarray(spec.action_probabilities(MATRIX_OBSERVATION, legal), dtype=float)
-    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple)):
+    if _is_mixture(spec):
         policies, weights = spec
         blended = np.zeros(len(legal))
         for weight, policy in zip(np.asarray(weights, dtype=float), policies):
@@ -78,6 +131,178 @@ def _action_distribution(env, player: int, spec) -> np.ndarray:
             f"opponent distribution for player {player} has shape {dist.shape}"
         )
     return dist
+
+
+# -- Leduc -----------------------------------------------------------------
+
+
+class _LeducIndex:
+    """Index arrays over Leduc's betting tree and its deals.
+
+    - ``keys[p]``: seat ``p``'s information-state keys, in the order first
+      met (node id, then deal); ``legal_sets[p]`` their legal actions and
+      ``legal[p]`` the same as a boolean mask.
+    - ``levels``: the non-root nodes grouped by depth and by the player who
+      acted to reach them, shallowest first. Each group holds that player,
+      the nodes' ids, their parents' ids and, per (node, deal), the flat
+      position in the player's probability table of the action taken.
+    - ``rewards[p, t, d]``: seat ``p``'s reward at the ``t``-th terminal node
+      under deal ``d``, times the chance 1 / (2 seatings x 120 deals).
+    - ``plans[p]``: the decision nodes from the highest id down, with their
+      children's ids in legal order and, where ``p`` acts, each deal's key
+      group and each group's key row.
+    """
+
+    def __init__(self):
+        nodes, self.roots = betting_tree()
+        deals = all_deals()
+        self.shape = (len(nodes), len(deals))
+        terminals = [node for node in nodes if node.terminal]
+        self.terminals = np.array([node.id for node in terminals])
+        outcomes = np.array([deal.outcome for deal in deals])
+        rewards = np.array([node.rewards for node in terminals])[:, outcomes]
+        self.rewards = np.moveaxis(rewards, -1, 0) / (2 * len(deals))
+
+        self.keys: tuple[list[bytes], list[bytes]] = ([], [])
+        self.legal_sets: tuple[list, list] = ([], [])
+        row_of: tuple[dict, dict] = ({}, {})  # per seat: key -> row
+        rows = {}  # decision node id -> the actor's key row under each deal
+        for node in nodes:
+            if node.terminal:
+                continue
+            seat = node.player
+            for deal in deals:
+                key = deal.views[seat][node.id]
+                if key not in row_of[seat]:
+                    row_of[seat][key] = len(self.keys[seat])
+                    self.keys[seat].append(key)
+                    self.legal_sets[seat].append(node.legal[seat])
+            rows[node.id] = np.array([row_of[seat][deal.views[seat][node.id]] for deal in deals])
+        self.legal = tuple(
+            np.array([[action in actions for action in range(3)] for actions in per_seat])
+            for per_seat in self.legal_sets
+        )
+
+        depth = {root.id: 0 for root in self.roots}
+        levels: dict[tuple[int, int], list] = {}
+        for node in nodes:  # ids number parents before children
+            for action, child in node.children.items():
+                depth[child.id] = depth[node.id] + 1
+                levels.setdefault((depth[child.id], node.player), []).append(
+                    (child.id, node.id, 3 * rows[node.id] + action)
+                )
+        self.levels = [
+            (player, *(np.array(column) for column in zip(*entries)))
+            for (_, player), entries in sorted(levels.items())
+        ]
+
+        self.plans = []
+        for learner in range(2):
+            plan = []
+            for node in reversed(nodes):
+                if node.terminal:
+                    continue
+                legal_actions = node.legal[node.player]
+                children = np.array([node.children[a].id for a in legal_actions])
+                groups = None
+                if node.player == learner:
+                    group_of_row: dict[int, int] = {}
+                    group_of_deal = np.array(
+                        [group_of_row.setdefault(row, len(group_of_row)) for row in rows[node.id]]
+                    )
+                    groups = (group_of_deal, np.array(list(group_of_row)), np.array(legal_actions))
+                plan.append((node.id, children, groups))
+            self.plans.append(plan)
+
+
+@functools.cache
+def _leduc_index() -> _LeducIndex:
+    return _LeducIndex()
+
+
+def _leduc_probability_table(policy, seat: int) -> np.ndarray:
+    """Row ``r``: ``policy``'s action probabilities at seat ``seat``'s key
+    ``r``. A positive probability on an illegal action raises
+    ``IllegalAction``, as ``step`` would on playing it."""
+    index = _leduc_index()
+    keys, legal = index.keys[seat], index.legal[seat]
+    batch = getattr(policy, "action_probability_table", None)
+    if batch is not None:
+        probs = batch(keys, legal)
+    else:
+        probs = np.array(
+            [
+                policy.action_probabilities(key, actions)
+                for key, actions in zip(keys, index.legal_sets[seat])
+            ],
+            dtype=float,
+        )
+    illegal = np.flatnonzero((probs != 0.0) & ~legal)
+    if len(illegal):
+        row = illegal[0] // 3
+        raise IllegalAction(
+            f"{type(policy).__name__} gives action {illegal[0] % 3} probability "
+            f"{probs.flat[illegal[0]]!r} at key {keys[row].hex()}, where the legal set is "
+            f"{index.legal_sets[seat][row]}"
+        )
+    return probs
+
+
+def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Reach of each (terminal node, deal): the product, down the tree, of
+    the action probabilities of the seats in ``tables``."""
+    reach = np.ones(index.shape)
+    for player, ids, parents, positions in index.levels:
+        table = tables.get(player)
+        if table is None:
+            reach[ids] = reach[parents]
+        else:
+            reach[ids] = reach[parents] * np.take(table, positions)
+    return reach[index.terminals]
+
+
+def _leduc_value(tables: Sequence[np.ndarray]) -> np.ndarray:
+    index = _leduc_index()
+    return np.tensordot(index.rewards, _reach(index, dict(enumerate(tables))), axes=2)
+
+
+def _leduc_best_response(env, learner: int, spec) -> tuple[ValuePolicy, float]:
+    index = _leduc_index()
+    opponent = 1 - learner
+    if _is_mixture(spec):
+        components = zip(spec[0], np.asarray(spec[1], dtype=float))
+    elif hasattr(spec, "action_probabilities"):
+        components = [(spec, 1.0)]
+    else:
+        raise ValueError("a Leduc opponent is a policy or a (policies, weights) pair")
+    reach = np.zeros(index.rewards.shape[1:])
+    for policy, weight in components:
+        if weight != 0.0:
+            table = _leduc_probability_table(policy, opponent)
+            reach += weight * _reach(index, {opponent: table})
+
+    # values[n, d]: the learner's return at node n under deal d, times the
+    # deal's chance and the opponents' reach of n, playing the response below.
+    values = np.empty(index.shape)
+    values[index.terminals] = index.rewards[learner] * reach
+    action_values = np.zeros((len(index.keys[learner]), 3))
+    every_deal = np.arange(reach.shape[1])
+    for node_id, children, groups in index.plans[learner]:
+        child_values = values[children]
+        if groups is None:
+            values[node_id] = child_values.sum(axis=0)
+            continue
+        group_of_deal, group_rows, legal = groups
+        sums = np.array(
+            [np.bincount(group_of_deal, weights=v, minlength=len(group_rows)) for v in child_values]
+        )
+        choice = sums.argmax(axis=0)  # the lowest legal action among the best
+        values[node_id] = child_values[choice[group_of_deal], every_deal]
+        action_values[group_rows[:, None], legal] = sums.T
+    kept = {key: row for key, row in zip(index.keys[learner], action_values) if row.any()}
+    table = QTable(3, kept)
+    value = sum(float(values[root.id].sum()) for root in index.roots)
+    return ValuePolicy(table), value
 
 
 class ExactOracle:

@@ -87,6 +87,19 @@ class HParamSearchSpec:
         for name in ("learning_rate", "exploration_timesteps", "total_timesteps"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"candidate list {name} is empty")
+        # Every candidate is checked here, so a bad one fails before any training.
+        for rate in self.learning_rate:
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate <= 1:
+                raise ValueError(f"learning_rate candidate {rate!r} is not in (0, 1]")
+        for name, least in (("exploration_timesteps", 0), ("total_timesteps", 1)):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                    raise ValueError(f"{name} candidate {value!r} is not an integer >= {least}")
+        discount = self.discount
+        if isinstance(discount, bool) or not isinstance(discount, (int, float)):
+            raise ValueError(f"discount must be a number, got {discount!r}")
+        if not 0.0 <= discount <= 1.0:
+            raise ValueError(f"discount must be in [0, 1], got {discount!r}")
 
 
 @dataclass

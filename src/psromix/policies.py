@@ -80,6 +80,20 @@ def greedy_over(vec, legal_actions: Sequence[int]) -> int:
     return best
 
 
+def greedy_rows(values: np.ndarray, legal_mask: np.ndarray) -> np.ndarray:
+    """:func:`greedy_over` applied to every row of ``values``, each restricted
+    to the actions its row of the boolean ``legal_mask`` allows; the same
+    comparisons in the same order, so the same choices."""
+    rows = np.arange(len(values))
+    best = legal_mask.argmax(axis=1)  # the lowest legal action
+    best_value = values[rows, best]
+    for action in range(values.shape[1]):
+        better = legal_mask[:, action] & (values[:, action] > best_value)
+        best = np.where(better, action, best)
+        best_value = np.where(better, values[:, action], best_value)
+    return best
+
+
 class ValuePolicy:
     """Policy acting greedily (or epsilon-greedily) on an action-value table.
 
@@ -111,6 +125,16 @@ class ValuePolicy:
         if self.epsilon > 0.0:
             probs[list(legal_actions)] = self.epsilon / len(legal_actions)
         probs[self.greedy_action(observation, legal_actions)] += 1.0 - self.epsilon
+        return probs
+
+    def action_probability_table(self, keys: Sequence[bytes], legal_mask: np.ndarray) -> np.ndarray:
+        """Row ``i`` is ``action_probabilities(keys[i], legal)`` for the
+        legal actions of ``legal_mask[i]``, bit for bit; all rows at once."""
+        values = np.array([self.q.lookup(key) for key in keys], dtype=float)
+        probs = np.zeros(values.shape)
+        if self.epsilon > 0.0:
+            probs = np.where(legal_mask, (self.epsilon / legal_mask.sum(axis=1))[:, None], 0.0)
+        probs[np.arange(len(keys)), greedy_rows(values, legal_mask)] += 1.0 - self.epsilon
         return probs
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -252,6 +253,24 @@ def test_hparam_search_subcommand(tmp_path, capsys):
             id="no-eval-episodes",
         ),
         pytest.param(
+            lambda cfg: cfg["search"].update(learning_rate=[-1.0]),
+            "search: learning_rate candidate -1.0",
+            id="negative-learning-rate",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(total_timesteps=[0]),
+            "search: total_timesteps candidate 0",
+            id="zero-total-timesteps",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(exploration_timesteps=[100, 2.5]),
+            "search: exploration_timesteps candidate 2.5",
+            id="fractional-exploration",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(discount=1.5), "search: discount", id="discount"
+        ),
+        pytest.param(
             lambda cfg: cfg.update(serch={}), "unknown config section(s) ['serch']", id="section"
         ),
         pytest.param(
@@ -354,17 +373,6 @@ def _mss(**params):
     return lambda cfg: cfg.update(mss={"name": "replicator", **params})
 
 
-def _on_leduc(kind="tabular", **run):
-    """Leduc has no exact values: both exact settings are rejected before any run."""
-
-    def edit(cfg):
-        cfg["env"]["name"] = "leduc"
-        cfg["oracle"]["kind"] = kind
-        cfg["run"].update(run)
-
-    return edit
-
-
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -385,10 +393,6 @@ def _on_leduc(kind="tabular", **run):
         ),
         pytest.param(lambda cfg: cfg["env"].update(nme=1), "env", id="env-typo"),
         pytest.param(lambda cfg: cfg["oracle"].update(pur={}), "oracle", id="oracle-typo"),
-        pytest.param(_on_leduc(kind="exact"), "oracle.kind", id="exact-oracle-on-leduc"),
-        pytest.param(
-            _on_leduc(analytic_cells=True), "run.analytic_cells", id="analytic-cells-on-leduc"
-        ),
     ],
 )
 def test_config_error_names_the_field(tmp_path, capsys, edit, field):
@@ -398,6 +402,48 @@ def test_config_error_names_the_field(tmp_path, capsys, edit, field):
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def leduc_config(path, kind="tabular", **run):
+    write_config(path, epochs=2)
+    cfg = json.loads(path.read_text())
+    cfg["env"]["name"] = "leduc"
+    cfg["oracle"]["kind"] = kind
+    cfg["run"].update(run)
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_leduc_analytic_cells_simulate_no_episodes(tmp_path, capsys):
+    path = leduc_config(tmp_path / "cfg.json", analytic_cells=True)
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
+    assert len(lines) == 3 and all(ln.endswith("eval_episodes 0") for ln in lines)
+    record = resume(tmp_path / "out" / "checkpoint")
+    assert record.counter.eval_episodes == 0
+    assert record.counter.train_steps == 2 * 2 * 400
+    assert record.game.is_complete() and record.game.shape == (3, 3)
+
+
+# sha256 over regret_curve.tsv, game.txt and every checkpoint file, the
+# digest the benchmark takes of a run directory.
+LEDUC_EXACT_PSRO_DIGEST = "3cd25e9f65d59ea9ddb58f8dfb55e5572c7fcea2727ac757c65467b929c5b962"
+
+
+def test_leduc_exact_psro_bytes_are_pinned(tmp_path):
+    path = leduc_config(
+        tmp_path / "cfg.json", kind="exact", algorithm="psro", epochs=3, analytic_cells=True
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output", str(out)]) == 0
+    files = [out / "regret_curve.tsv", out / "game.txt"]
+    files += sorted(p for p in (out / "checkpoint").rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for file in files:
+        digest.update(str(file.relative_to(out)).encode() + b"\0")
+        digest.update(file.read_bytes())
+    assert resume(out / "checkpoint").counter.train_steps == 0
+    assert digest.hexdigest() == LEDUC_EXACT_PSRO_DIGEST
 
 
 def test_solver_parameter_of_the_default_type_accepted():

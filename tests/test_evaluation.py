@@ -210,9 +210,9 @@ def test_env_regret_equals_regret_in_analytic_game(case):
     assert regret(game, padded, indices) == pytest.approx(env_regret, abs=1e-12)
 
 
-class _HideMatrixStructure:
-    """Delegating wrapper that defeats the analytic fast path, forcing the
-    simulation-based payoff estimation used for non-matrix environments."""
+class _NoExactValues:
+    """Delegating wrapper that ``has_exact_values`` does not recognise, so
+    payoffs are simulated, as on an environment without exact values."""
 
     def __init__(self, env):
         self._env = env
@@ -236,7 +236,7 @@ def test_simulated_regret_approaches_analytic():
 
     episodes = 4_000
     simulated = regret(
-        _HideMatrixStructure(env), sigma, deviations,
+        _NoExactValues(env), sigma, deviations,
         episodes=episodes, rng=rng, populations=populations,
     )
     assert not np.array_equal(simulated, exact)  # genuinely estimated
@@ -329,15 +329,22 @@ def test_similarity_profile_subsampling():
     assert report.corpus_size_raw == 4  # 2 profiles x 1 episode x 2 seats
 
 
-def test_simulated_regret_independent_of_deviation_order(monkeypatch):
-    import psromix.evaluation as evaluation
-
-    env = LeducEnv()
+def _leduc_regret_case():
     populations = [[leduc_value_policy(10 * p + i) for i in range(3)] for p in range(2)]
     held_out = [leduc_value_policy(50 + p) for p in range(2)]
     # Zero weights leave some members' matchups out of the base values, so
-    # reordering the deviations reorders which matchups are simulated first.
+    # reordering the deviations reorders which matchups are evaluated first.
     sigma = [np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.3, 0.7])]
+    forward = [pop + [held_out[p]] for p, pop in enumerate(populations)]
+    permuted = [[held_out[p]] + pop[::-1] for p, pop in enumerate(populations)]
+    return populations, sigma, forward, permuted
+
+
+def test_simulated_regret_independent_of_deviation_order(monkeypatch):
+    import psromix.evaluation as evaluation
+
+    env = _NoExactValues(LeducEnv())
+    populations, sigma, forward_set, permuted_set = _leduc_regret_case()
     episodes = 20
     calls = []
     real_simulate = evaluation.simulate_episode
@@ -360,12 +367,51 @@ def test_simulated_regret_independent_of_deviation_order(monkeypatch):
         )
         return values, len(calls)
 
-    forward, forward_calls = regrets([pop + [held_out[p]] for p, pop in enumerate(populations)])
-    permuted, permuted_calls = regrets(
-        [[held_out[p]] + pop[::-1] for p, pop in enumerate(populations)]
-    )
+    forward, forward_calls = regrets(forward_set)
+    permuted, permuted_calls = regrets(permuted_set)
     assert np.array_equal(forward, permuted)
     # Each matchup is simulated once: 2x2 support profiles, then per seat
     # the zero-weight member and the held-out policy against the opponent's
     # two-policy support.
     assert forward_calls == permuted_calls == (4 + 2 * 2 + 2 * 2) * episodes
+
+
+def test_leduc_regret_is_exact_and_independent_of_deviation_order(monkeypatch):
+    import psromix.evaluation as evaluation
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate_episode called on an environment with exact values")
+
+    monkeypatch.setattr(evaluation, "simulate_episode", never)
+    env = LeducEnv()
+    populations, sigma, forward, permuted = _leduc_regret_case()
+
+    def regrets(per_player, seed, episodes=20):
+        return regret(
+            env,
+            sigma,
+            DeviationSet(tuple(map(tuple, per_player))),
+            episodes=episodes,
+            rng=np.random.default_rng(seed),
+            populations=populations,
+        )
+
+    values = regrets(forward, 21)
+    # Neither the order of the deviations nor the stream nor the episode
+    # count changes a bit.
+    assert np.array_equal(values, regrets(permuted, 21))
+    assert np.array_equal(values, regrets(forward, 5, episodes=200))
+    for player, deviations in enumerate(forward):
+        profile = [None, None]
+        gains = []
+        for policy in deviations:
+            value = 0.0
+            for j, weight in enumerate(sigma[1 - player]):
+                if weight:
+                    profile[player], profile[1 - player] = policy, populations[1 - player][j]
+                    value += weight * analytic_payoffs(env, profile)[player]
+            gains.append(value)
+        base = sum(
+            w * gain for w, gain in zip(sigma[player], gains[: len(populations[player])])
+        )
+        assert values[player] == pytest.approx(max(gains) - base, abs=1e-12)

@@ -281,9 +281,23 @@ def test_exact_best_response_policy_mixture_blending():
     assert policy.greedy_action(MATRIX_OBSERVATION, LEGAL) == 1
 
 
+class _WrappedLeduc(Environment):
+    """Leduc behind a delegating wrapper: the same game, but not one that
+    ``has_exact_values`` recognises."""
+
+    name = "wrapped-leduc"
+    n_players = 2
+
+    def action_count(self, player):
+        return 3
+
+    def reset(self, rng, first_player=0):
+        return LeducEnv().reset(rng, first_player)
+
+
 def test_exact_best_response_rejects_non_matrix():
     with pytest.raises(WrongEnvironment):
-        exact_best_response(LeducEnv(), 0, {1: np.ones(3) / 3})
+        exact_best_response(_WrappedLeduc(), 0, {1: np.ones(3) / 3})
 
 
 def test_three_player_exact_best_response():

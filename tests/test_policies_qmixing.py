@@ -177,6 +177,34 @@ def test_flattened_mixture_equals_per_call_sum(mixture):
     assert np.array_equal(mixture.lookup(UNSEEN), np.full(3, mixture.default_value))
 
 
+LEGAL_SETS = [(1,), (1, 2), (0, 1), (0, 1, 2), (0,), (0, 2), (2,)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.sampled_from([-1.0, 0.0, 0.5, 1.0, np.inf, np.nan]), min_size=3, max_size=3
+            ),
+            st.sampled_from(LEGAL_SETS),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([0.0, 0.03, 0.3, 1.0]),
+)
+def test_action_probability_table_equals_per_key_probabilities(rows, epsilon):
+    # Few distinct values, so ties, infinities and NaNs are common.
+    keys = [bytes([i]) for i in range(len(rows))]
+    table = QTable(3, {key: values for key, (values, _) in zip(keys, rows)})
+    policy = ValuePolicy(table, epsilon=epsilon)
+    legal_mask = np.array([[a in legal for a in range(3)] for _, legal in rows])
+    batch = policy.action_probability_table(keys, legal_mask)
+    expected = [policy.action_probabilities(key, legal) for key, (_, legal) in zip(keys, rows)]
+    assert batch.tobytes() == np.array(expected).tobytes()
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(random_tables())
 def test_qtable_default_is_shared_read_only_and_ensure_copies(table):
