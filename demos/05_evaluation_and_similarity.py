@@ -51,8 +51,7 @@ eval_dir = os.path.join(os.environ.get("PSROMIX_OUTPUT_ROOT", "."), "psromix-dem
 eval_set = export_eval_set(independent, eval_dir, size=2, seed=1)
 proxy = pm.proxy_regret(env, record.solution,
                         psro_set=record.game.strategy_sets, eval_set=eval_set,
-                        populations=record.game.strategy_sets,
-                        episodes=30, rng=np.random.default_rng(5))
+                        populations=record.game.strategy_sets)
 print(f"run solution proxy regret vs own + held-out policies: {np.round(proxy, 4)}")
 
 print("\n== similarity of the discovered policies (Leduc) ==")

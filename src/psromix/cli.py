@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import check_fields, load_config, read_sections
 from .engine import RunConfig, checkpoint, export_regret_curve, resume, run_algorithm
-from .envs import Environment, derived_rng, make_env
+from .envs import Environment, make_env
 from .errors import ConfigError, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
 from .games import save_game
@@ -109,20 +109,28 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _load_eval_set(path: str, n_players: int) -> list[list]:
+def _load_eval_set(path: str, env: Environment) -> list[list]:
     """The policies in ``p<player>_<k>.txt`` files, in listing order; other
-    files are skipped."""
-    eval_set: list[list] = [[] for _ in range(n_players)]
+    files are skipped. Each must be a policy for its player's seat in ``env``."""
+    eval_set: list[list] = [[] for _ in range(env.n_players)]
     for name in sorted(os.listdir(path)):
         match = re.fullmatch(r"p(\d+)_\d+\.txt", name)
         if match is None:
             continue
+        file = os.path.join(path, name)
         player = int(match.group(1))
-        if player >= n_players:
+        if player >= env.n_players:
             raise PsromixError(
-                f"{os.path.join(path, name)}: player {player} is not one of {n_players} players"
+                f"{file}: player {player} is not one of {env.n_players} players"
             )
-        eval_set[player].append(load_policy(os.path.join(path, name)))
+        policy = load_policy(file)
+        expected = env.action_count(player)
+        if policy.action_count != expected:
+            raise PsromixError(
+                f"{file}: policy has {policy.action_count} actions, "
+                f"player {player} of {env.name} has {expected}"
+            )
+        eval_set[player].append(policy)
     return eval_set
 
 
@@ -131,17 +139,14 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
     record = resume(_resolve(args.checkpoint))
     env = make_env(record.config.env)
-    eval_set = _load_eval_set(_resolve(args.eval_set), env.n_players)
+    eval_set = _load_eval_set(_resolve(args.eval_set), env)
     if all(len(policies) == 0 for policies in eval_set):
         raise PsromixError(f"{args.eval_set}: no policy files found")
-    rng = derived_rng(record.config.seed, 999)
     regrets = proxy_regret(
         env,
         record.solution,
         psro_set=record.game.strategy_sets,
         eval_set=eval_set,
-        episodes=args.episodes,
-        rng=rng,
         populations=record.game.strategy_sets,
     )
     for player, value in enumerate(regrets):
@@ -206,6 +211,11 @@ def _build_opponents(section: dict, env, spec: HParamSearchSpec) -> list:
         if "path" not in section:
             raise ConfigError("opponents.path: required for source 'checkpoint'")
         record = resume(_resolve(section["path"]))
+        if record.config.env != env.name:
+            raise EnvironmentMismatch(
+                f"opponents: checkpoint comes from {record.config.env!r}, "
+                f"the search runs on {env.name!r}"
+            )
         weights = record.solution.weights(opponent_seat)
         order = np.argsort(-weights, kind="stable")
         support = [int(i) for i in order if weights[i] > 0.0][: spec.opponent_count]
@@ -247,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--episodes",
         type=int,
         default=30,
-        help="episodes per simulated matchup (default 30). Every built-in environment "
-        "(rps, leduc, matrix:<file>) has exact values, so it changes no output there",
+        help="must be >= 1 (default 30) and changes no output: evaluation is exact. "
+        "It is kept so that existing command lines still parse",
     )
     p_eval.set_defaults(func=_cmd_eval)
     return parser

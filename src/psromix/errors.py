@@ -25,10 +25,6 @@ class IllegalAction(PsromixError):
     """A policy emitted an action outside the environment's legal set."""
 
 
-class BudgetZero(PsromixError):
-    """A training call was issued with a zero timestep budget."""
-
-
 class WrongEnvironment(PsromixError):
     """An environment of the wrong kind was passed (e.g. non-matrix)."""
 

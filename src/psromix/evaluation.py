@@ -1,14 +1,16 @@
 """Regret metrics against deviation sets and policy-similarity analysis.
 
 Regret of a profile is the best payoff gain available by deviating to a
-policy in the deviation set. Each matchup's payoffs are computed once and
-cached, so repeated pairings cost nothing. On every built-in environment
-(matrix games and Leduc) they are exact (see :mod:`psromix.exact`); only
-other environments simulate them.
+policy in the deviation set. In an environment the payoffs are exact (see
+:mod:`psromix.exact`): each matchup is computed once per call and each
+policy's table built once, so repeated pairings cost nothing. Every built-in
+environment (matrix games and Leduc) has exact values; any other one is
+rejected with ``WrongEnvironment``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -57,8 +59,6 @@ def regret(
     env_or_game,
     sigma,
     deviations: DeviationSet,
-    episodes: int = 30,
-    rng=None,
     populations: Sequence[Sequence] | None = None,
 ) -> np.ndarray:
     """Per-player regret of ``sigma`` against a deviation set.
@@ -66,14 +66,15 @@ def regret(
     With an EmpiricalGame, deviation entries are strategy indices and payoffs
     come from the table. With an environment, deviation entries are policies,
     ``populations`` holds the per-player policy lists that ``sigma`` mixes
-    over, and payoffs are exact (see :mod:`psromix.exact`) or simulated with
-    ``episodes`` per matchup. May be negative when the set is weak.
+    over, and payoffs are exact (see :mod:`psromix.exact`); an environment
+    without exact values raises ``WrongEnvironment`` before any matchup is
+    computed. May be negative when the set is weak.
     """
     if isinstance(env_or_game, EmpiricalGame):
         return _regret_in_game(env_or_game, sigma, deviations)
     if populations is None:
         raise ValueError("environment-based regret requires the populations sigma mixes over")
-    return _regret_in_env(env_or_game, populations, sigma, deviations, episodes, rng)
+    return _regret_in_env(env_or_game, populations, sigma, deviations)
 
 
 def _check_nonempty(deviations: DeviationSet, n_players: int) -> None:
@@ -113,72 +114,31 @@ def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[i
     return pool, indices
 
 
-class _MatchupCache:
-    """Mean returns per profile of pool indices, computed at most once.
-
-    Returns are exact where :mod:`psromix.exact` has them; each pool
-    policy's table is built once and kept for the cache's lifetime.
-    Otherwise each matchup is simulated on streams derived from its pool
-    indices, so an estimate does not depend on which matchups were evaluated
-    before it.
-    """
-
-    def __init__(self, env: Environment, pools: Sequence[list], episodes: int, rng):
-        self.env = env
-        self.pools = pools
-        self.episodes = episodes
-        self.base_seed = derive_stream_seed(rng if rng is not None else np.random.default_rng(0))
-        self.cache: dict[tuple[int, ...], np.ndarray] = {}
-        self.tables: dict = {}  # exact values' per-policy tables
-
-    def value(self, profile: tuple[int, ...]) -> np.ndarray:
-        hit = self.cache.get(profile)
-        if hit is not None:
-            return hit
-        policies = tuple(pool[i] for pool, i in zip(self.pools, profile))
-        if exact.has_exact_values(self.env):
-            mean = exact.analytic_payoffs(self.env, policies, self.tables)
-        else:
-            total = np.zeros(self.env.n_players)
-            for ep in range(self.episodes):
-                result = simulate_episode(
-                    self.env,
-                    policies,
-                    derived_rng(self.base_seed, *profile, ep),
-                    first_player=ep % 2,
-                )
-                total += result.returns
-            mean = total / self.episodes
-        self.cache[profile] = mean
-        return mean
-
-
-def _mixture_value(cache, weights, player: int, replace: int | None = None) -> float:
-    """Expected payoff to ``player`` when everyone mixes per ``weights``;
-    ``replace`` substitutes a fixed pool index for ``player``."""
-    if replace is not None:
-        pinned = np.zeros(len(cache.pools[player]))
-        pinned[replace] = 1.0
-        weights = [pinned if other == player else w for other, w in enumerate(weights)]
-    return expected_cell(weights, cache.value)[player]
-
-
-def _regret_in_env(env, populations, sigma, deviations, episodes, rng) -> np.ndarray:
+def _regret_in_env(env, populations, sigma, deviations) -> np.ndarray:
     _check_nonempty(deviations, env.n_players)
     weights = _solution_weights(sigma)
     seats = [
         _seat_pool(population, devs)
         for population, devs in zip(populations, deviations.per_player)
     ]
-    cache = _MatchupCache(env, [pool for pool, _ in seats], episodes, rng)
+    pools = [pool for pool, _ in seats]
+    tables: dict = {}  # each pool policy's exact-values table, built once
+
+    @functools.cache
+    def cell(profile: tuple[int, ...]) -> np.ndarray:
+        policies = tuple(pool[i] for pool, i in zip(pools, profile))
+        return exact.analytic_payoffs(env, policies, tables)
+
     out = np.empty(env.n_players)
-    for player, (_, deviation_indices) in enumerate(seats):
-        base = _mixture_value(cache, weights, player)
-        best = max(
-            _mixture_value(cache, weights, player, replace=index)
-            for index in deviation_indices
-        )
-        out[player] = best - base
+    for player, (pool, deviation_indices) in enumerate(seats):
+        base = expected_cell(weights, cell)[player]
+        gains = []
+        for index in deviation_indices:
+            pinned = np.zeros(len(pool))
+            pinned[index] = 1.0
+            profile = [pinned if other == player else w for other, w in enumerate(weights)]
+            gains.append(expected_cell(profile, cell)[player])
+        out[player] = max(gains) - base
     return out
 
 
@@ -187,14 +147,13 @@ def proxy_regret(
     sigma,
     psro_set: Sequence[Sequence],
     eval_set: Sequence[Sequence],
-    episodes: int = 30,
-    rng=None,
     populations: Sequence[Sequence] | None = None,
 ) -> np.ndarray:
     """Regret against the union of discovered and held-out policies, clipped
-    at zero per player (every deviation may be worse than the profile)."""
+    at zero per player (every deviation may be worse than the profile).
+    Payoffs are exact, as in :func:`regret`."""
     deviations = DeviationSet.from_sets(psro_set, eval_set)
-    raw = regret(env_or_game, sigma, deviations, episodes, rng, populations)
+    raw = regret(env_or_game, sigma, deviations, populations)
     return np.maximum(raw, 0.0)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .envs import derived_rng, estimate_payoffs
 from .errors import PlayerCountUnsupported
-from .oracle import OracleHParams, train_best_response
+from .oracle import OracleHParams, _broken_rule, train_best_response
 
 # Named presets per environment family. Leduc values are the standard tuned
 # settings for this game; matrix-game values are small-scale defaults
@@ -84,22 +84,19 @@ class HParamSearchSpec:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if isinstance(self.learner, bool) or self.learner not in (0, 1):
             raise ValueError(f"learner must be seat 0 or 1, got {self.learner!r}")
+        # Every candidate is checked here, by the rule OracleHParams keeps,
+        # so a bad one fails before any training.
         for name in ("learning_rate", "exploration_timesteps", "total_timesteps"):
-            if len(getattr(self, name)) == 0:
+            candidates = getattr(self, name)
+            if len(candidates) == 0:
                 raise ValueError(f"candidate list {name} is empty")
-        # Every candidate is checked here, so a bad one fails before any training.
-        for rate in self.learning_rate:
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate <= 1:
-                raise ValueError(f"learning_rate candidate {rate!r} is not in (0, 1]")
-        for name, least in (("exploration_timesteps", 0), ("total_timesteps", 1)):
-            for value in getattr(self, name):
-                if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                    raise ValueError(f"{name} candidate {value!r} is not an integer >= {least}")
-        discount = self.discount
-        if isinstance(discount, bool) or not isinstance(discount, (int, float)):
-            raise ValueError(f"discount must be a number, got {discount!r}")
-        if not 0.0 <= discount <= 1.0:
-            raise ValueError(f"discount must be in [0, 1], got {discount!r}")
+            for value in candidates:
+                rule = _broken_rule(name, value)
+                if rule is not None:
+                    raise ValueError(f"{name} candidate {value!r} is not {rule}")
+        rule = _broken_rule("discount", self.discount)
+        if rule is not None:
+            raise ValueError(f"discount must be {rule}, got {self.discount!r}")
 
 
 @dataclass

@@ -5,19 +5,36 @@ episode starts)."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .envs.base import Environment
-from .errors import BudgetZero
 from .policies import QTable, ValuePolicy, greedy_over, is_greedy
+
+
+def _broken_rule(name: str, value) -> str | None:
+    """The rule that ``value`` breaks as the hyperparameter ``name``, or None.
+
+    Step counts are integers (at least 1 training step, at least 0
+    exploration steps); every other field is a number in [0, 1], the
+    learning rate in (0, 1]. A bool is neither.
+    """
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name.endswith("_timesteps"):
+        least = 1 if name == "total_timesteps" else 0
+        ok = is_number and isinstance(value, int) and value >= least
+        return None if ok else f"an integer >= {least}"
+    if name == "learning_rate":
+        return None if is_number and 0.0 < value <= 1.0 else "a number in (0, 1]"
+    return None if is_number and 0.0 <= value <= 1.0 else "a number in [0, 1]"
 
 
 @dataclass
 class OracleHParams:
-    """Hyperparameters of the tabular one-step Q-learning oracle."""
+    """Hyperparameters of the tabular one-step Q-learning oracle; each field
+    must keep :func:`_broken_rule`'s rule."""
 
     learning_rate: float = 0.1
     discount: float = 0.0
@@ -27,10 +44,11 @@ class OracleHParams:
     epsilon_end: float = 0.03
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            rule = _broken_rule(field.name, value)
+            if rule is not None:
+                raise ValueError(f"{field.name} must be {rule}, got {value!r}")
         if self.exploration_timesteps > self.total_timesteps:
             raise ValueError(
                 "exploration_timesteps must not exceed total_timesteps "
@@ -91,8 +109,6 @@ def train_best_response(
     the call; it draws nothing, so the random streams are those of asking
     it every time. Every other opponent is asked at every step.
     """
-    if hparams.total_timesteps == 0:
-        raise BudgetZero("total_timesteps is 0")
     provider = _as_provider(opponents)
     if opponent_rng is None:
         opponent_rng = rng

@@ -8,6 +8,7 @@ from psromix.cli import main
 from psromix.config import config_from_json, config_to_json, load_config
 from psromix.engine import RunConfig, resume
 from psromix.errors import ConfigError, CorruptCheckpoint
+from psromix.evaluation import export_eval_set
 from psromix.oracle import OracleHParams
 from psromix.policies import QTable, ValuePolicy
 from psromix.serialize import policy_from_text, policy_to_text
@@ -373,6 +374,10 @@ def _mss(**params):
     return lambda cfg: cfg.update(mss={"name": "replicator", **params})
 
 
+def _pure(**hparams):
+    return lambda cfg: cfg["oracle"]["pure"].update(hparams)
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -393,6 +398,13 @@ def _mss(**params):
         ),
         pytest.param(lambda cfg: cfg["env"].update(nme=1), "env", id="env-typo"),
         pytest.param(lambda cfg: cfg["oracle"].update(pur={}), "oracle", id="oracle-typo"),
+        pytest.param(_pure(epsilon_end=2.0), "oracle.pure", id="epsilon-above-one"),
+        pytest.param(_pure(learning_rate=True), "oracle.pure", id="learning-rate-bool"),
+        pytest.param(_pure(discount=False), "oracle.pure", id="discount-bool"),
+        pytest.param(_pure(total_timesteps=400.5), "oracle.pure", id="fractional-steps"),
+        pytest.param(
+            _pure(total_timesteps=0, exploration_timesteps=0), "oracle.pure", id="zero-steps"
+        ),
     ],
 )
 def test_config_error_names_the_field(tmp_path, capsys, edit, field):
@@ -446,6 +458,38 @@ def test_leduc_exact_psro_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == LEDUC_EXACT_PSRO_DIGEST
 
 
+# What `psromix eval` prints for a seed-5 run scored against a held-out set
+# drawn from a seed-101 run of the same config, pinned to the bit.
+EVAL_LINES = {
+    ("leduc", "mixed-oracles", 3): [
+        "proxy_regret_p0 0.02282056051571657",
+        "proxy_regret_p1 0.19145895337295668",
+        "sum_proxy_regret 0.21427951388867325",
+    ],
+    ("rps", "mixed-opponents", 2): [
+        "proxy_regret_p0 0.060553633218048464",
+        "proxy_regret_p1 0.08650519031155712",
+        "sum_proxy_regret 0.1470588235296056",
+    ],
+}
+
+
+@pytest.mark.parametrize("env_name, algorithm, epochs", sorted(EVAL_LINES))
+def test_eval_output_is_pinned(tmp_path, capsys, env_name, algorithm, epochs):
+    for seed in (5, 101):
+        path = write_config(tmp_path / f"cfg{seed}.json", algorithm, seed, epochs=epochs)
+        cfg = json.loads(path.read_text())
+        cfg["env"]["name"] = env_name
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output", str(tmp_path / f"run{seed}")]) == 0
+    eval_set = tmp_path / "eval_set"
+    export_eval_set(resume(tmp_path / "run101" / "checkpoint"), eval_set, size=2, seed=1)
+    capsys.readouterr()
+    argv = ["eval", str(tmp_path / "run5" / "checkpoint"), "--eval-set", str(eval_set)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == EVAL_LINES[env_name, algorithm, epochs]
+
+
 def test_solver_parameter_of_the_default_type_accepted():
     mss = {"name": "replicator", "steps": 50, "step_size": 1}
     config = config_from_json(json.dumps({"env": {"name": "rps"}, "mss": mss}))
@@ -495,3 +539,32 @@ def test_eval_set_file_names_checked(tmp_path, capsys):
     (eval_set / "p2_0.txt").write_text(policy_text)
     assert main(argv) == 2
     assert "p2_0.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env_name", ["rps", "leduc"])
+def test_eval_set_action_counts_checked(tmp_path, capsys, env_name):
+    cfg = write_config(tmp_path / "a.json", epochs=1)
+    config = json.loads(cfg.read_text())
+    config["env"]["name"] = env_name
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "oa"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    eval_set = tmp_path / "eval_set"
+    eval_set.mkdir()
+    (eval_set / "p1_0.txt").write_text(policy_to_text(ValuePolicy(QTable(2))))
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p1_0.txt" in err
+
+
+def test_hparam_search_rejects_checkpoint_from_another_game(tmp_path, capsys):
+    out = tmp_path / "leduc_run"
+    assert main(["run", str(leduc_config(tmp_path / "run.json")), "--output", str(out)]) == 0
+    cfg = search_config()
+    cfg["opponents"] = {"source": "checkpoint", "path": str(out / "checkpoint")}
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["hparam-search", str(path)]) == 2
+    assert "'leduc'" in capsys.readouterr().err

@@ -210,40 +210,6 @@ def test_env_regret_equals_regret_in_analytic_game(case):
     assert regret(game, padded, indices) == pytest.approx(env_regret, abs=1e-12)
 
 
-class _NoExactValues:
-    """Delegating wrapper that ``has_exact_values`` does not recognise, so
-    payoffs are simulated, as on an environment without exact values."""
-
-    def __init__(self, env):
-        self._env = env
-        self.name = env.name
-        self.n_players = env.n_players
-
-    def action_count(self, player):
-        return self._env.action_count(player)
-
-    def reset(self, rng, first_player=0):
-        return self._env.reset(rng, first_player)
-
-
-def test_simulated_regret_approaches_analytic():
-    env = rps_env()
-    rng = np.random.default_rng(11)
-    populations = [[FixedMixturePolicy([0.2, 0.3, 0.5])], [FixedMixturePolicy([0.4, 0.4, 0.2])]]
-    sigma = [np.array([1.0]), np.array([1.0])]
-    deviations = all_pure_deviations()
-    exact = regret(env, sigma, deviations, populations=populations)
-
-    episodes = 4_000
-    simulated = regret(
-        _NoExactValues(env), sigma, deviations,
-        episodes=episodes, rng=rng, populations=populations,
-    )
-    assert not np.array_equal(simulated, exact)  # genuinely estimated
-    tolerance = 4 * 0.5 / np.sqrt(episodes)
-    assert np.abs(simulated - exact).max() < tolerance
-
-
 def leduc_value_policy(seed):
     rng = np.random.default_rng(seed)
     table = QTable(3)
@@ -340,67 +306,18 @@ def _leduc_regret_case():
     return populations, sigma, forward, permuted
 
 
-def test_simulated_regret_independent_of_deviation_order(monkeypatch):
-    import psromix.evaluation as evaluation
-
-    env = _NoExactValues(LeducEnv())
-    populations, sigma, forward_set, permuted_set = _leduc_regret_case()
-    episodes = 20
-    calls = []
-    real_simulate = evaluation.simulate_episode
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real_simulate(*args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "simulate_episode", counted)
-
-    def regrets(per_player):
-        calls.clear()
-        values = regret(
-            env,
-            sigma,
-            DeviationSet(tuple(map(tuple, per_player))),
-            episodes=episodes,
-            rng=np.random.default_rng(21),
-            populations=populations,
-        )
-        return values, len(calls)
-
-    forward, forward_calls = regrets(forward_set)
-    permuted, permuted_calls = regrets(permuted_set)
-    assert np.array_equal(forward, permuted)
-    # Each matchup is simulated once: 2x2 support profiles, then per seat
-    # the zero-weight member and the held-out policy against the opponent's
-    # two-policy support.
-    assert forward_calls == permuted_calls == (4 + 2 * 2 + 2 * 2) * episodes
-
-
-def test_leduc_regret_is_exact_and_independent_of_deviation_order(monkeypatch):
-    import psromix.evaluation as evaluation
-
-    def never(*args, **kwargs):
-        raise AssertionError("simulate_episode called on an environment with exact values")
-
-    monkeypatch.setattr(evaluation, "simulate_episode", never)
+def test_leduc_regret_is_exact_and_independent_of_deviation_order():
     env = LeducEnv()
     populations, sigma, forward, permuted = _leduc_regret_case()
 
-    def regrets(per_player, seed, episodes=20):
+    def regrets(per_player):
         return regret(
-            env,
-            sigma,
-            DeviationSet(tuple(map(tuple, per_player))),
-            episodes=episodes,
-            rng=np.random.default_rng(seed),
-            populations=populations,
+            env, sigma, DeviationSet(tuple(map(tuple, per_player))), populations=populations
         )
 
-    values = regrets(forward, 21)
-    # Neither the order of the deviations nor the stream nor the episode
-    # count changes a bit.
-    assert np.array_equal(values, regrets(permuted, 21))
-    assert np.array_equal(values, regrets(forward, 5, episodes=200))
+    values = regrets(forward)
+    # The order of the deviations changes no bit.
+    assert np.array_equal(values, regrets(permuted))
     for player, deviations in enumerate(forward):
         profile = [None, None]
         gains = []

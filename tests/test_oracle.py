@@ -13,7 +13,8 @@ from psromix.envs import (
     rps_env,
 )
 from psromix.envs.matrix import MatrixGameEnv
-from psromix.errors import BudgetZero, IllegalAction, WrongEnvironment
+from psromix.errors import IllegalAction, WrongEnvironment
+from psromix.evaluation import DeviationSet, proxy_regret, regret
 from psromix.exact import exact_best_response
 from psromix.oracle import (
     OracleHParams,
@@ -105,14 +106,8 @@ def test_train_vs_second_reference_mixture():
 
 def test_budget_zero_and_exact_step_accounting():
     env = rps_env()
-    with pytest.raises(BudgetZero):
-        train_best_response(
-            env,
-            1,
-            {0: pure_action_policy(3, 0)},
-            hp(total_timesteps=0, exploration_timesteps=0),
-            np.random.default_rng(0),
-        )
+    with pytest.raises(ValueError, match="total_timesteps must be an integer >= 1"):
+        hp(total_timesteps=0, exploration_timesteps=0)
     counter = SimulationCounter()
     train_best_response(
         env,
@@ -295,9 +290,34 @@ class _WrappedLeduc(Environment):
         return LeducEnv().reset(rng, first_player)
 
 
-def test_exact_best_response_rejects_non_matrix():
+_UNIFORM = uniform_random_policy(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda env: exact_best_response(env, 0, {1: np.ones(3) / 3}), id="exact_best_response"
+        ),
+        pytest.param(
+            lambda env: regret(
+                env, [[1.0], [1.0]], DeviationSet(((_UNIFORM,), (_UNIFORM,))),
+                populations=[[_UNIFORM], [_UNIFORM]],
+            ),
+            id="regret",
+        ),
+        pytest.param(
+            lambda env: proxy_regret(
+                env, [[1.0], [1.0]], [[_UNIFORM], [_UNIFORM]], [[], []],
+                populations=[[_UNIFORM], [_UNIFORM]],
+            ),
+            id="proxy_regret",
+        ),
+    ],
+)
+def test_env_without_exact_values_rejected(call):
     with pytest.raises(WrongEnvironment):
-        exact_best_response(_WrappedLeduc(), 0, {1: np.ones(3) / 3})
+        call(_WrappedLeduc())
 
 
 def test_three_player_exact_best_response():
