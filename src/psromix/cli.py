@@ -113,7 +113,11 @@ def _load_eval_set(path: str, env: Environment) -> list[list]:
     """The policies in ``p<player>_<k>.txt`` files, in listing order; other
     files are skipped. Each must be a policy for its player's seat in ``env``."""
     eval_set: list[list] = [[] for _ in range(env.n_players)]
-    for name in sorted(os.listdir(path)):
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as exc:
+        raise PsromixError(f"{path}: cannot list the evaluation set: {exc.strerror}") from exc
+    for name in names:
         match = re.fullmatch(r"p(\d+)_\d+\.txt", name)
         if match is None:
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 
 from .engine import RunConfig
 from .errors import ConfigError
@@ -17,15 +18,9 @@ from .oracle import OracleHParams
 from .solvers import SOLVERS
 
 _HPARAM_FIELDS = {f.name for f in dataclasses.fields(OracleHParams)}
-# Parameters each solver accepts in the "mss" section, besides its name,
-# each with its default, whose type a given value must have.
+# Parameters each solver accepts in the "mss" section, besides its name.
 _MSS_PARAMS = {
-    name: {
-        param.name: param.default
-        for param in inspect.signature(solver).parameters.values()
-        if param.name != "game"
-    }
-    for name, solver in SOLVERS.items()
+    name: set(inspect.signature(solver).parameters) - {"game"} for name, solver in SOLVERS.items()
 }
 # RunConfig fields that live in the "run" section; their defaults live only
 # in the dataclass.
@@ -59,22 +54,29 @@ def _hparams_from_dict(data, section: str) -> OracleHParams | None:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+# What each solver parameter must be, and the test of a value that is not a bool.
+_MSS_RULES = {
+    "steps": ("an integer >= 1", lambda value: isinstance(value, int) and value >= 1),
+    "step_size": ("a finite number > 0", lambda value: _finite_number(value) and value > 0),
+    "tolerance": ("a finite number >= 0", lambda value: _finite_number(value) and value >= 0),
+}
+
+
 def _check_mss_params(solver: str, params: dict) -> None:
-    """Each parameter must be one the solver takes, of its default's type:
-    an int where the default is an int, an int or a float where it is a
-    float, and never a bool."""
-    defaults = _MSS_PARAMS[solver]
-    bad = set(params) - set(defaults)
+    """Each parameter must be one the solver takes, never a bool, and pass
+    its rule in ``_MSS_RULES``."""
+    bad = set(params) - _MSS_PARAMS[solver]
     if bad:
         raise ConfigError(
             f"mss: field(s) {sorted(bad)} are not parameters of the {solver!r} solver"
         )
     for name, value in params.items():
-        if isinstance(defaults[name], float):
-            allowed, kind = (int, float), "a number"
-        else:
-            allowed, kind = type(defaults[name]), f"of type {type(defaults[name]).__name__}"
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        kind, valid = _MSS_RULES[name]
+        if isinstance(value, bool) or not valid(value):
             raise ConfigError(f"mss.{name}: must be {kind}, got {value!r}")
 
 
@@ -123,8 +125,8 @@ def config_from_json(text: str) -> RunConfig:
     # Older configs (the benchmark's among them) and older checkpoints still
     # carry it; any count gave identical bytes, so a valid one is dropped.
     workers = run.pop("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"run.workers: must be >= 1, got {workers!r}")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"run.workers: must be an integer >= 1, got {workers!r}")
     check_fields("run", run, _RUN_FIELDS)
     env = sections.get("env", {})
     if "name" not in env:

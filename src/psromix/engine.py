@@ -134,11 +134,10 @@ def expand_enfg(
     if not missing:
         return game
     base = int(rng.integers(2**62))
-    tables: dict = {}  # each policy's exact-value table, built once per call
     for profile in missing:
         policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
         if analytic:
-            mean = exact.analytic_payoffs(env, policies, tables)
+            mean = exact.analytic_payoffs(env, policies)
         else:
             cell_rng = derived_rng(base, *profile)
             mean = estimate_payoffs(env, policies, episodes_per_cell, cell_rng)

@@ -2,8 +2,8 @@
 
 Regret of a profile is the best payoff gain available by deviating to a
 policy in the deviation set. In an environment the payoffs are exact (see
-:mod:`psromix.exact`): each matchup is computed once per call and each
-policy's table built once, so repeated pairings cost nothing. Every built-in
+:mod:`psromix.exact`, which keeps each policy's table): each matchup is
+computed once per call, so repeated pairings cost nothing. Every built-in
 environment (matrix games and Leduc) has exact values; any other one is
 rejected with ``WrongEnvironment``.
 """
@@ -122,12 +122,11 @@ def _regret_in_env(env, populations, sigma, deviations) -> np.ndarray:
         for population, devs in zip(populations, deviations.per_player)
     ]
     pools = [pool for pool, _ in seats]
-    tables: dict = {}  # each pool policy's exact-values table, built once
 
     @functools.cache
     def cell(profile: tuple[int, ...]) -> np.ndarray:
         policies = tuple(pool[i] for pool, i in zip(pools, profile))
-        return exact.analytic_payoffs(env, policies, tables)
+        return exact.analytic_payoffs(env, policies)
 
     out = np.empty(env.n_players)
     for player, (pool, deviation_indices) in enumerate(seats):

@@ -1,16 +1,18 @@
 """Exact values: which games have them, and computing them.
 
-Matrix games have them: the payoff tensor contracted with each seat's action
-distribution gives a profile's expected payoffs and a best response's action
-values.
+On both games a policy is valued through its table of action probabilities,
+one row per information-state key of its seat, built by the policy's
+``action_probability_table``. A matrix seat has one key,
+``MATRIX_OBSERVATION``, with every action legal: the payoff tensor
+contracted with each seat's row 0 gives a profile's expected payoffs and a
+best response's action values.
 
-Leduc has them too: its betting tree is small enough to walk every episode
-at once. A game is a seating (who acts first) and one of the 120 ordered
-deals; exact values weigh the two seatings equally, as every simulated
-estimate in psromix alternates them, and the deals uniformly, as ``reset``
-draws them. Each policy becomes a table of action probabilities, one row per
-information-state key of its seat (936 per seat), and the walk runs on index
-arrays over (node, deal) built on first use:
+Leduc has exact values too: its betting tree is small enough to walk every
+episode at once. A game is a seating (who acts first) and one of the 120
+ordered deals; exact values weigh the two seatings equally, as every
+simulated estimate in psromix alternates them, and the deals uniformly, as
+``reset`` draws them. A seat has 936 keys, and the walk runs on index arrays
+over (node, deal) built on first use:
 
 - a profile's value sums, over terminal nodes and deals, each seat's reach
   (the product of its own action probabilities along the path) times the
@@ -25,15 +27,18 @@ arrays over (node, deal) built on first use:
   plays the lowest legal action there (FOLD when facing a bet, otherwise
   CALL), as at an untrained key of a tabular response.
 
-Building a policy's table costs more than a walk, so callers that evaluate
-many cells pass :func:`analytic_payoffs` one ``tables`` dict for as long as
-they need it: a table is then built once per policy and seat. It is keyed by
-identity and holds the policy, so the key stays unique while the dict lives.
+Building a table costs more than a walk, so this module builds each
+policy's table once per seat and keeps it, under a weak reference to the
+policy, for exactly as long as the policy lives. That relies on one
+condition: a policy must not change once it has been valued. Nothing in
+psromix changes one; a policy enters a strategy set, an evaluation set or a
+mixture only when its training is done.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,21 +55,21 @@ def has_exact_values(env) -> bool:
     return isinstance(env, (MatrixGameEnv, LeducEnv))
 
 
-def analytic_payoffs(env, policies: Sequence, tables: dict | None = None) -> np.ndarray:
+def analytic_payoffs(env, policies: Sequence) -> np.ndarray:
     """Exact expected payoff vector of a policy profile.
 
-    ``tables`` caches each policy's table across calls (see the module
-    docstring). On a matrix game the seats are contracted first to last;
-    that order sets the bits of the analytic cells in ``game.txt``.
+    Each policy's table is built on first use and kept while the policy
+    lives (see the module docstring). On a matrix game the seats are
+    contracted first to last; that order sets the bits of the analytic cells
+    in ``game.txt``.
     """
     _check(env)
-    tables = {} if tables is None else tables
-    per_seat = [_table(env, seat, policy, tables) for seat, policy in enumerate(policies)]
+    per_seat = [_table(env, seat, policy) for seat, policy in enumerate(policies)]
     if isinstance(env, LeducEnv):
         return _leduc_value(per_seat)
     value = env.payoff_tensor
-    for dist in per_seat:
-        value = np.tensordot(dist, value, axes=(0, 0))
+    for table in per_seat:
+        value = np.tensordot(table[0], value, axes=(0, 0))
     return value
 
 
@@ -73,19 +78,22 @@ def exact_best_response(
 ) -> tuple[ValuePolicy, float]:
     """Best response of ``learner`` and its value.
 
-    Each opponent entry may be a policy with known action probabilities or a
-    ``(policies, weights)`` pair; on a matrix game also an action-distribution
-    vector, and a pair is blended into one distribution. The returned greedy
-    policy stores the exact action values in its table (on Leduc, each key's
-    counterfactual values); ties break toward the lowest index.
+    Each opponent entry is a policy or a ``(policies, weights)`` pair, on
+    both games; on a matrix game a pair is blended into one distribution.
+    Every policy's table is kept as in :func:`analytic_payoffs`. The
+    returned greedy policy stores the exact action values in its table (on
+    Leduc, each key's counterfactual values); ties break toward the lowest
+    index.
     """
     _check(env)
     if isinstance(env, LeducEnv):
-        return _leduc_best_response(env, learner, opponent_mixtures[1 - learner])
-    dists = [
-        None if player == learner else _action_distribution(env, player, opponent_mixtures[player])
-        for player in range(env.n_players)
-    ]
+        return _leduc_best_response(env, learner, opponent_mixtures.get(1 - learner))
+    dists = [None] * env.n_players
+    for player in range(env.n_players):
+        if player != learner:
+            dists[player] = np.zeros(env.action_count(player))
+            for policy, weight in _components(opponent_mixtures.get(player)):
+                dists[player] += weight * _table(env, player, policy)[0]
     values = deviation_values(env.payoff_tensor, dists, learner)
     table = QTable(env.action_count(learner), {MATRIX_OBSERVATION: values})
     return ValuePolicy(table), float(values.max())
@@ -96,41 +104,55 @@ def _check(env) -> None:
         raise WrongEnvironment(f"{type(env).__name__} has no exact values")
 
 
-def _table(env, seat: int, policy, tables: dict) -> np.ndarray:
-    """``policy``'s table for ``seat``, built once per ``tables`` dict."""
-    key = (id(policy), seat)
-    hit = tables.get(key)
-    if hit is None:
-        if isinstance(env, LeducEnv):
-            table = _leduc_probability_table(policy, seat)
-        else:
-            table = _action_distribution(env, seat, policy)
-        hit = tables[key] = (policy, table)
-    return hit[1]
+# Each policy's tables, one per (game, seat) it was valued at. Weak keys: an
+# entry lives exactly as long as its policy.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _is_mixture(spec) -> bool:
-    """Whether an opponent entry is a ``(policies, weights)`` pair."""
-    return isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple))
-
-
-def _action_distribution(env, player: int, spec) -> np.ndarray:
-    legal = tuple(range(env.action_count(player)))
-    if hasattr(spec, "action_probabilities"):
-        return np.asarray(spec.action_probabilities(MATRIX_OBSERVATION, legal), dtype=float)
-    if _is_mixture(spec):
-        policies, weights = spec
-        blended = np.zeros(len(legal))
-        for weight, policy in zip(np.asarray(weights, dtype=float), policies):
-            if weight != 0.0:
-                blended += weight * _action_distribution(env, player, policy)
-        return blended
-    dist = np.asarray(spec, dtype=float)
-    if dist.shape != (len(legal),):
-        raise ValueError(
-            f"opponent distribution for player {player} has shape {dist.shape}"
+def _table(env, seat: int, policy) -> np.ndarray:
+    """Row ``r``: ``policy``'s action probabilities at seat ``seat``'s key
+    ``r`` (a matrix seat has the one key ``MATRIX_OBSERVATION``), built once
+    per policy and seat. A positive probability on an illegal action raises
+    ``IllegalAction``, as ``step`` would on playing it."""
+    leduc = isinstance(env, LeducEnv)
+    per_seat = _TABLES.setdefault(policy, {})
+    table = per_seat.get((leduc, seat))
+    if table is not None:
+        return table
+    if leduc:
+        index = _leduc_index()
+        keys, legal = index.keys[seat], index.legal[seat]
+    else:
+        keys, legal = [MATRIX_OBSERVATION], np.ones((1, env.action_count(seat)), dtype=bool)
+    table = policy.action_probability_table(keys, legal)
+    illegal = np.argwhere((table != 0.0) & ~legal)
+    if len(illegal):
+        row, action = illegal[0]
+        raise IllegalAction(
+            f"{type(policy).__name__} gives action {action} probability "
+            f"{float(table[row, action])!r} at key {keys[row].hex()}, where the legal set is "
+            f"{tuple(np.flatnonzero(legal[row]).tolist())}"
         )
-    return dist
+    table.flags.writeable = False
+    per_seat[(leduc, seat)] = table
+    return table
+
+
+def _components(spec) -> list:
+    """The ``(policy, weight)`` pairs of non-zero weight in an opponent
+    entry: a policy alone, with weight 1, or a ``(policies, weights)`` pair.
+    Anything else, a missing entry (``None``) among them, raises."""
+    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], (list, tuple)):
+        pairs = zip(spec[0], np.asarray(spec[1], dtype=float))
+    else:
+        pairs = [(spec, 1.0)]
+    components = [(policy, weight) for policy, weight in pairs if weight != 0.0]
+    for policy, _ in components:
+        if not hasattr(policy, "action_probability_table"):
+            raise ValueError(
+                f"an opponent is a policy or a (policies, weights) pair, got {policy!r}"
+            )
+    return components
 
 
 # -- Leduc -----------------------------------------------------------------
@@ -140,8 +162,8 @@ class _LeducIndex:
     """Index arrays over Leduc's betting tree and its deals.
 
     - ``keys[p]``: seat ``p``'s information-state keys, in the order first
-      met (node id, then deal); ``legal_sets[p]`` their legal actions and
-      ``legal[p]`` the same as a boolean mask.
+      met (node id, then deal), and ``legal[p]`` their legal actions as a
+      boolean mask.
     - ``levels``: the non-root nodes grouped by depth and by the player who
       acted to reach them, shallowest first. Each group holds that player,
       the nodes' ids, their parents' ids and, per (node, deal), the flat
@@ -164,7 +186,7 @@ class _LeducIndex:
         self.rewards = np.moveaxis(rewards, -1, 0) / (2 * len(deals))
 
         self.keys: tuple[list[bytes], list[bytes]] = ([], [])
-        self.legal_sets: tuple[list, list] = ([], [])
+        legal: tuple[list, list] = ([], [])
         row_of: tuple[dict, dict] = ({}, {})  # per seat: key -> row
         rows = {}  # decision node id -> the actor's key row under each deal
         for node in nodes:
@@ -176,12 +198,9 @@ class _LeducIndex:
                 if key not in row_of[seat]:
                     row_of[seat][key] = len(self.keys[seat])
                     self.keys[seat].append(key)
-                    self.legal_sets[seat].append(node.legal[seat])
+                    legal[seat].append([action in node.legal[seat] for action in range(3)])
             rows[node.id] = np.array([row_of[seat][deal.views[seat][node.id]] for deal in deals])
-        self.legal = tuple(
-            np.array([[action in actions for action in range(3)] for actions in per_seat])
-            for per_seat in self.legal_sets
-        )
+        self.legal = tuple(np.array(per_seat) for per_seat in legal)
 
         depth = {root.id: 0 for root in self.roots}
         levels: dict[tuple[int, int], list] = {}
@@ -220,34 +239,6 @@ def _leduc_index() -> _LeducIndex:
     return _LeducIndex()
 
 
-def _leduc_probability_table(policy, seat: int) -> np.ndarray:
-    """Row ``r``: ``policy``'s action probabilities at seat ``seat``'s key
-    ``r``. A positive probability on an illegal action raises
-    ``IllegalAction``, as ``step`` would on playing it."""
-    index = _leduc_index()
-    keys, legal = index.keys[seat], index.legal[seat]
-    batch = getattr(policy, "action_probability_table", None)
-    if batch is not None:
-        probs = batch(keys, legal)
-    else:
-        probs = np.array(
-            [
-                policy.action_probabilities(key, actions)
-                for key, actions in zip(keys, index.legal_sets[seat])
-            ],
-            dtype=float,
-        )
-    illegal = np.flatnonzero((probs != 0.0) & ~legal)
-    if len(illegal):
-        row = illegal[0] // 3
-        raise IllegalAction(
-            f"{type(policy).__name__} gives action {illegal[0] % 3} probability "
-            f"{probs.flat[illegal[0]]!r} at key {keys[row].hex()}, where the legal set is "
-            f"{index.legal_sets[seat][row]}"
-        )
-    return probs
-
-
 def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
     """Reach of each (terminal node, deal): the product, down the tree, of
     the action probabilities of the seats in ``tables``."""
@@ -269,17 +260,9 @@ def _leduc_value(tables: Sequence[np.ndarray]) -> np.ndarray:
 def _leduc_best_response(env, learner: int, spec) -> tuple[ValuePolicy, float]:
     index = _leduc_index()
     opponent = 1 - learner
-    if _is_mixture(spec):
-        components = zip(spec[0], np.asarray(spec[1], dtype=float))
-    elif hasattr(spec, "action_probabilities"):
-        components = [(spec, 1.0)]
-    else:
-        raise ValueError("a Leduc opponent is a policy or a (policies, weights) pair")
     reach = np.zeros(index.rewards.shape[1:])
-    for policy, weight in components:
-        if weight != 0.0:
-            table = _leduc_probability_table(policy, opponent)
-            reach += weight * _reach(index, {opponent: table})
+    for policy, weight in _components(spec):
+        reach += weight * _reach(index, {opponent: _table(env, opponent, policy)})
 
     # values[n, d]: the learner's return at node n under deal d, times the
     # deal's chance and the opponents' reach of n, playing the response below.

@@ -174,6 +174,10 @@ class FixedMixturePolicy:
     def action_probabilities(self, observation, legal_actions: Sequence[int]) -> np.ndarray:
         return self.probs.copy()
 
+    def action_probability_table(self, keys: Sequence[bytes], legal_mask: np.ndarray) -> np.ndarray:
+        """The same distribution in every row, one row per key."""
+        return np.tile(self.probs, (len(keys), 1))
+
 
 def uniform_random_policy(action_count: int) -> ValuePolicy:
     """A value-based uniform-random policy (empty zero table, epsilon = 1)."""

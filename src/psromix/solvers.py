@@ -41,6 +41,8 @@ class SolutionProfile:
         for weights in self.mixtures:
             if weights.ndim != 1:
                 raise ValueError("weights must be a vector")
+            if not np.isfinite(weights).all():
+                raise ValueError(f"non-finite weight in {weights}")
             if weights.min() < -1e-12:
                 raise ValueError(f"negative weight in {weights}")
             total = weights.sum()

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from psromix.cli import main
-from psromix.config import config_from_json, config_to_json, load_config
+from psromix.config import _MSS_PARAMS, _MSS_RULES, config_from_json, config_to_json, load_config
 from psromix.engine import RunConfig, resume
 from psromix.errors import ConfigError, CorruptCheckpoint
 from psromix.evaluation import export_eval_set
@@ -396,6 +396,23 @@ def _pure(**hparams):
             "mss.tolerance",
             id="float-given-null",
         ),
+        pytest.param(_mss(steps=0), "mss.steps", id="zero-steps-mss"),
+        pytest.param(_mss(steps=-5), "mss.steps", id="negative-steps"),
+        pytest.param(_mss(step_size=0.0), "mss.step_size", id="zero-step-size"),
+        pytest.param(_mss(step_size=float("inf")), "mss.step_size", id="infinite-step-size"),
+        pytest.param(
+            lambda cfg: cfg.update(mss={"name": "nash", "tolerance": -1}),
+            "mss.tolerance",
+            id="negative-tolerance",
+        ),
+        pytest.param(
+            lambda cfg: cfg.update(mss={"name": "nash", "tolerance": float("nan")}),
+            "mss.tolerance",
+            id="nan-tolerance",
+        ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, workers=True), "run.workers", id="workers-bool"
+        ),
         pytest.param(lambda cfg: cfg["env"].update(nme=1), "env", id="env-typo"),
         pytest.param(lambda cfg: cfg["oracle"].update(pur={}), "oracle", id="oracle-typo"),
         pytest.param(_pure(epsilon_end=2.0), "oracle.pure", id="epsilon-above-one"),
@@ -414,6 +431,10 @@ def test_config_error_names_the_field(tmp_path, capsys, edit, field):
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_every_solver_parameter_has_a_rule():
+    assert set().union(*_MSS_PARAMS.values()) == set(_MSS_RULES)
 
 
 def leduc_config(path, kind="tabular", **run):
@@ -539,6 +560,19 @@ def test_eval_set_file_names_checked(tmp_path, capsys):
     (eval_set / "p2_0.txt").write_text(policy_text)
     assert main(argv) == 2
     assert "p2_0.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_eval_set_that_is_not_a_directory_is_named(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path / "a.json", epochs=1)
+    out = tmp_path / "oa"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    eval_set = tmp_path / "eval_set"
+    if kind == "file":
+        eval_set.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {eval_set}: ")
 
 
 @pytest.mark.parametrize("env_name", ["rps", "leduc"])

@@ -7,14 +7,18 @@ walk it checks.
 """
 
 import copy
+import gc
 import itertools
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psromix import exact
+from psromix.engine import RunConfig, run_algorithm
 from psromix.envs import LeducEnv, estimate_payoffs
 from psromix.envs.leduc import CALL, FOLD, RAISE
 from psromix.errors import IllegalAction
@@ -223,12 +227,13 @@ def test_uniform_random_nash_conv():
 def test_repeated_calls_return_the_same_bits():
     rng = np.random.default_rng(3)
     policies = [random_policy(rng, seat) for seat in (0, 1)]
-    tables = {}
-    first = analytic_payoffs(ENV, policies)
-    for cache in ({}, tables, tables):
-        assert analytic_payoffs(ENV, policies, cache).tobytes() == first.tobytes()
     mixture = ([random_policy(rng, 1) for _ in range(3)], [0.5, 0.25, 0.25])
+    # Calls after the first reuse the kept tables; the copies build fresh ones.
+    payoffs = [analytic_payoffs(ENV, policies) for _ in range(3)]
+    payoffs.append(analytic_payoffs(ENV, copy.deepcopy(policies)))
+    assert len({value.tobytes() for value in payoffs}) == 1
     responses = [exact_best_response(ENV, 0, {1: mixture}) for _ in range(3)]
+    responses.append(exact_best_response(ENV, 0, {1: copy.deepcopy(mixture)}))
     assert len({policy_to_text(policy) for policy, _ in responses}) == 1
     assert len({value for _, value in responses}) == 1
 
@@ -256,6 +261,40 @@ def test_keys_the_opponent_never_reaches_play_the_lowest_legal_action():
     # At the root of seating 0 the response bets into the caller.
     root = ENV.deal(4, 0, 2, first_player=0)
     assert response.greedy_action(root.observation(0), (CALL, RAISE)) == RAISE
+
+
+def test_a_leduc_psro_run_builds_each_table_once(monkeypatch):
+    built = []
+    batch = ValuePolicy.action_probability_table
+
+    def counted(policy, keys, legal_mask):
+        seats = exact._leduc_index().keys
+        built.append((policy, next(s for s in (0, 1) if keys is seats[s])))
+        return batch(policy, keys, legal_mask)
+
+    monkeypatch.setattr(ValuePolicy, "action_probability_table", counted)
+    config = RunConfig(
+        env="leduc", algorithm="psro", oracle="exact", analytic_cells=True, epochs=3, seed=0
+    )
+    record = run_algorithm(config)
+    sets = record.game.strategy_sets
+    expected = {(policy, seat) for seat, policies in enumerate(sets) for policy in policies}
+    assert len(built) == len(set(built)) and set(built) == expected
+
+
+def test_a_policy_s_tables_are_dropped_with_it():
+    rng = np.random.default_rng(4)
+    policy = ValuePolicy(random_value_table(rng, 0))
+    opponent = ValuePolicy(random_value_table(rng, 1))
+    analytic_payoffs(ENV, [policy, opponent])
+    gc.collect()
+    kept = len(exact._TABLES)
+    assert policy in exact._TABLES
+    alive = weakref.ref(policy)
+    del policy
+    gc.collect()
+    assert alive() is None
+    assert len(exact._TABLES) == kept - 1
 
 
 def test_illegal_probability_is_rejected():

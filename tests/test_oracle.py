@@ -246,7 +246,7 @@ def test_training_on_matrix_game_rejects_illegal_opponent_action():
 
 def test_exact_best_response_vs_pure_scissors():
     env = rps_env()
-    policy, value = exact_best_response(env, 0, {1: np.array([0.0, 0.0, 1.0])})
+    policy, value = exact_best_response(env, 0, {1: FixedMixturePolicy([0.0, 0.0, 1.0])})
     assert policy.greedy_action(MATRIX_OBSERVATION, LEGAL) == 0
     assert value == 1.0
 
@@ -260,7 +260,7 @@ def test_exact_best_response_vs_reference_mixture():
 
 def test_exact_best_response_vs_uniform_tie_rule():
     env = rps_env()
-    policy, value = exact_best_response(env, 1, {0: np.full(3, 1 / 3)})
+    policy, value = exact_best_response(env, 1, {0: FixedMixturePolicy(np.full(3, 1 / 3))})
     assert value == pytest.approx(0.5)
     assert policy.greedy_action(MATRIX_OBSERVATION, LEGAL) == 0
     assert policy.q.lookup(KEY) == pytest.approx([0.5, 0.5, 0.5])
@@ -297,7 +297,7 @@ _UNIFORM = uniform_random_policy(3)
     "call",
     [
         pytest.param(
-            lambda env: exact_best_response(env, 0, {1: np.ones(3) / 3}), id="exact_best_response"
+            lambda env: exact_best_response(env, 0, {1: _UNIFORM}), id="exact_best_response"
         ),
         pytest.param(
             lambda env: regret(
@@ -320,11 +320,17 @@ def test_env_without_exact_values_rejected(call):
         call(_WrappedLeduc())
 
 
+@pytest.mark.parametrize("env", [rps_env(), LeducEnv()], ids=["rps", "leduc"])
+def test_exact_best_response_rejects_a_missing_opponent(env):
+    with pytest.raises(ValueError, match="an opponent is a policy .* got None"):
+        exact_best_response(env, 0, {})
+
+
 def test_three_player_exact_best_response():
     rng = np.random.default_rng(0)
     env = MatrixGameEnv(rng.random((2, 3, 2, 3)))
     policy, value = exact_best_response(
-        env, 1, {0: np.array([0.5, 0.5]), 2: np.array([1.0, 0.0])}
+        env, 1, {0: FixedMixturePolicy([0.5, 0.5]), 2: FixedMixturePolicy([1.0, 0.0])}
     )
     tensor = env.payoff_tensor[..., 1]
     expected = 0.5 * tensor[0, :, 0] + 0.5 * tensor[1, :, 0]
@@ -335,7 +341,8 @@ def test_three_player_exact_best_response():
 @st.composite
 def matrix_opponents(draw):
     """A random 2- or 3-player tensor, a learner, and each opponent's
-    distribution given as a vector, a bare policy and a weighted mixture."""
+    distribution, given as a vector (for the brute-force sum), a bare policy
+    and a weighted mixture."""
     n_players = draw(st.sampled_from([2, 3]))
     shape = tuple(draw(st.integers(1, 4)) for _ in range(n_players))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -364,7 +371,7 @@ def test_exact_best_response_equals_brute_force_sum(case):
     for joint in itertools.product(*(range(k) for k in tensor.shape[:-1])):
         prob = np.prod([dists[p][a] for p, a in enumerate(joint) if p != learner])
         expected[joint[learner]] += prob * tensor[joint][learner]
-    for form in range(3):
+    for form in (1, 2):
         policy, value = exact_best_response(
             env, learner, {player: forms[player][form] for player in forms}
         )
@@ -380,7 +387,7 @@ def test_convergence_matches_exact_oracle_when_gap_clear():
         tensor = env_rng.random((3, 3, 2))
         env = MatrixGameEnv(tensor)
         mixture = env_rng.dirichlet(np.ones(3))
-        exact_policy, _ = exact_best_response(env, 1, {0: mixture})
+        exact_policy, _ = exact_best_response(env, 1, {0: FixedMixturePolicy(mixture)})
         values = exact_policy.q.lookup(KEY)
         top2 = np.sort(values)[-2:]
         if top2[1] - top2[0] <= 0.05:

@@ -198,11 +198,14 @@ def test_action_probability_table_equals_per_key_probabilities(rows, epsilon):
     # Few distinct values, so ties, infinities and NaNs are common.
     keys = [bytes([i]) for i in range(len(rows))]
     table = QTable(3, {key: values for key, (values, _) in zip(keys, rows)})
-    policy = ValuePolicy(table, epsilon=epsilon)
     legal_mask = np.array([[a in legal for a in range(3)] for _, legal in rows])
-    batch = policy.action_probability_table(keys, legal_mask)
-    expected = [policy.action_probabilities(key, legal) for key, (_, legal) in zip(keys, rows)]
-    assert batch.tobytes() == np.array(expected).tobytes()
+    for policy in (
+        ValuePolicy(table, epsilon=epsilon),
+        FixedMixturePolicy([epsilon, 0.0, 1.0 - epsilon]),
+    ):
+        batch = policy.action_probability_table(keys, legal_mask)
+        expected = [policy.action_probabilities(key, legal) for key, (_, legal) in zip(keys, rows)]
+        assert batch.tobytes() == np.array(expected).tobytes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

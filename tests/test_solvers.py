@@ -172,6 +172,12 @@ def test_nash_residual_is_max_deviation_gain():
         assert max(g.max() for g in gains) <= 1e-8
 
 
+def test_solution_profile_rejects_nan_weights():
+    # NaN passes both the sign and the sum check, so it needs its own.
+    with pytest.raises(ValueError, match="non-finite weight"):
+        solvers.SolutionProfile(([np.nan, 0.0], [1.0]), "test", 0.0)
+
+
 def test_get_solver_by_name():
     solver = get_solver("replicator", steps=100, step_size=0.05)
     assert solver(rps_game()).solver_name == "replicator"
