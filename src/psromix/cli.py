@@ -19,14 +19,15 @@ import sys
 
 import numpy as np
 
-from .config import check_fields, load_config, read_sections
-from .engine import RunConfig, checkpoint, export_regret_curve, resume, run_algorithm
+from . import exact
+from .config import HParamSearchSpec, load_config, load_search_config
+from .engine import RunRecord, checkpoint, export_regret_curve, resume, run_algorithm
 from .envs import Environment, make_env
-from .errors import ConfigError, EnvironmentMismatch, PsromixError
+from .errors import ConfigError, CorruptCheckpoint, EnvironmentMismatch, PsromixError
 from .evaluation import proxy_regret, sum_regret
 from .games import save_game
-from .hparams import HParamSearchSpec, hparam_search
-from .policies import uniform_random_policy
+from .hparams import hparam_search
+from .policies import ValuePolicy, uniform_random_policy
 from .serialize import load_policy
 
 
@@ -63,42 +64,36 @@ def _default_run_dir(config_path: str) -> str:
     return stem + ".out"
 
 
-def _read_run_dir(path: str) -> tuple[RunConfig, list[dict]]:
-    """The run's config (from its checkpoint) and its regret-curve rows."""
+def _read_run_dir(path: str) -> RunRecord:
+    """The run's record, resumed from its checkpoint."""
     try:
-        config = load_config(os.path.join(path, "checkpoint", "config.json"))
-        with open(os.path.join(path, "regret_curve.tsv")) as fh:
-            header = fh.readline().strip().split("\t")
-            rows = [dict(zip(header, ln.strip().split("\t"))) for ln in fh if ln.strip()]
-    except (ConfigError, OSError) as exc:
+        return resume(os.path.join(path, "checkpoint"))
+    except (ConfigError, CorruptCheckpoint) as exc:
         raise PsromixError(f"{path}: not a completed run directory ({exc})") from exc
-    return config, rows
 
 
 def _cmd_compare(args) -> int:
     if len(args.run_dirs) < 2:
         raise PsromixError("compare needs at least two completed run directories")
-    loaded = [_read_run_dir(_resolve(d)) for d in args.run_dirs]
-    env_names = {config.env for config, _ in loaded}
+    records = [_read_run_dir(_resolve(d)) for d in args.run_dirs]
+    env_names = {record.config.env for record in records}
     if len(env_names) != 1:
         raise EnvironmentMismatch(
             f"runs come from different environments: {sorted(env_names)}"
         )
     labels = []
     seen: dict[str, int] = {}
-    for config, _ in loaded:
-        label = config.algorithm
+    for record in records:
+        label = record.config.algorithm
         seen[label] = seen.get(label, 0) + 1
         labels.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
 
     lines = ["algorithm\taxis\tx\tsum_regret"]
-    for label, (_, rows) in zip(labels, loaded):
-        for row in rows:
-            lines.append(f"{label}\tepoch\t{row['epoch']}\t{row['sum_regret']}")
-        for row in rows:
-            lines.append(
-                f"{label}\ttimesteps\t{row['cumulative_train_steps']}\t{row['sum_regret']}"
-            )
+    for label, record in zip(labels, records):
+        # The numbers are written as export_regret_curve writes them.
+        curve = [(e.epoch, e.train_steps, repr(float(e.sum_regret))) for e in record.entries]
+        lines += [f"{label}\tepoch\t{epoch}\t{regret}" for epoch, _, regret in curve]
+        lines += [f"{label}\ttimesteps\t{steps}\t{regret}" for _, steps, regret in curve]
     table = "\n".join(lines) + "\n"
     if args.output:
         with open(_resolve(args.output), "w") as fh:
@@ -111,8 +106,10 @@ def _cmd_compare(args) -> int:
 
 def _load_eval_set(path: str, env: Environment) -> list[list]:
     """The policies in ``p<player>_<k>.txt`` files, in listing order; other
-    files are skipped. Each must be a policy for its player's seat in ``env``."""
+    files are skipped. Each must be a policy for its player's seat in ``env``:
+    its action count, and table keys only where that seat acts."""
     eval_set: list[list] = [[] for _ in range(env.n_players)]
+    seat_keys = [set(exact.seat_keys(env, player)[0]) for player in range(env.n_players)]
     try:
         names = sorted(os.listdir(path))
     except OSError as exc:
@@ -133,6 +130,12 @@ def _load_eval_set(path: str, env: Environment) -> list[list]:
             raise PsromixError(
                 f"{file}: policy has {policy.action_count} actions, "
                 f"player {player} of {env.name} has {expected}"
+            )
+        keys = policy.q.known_keys() if isinstance(policy, ValuePolicy) else ()
+        stray = [key.hex() for key in keys if key not in seat_keys[player]]
+        if stray:
+            raise PsromixError(
+                f"{file}: key {stray[0]} is not a state where player {player} of {env.name} acts"
             )
         eval_set[player].append(policy)
     return eval_set
@@ -159,28 +162,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def load_search_config(path) -> tuple[Environment, HParamSearchSpec, dict]:
-    """The environment, search spec and ``opponents`` section of a
-    hyperparameter-search config file, checked field by field."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read search config {path}: {exc}") from exc
-    sections = read_sections(text, ("env", "search", "opponents"))
-    env_section = sections.get("env", {})
-    if "name" not in env_section:
-        raise ConfigError("env.name: required field is missing")
-    check_fields("env", env_section, ("name",))
-    try:
-        spec = HParamSearchSpec(**sections.get("search", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"search: {exc}") from exc
-    opponents = sections.get("opponents", {})
-    check_fields("opponents", opponents, ("source", "path"))
-    return make_env(env_section["name"]), spec, opponents
-
-
 def _cmd_hparam_search(args) -> int:
     env, spec, opponents_section = load_search_config(args.config)
     opponents = _build_opponents(opponents_section, env, spec)
@@ -204,32 +185,27 @@ def _cmd_hparam_search(args) -> int:
 def _build_opponents(section: dict, env, spec: HParamSearchSpec) -> list:
     """Opponent policies for the search: from a checkpoint's solution support,
     or uniform-random placeholders for smoke runs."""
-    source = section.get("source", "random")
     opponent_seat = 1 - spec.learner
-    if source == "random":
+    if section.get("source", "random") == "random":
         return [
             uniform_random_policy(env.action_count(opponent_seat))
             for _ in range(spec.opponent_count)
         ]
-    if source == "checkpoint":
-        if "path" not in section:
-            raise ConfigError("opponents.path: required for source 'checkpoint'")
-        record = resume(_resolve(section["path"]))
-        if record.config.env != env.name:
-            raise EnvironmentMismatch(
-                f"opponents: checkpoint comes from {record.config.env!r}, "
-                f"the search runs on {env.name!r}"
-            )
-        weights = record.solution.weights(opponent_seat)
-        order = np.argsort(-weights, kind="stable")
-        support = [int(i) for i in order if weights[i] > 0.0][: spec.opponent_count]
-        if len(support) < spec.opponent_count:
-            raise ConfigError(
-                f"opponents: checkpoint solution support has only {len(support)} "
-                f"policies, need {spec.opponent_count}"
-            )
-        return [record.game.strategy_sets[opponent_seat][i] for i in support]
-    raise ConfigError(f"opponents.source: unknown source {source!r}")
+    record = resume(_resolve(section["path"]))
+    if record.config.env != env.name:
+        raise EnvironmentMismatch(
+            f"opponents: checkpoint comes from {record.config.env!r}, "
+            f"the search runs on {env.name!r}"
+        )
+    weights = record.solution.weights(opponent_seat)
+    order = np.argsort(-weights, kind="stable")
+    support = [int(i) for i in order if weights[i] > 0.0][: spec.opponent_count]
+    if len(support) < spec.opponent_count:
+        raise ConfigError(
+            f"opponents: checkpoint solution support has only {len(support)} "
+            f"policies, need {spec.opponent_count}"
+        )
+    return [record.game.strategy_sets[opponent_seat][i] for i in support]
 
 
 def build_parser() -> argparse.ArgumentParser:

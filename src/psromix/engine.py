@@ -18,70 +18,19 @@ from typing import Sequence
 import numpy as np
 
 from . import exact
+from .config import RunConfig, config_from_json, config_to_json
 from .envs import Environment, derived_rng, estimate_payoffs, make_env
-from .errors import (
-    ConfigError,
-    CorruptCheckpoint,
-    OutOfBounds,
-    PlayerCountUnsupported,
-)
+from .errors import CorruptCheckpoint, OutOfBounds, PlayerCountUnsupported
 from .games import EmpiricalGame, StrategyId, deviation_gains, load_game, save_game
-from .oracle import OracleHParams, SimulationCounter, TabularOracle
+from .hparams import preset_hparams
+from .oracle import SimulationCounter, TabularOracle
 from .policies import uniform_random_policy
 from .qmixing import combine_opponents, combine_responses
 from .serialize import load_policy, save_policy
-from .solvers import SOLVERS, SolutionProfile, get_solver
-from .hparams import preset_hparams
-
-ALGORITHMS = ("psro", "mixed-oracles", "mixed-opponents")
-MSS_NAMES = tuple(SOLVERS)
+from .solvers import SolutionProfile, get_solver
 
 # Purpose codes for derived random streams.
 _TRAIN, _OPPONENT_DRAW, _EXPAND = 0, 1, 2
-
-
-@dataclass
-class RunConfig:
-    algorithm: str = "psro"
-    env: str = "rps"
-    mss: str = "nash"
-    mss_params: dict = field(default_factory=dict)
-    epochs: int = 4
-    episodes_per_cell: int = 30
-    oracle: str = "tabular"
-    pure_hparams: OracleHParams | None = None
-    mix_hparams: OracleHParams | None = None
-    seed: int = 0
-    # Stop after the first epoch whose internal empirical-game sum regret is
-    # below this. Two-player ``nash`` verifies that regret to about 0 every
-    # epoch, so such a run stops after epoch 1; the threshold matters only
-    # for solvers that do not solve the empirical game, such as ``replicator``.
-    early_stop_sum_regret: float | None = None
-    # Fill cells with exact values (see psromix.exact) instead of simulation.
-    analytic_cells: bool = False
-
-    def validate(self) -> "RunConfig":
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"run.algorithm: unknown algorithm {self.algorithm!r}; "
-                f"expected one of {ALGORITHMS}"
-            )
-        if self.mss not in MSS_NAMES:
-            raise ConfigError(
-                f"mss.name: unknown solver {self.mss!r}; expected one of {MSS_NAMES}"
-            )
-        if self.oracle not in ("tabular", "exact"):
-            raise ConfigError(f"oracle.kind: unknown oracle {self.oracle!r}")
-        for name, least in (("epochs", 1), ("episodes_per_cell", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"run.{name}: must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.analytic_cells, bool):
-            raise ConfigError(f"run.analytic_cells: must be a bool, got {self.analytic_cells!r}")
-        stop = self.early_stop_sum_regret
-        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, (int, float))):
-            raise ConfigError(f"run.early_stop_sum_regret: must be a number or null, got {stop!r}")
-        return self
 
 
 @dataclass
@@ -344,8 +293,6 @@ def checkpoint(record: RunRecord, path) -> None:
     such as those of a longer run checkpointed here before, are deleted
     before the commit. Counters and the next epoch are read back from the log.
     """
-    from .config import config_to_json  # local import to avoid a cycle
-
     os.makedirs(path, exist_ok=True)
     record_path = os.path.join(path, "record.json")
     if os.path.exists(record_path):
@@ -372,8 +319,6 @@ def resume(path) -> RunRecord:
     Files that older versions also wrote (``meta.txt``, ``counters.txt``,
     ``library/manifest.txt``) are ignored.
     """
-    from .config import config_from_json
-
     try:
         with open(os.path.join(path, "record.json")) as fh:
             raw_entries = json.load(fh)

@@ -33,7 +33,7 @@ def make_env(spec: str) -> Environment:
         return rps_env()
     if spec == "leduc":
         return LeducEnv()
-    if spec.startswith("matrix:"):
+    if isinstance(spec, str) and spec.startswith("matrix:"):
         try:
             return load_matrix_env(spec.split(":", 1)[1], name=spec)
         except (OSError, ValueError) as exc:

@@ -104,26 +104,32 @@ def _check(env) -> None:
         raise WrongEnvironment(f"{type(env).__name__} has no exact values")
 
 
+def seat_keys(env, seat: int) -> tuple[Sequence[bytes], np.ndarray]:
+    """Every information-state key at which seat ``seat`` acts in ``env``'s
+    game, in the order of the rows of its tables, and their legal actions as
+    a boolean mask. A matrix seat has the one key ``MATRIX_OBSERVATION``."""
+    if isinstance(env, LeducEnv):
+        index = _leduc_index()
+        return index.keys[seat], index.legal[seat]
+    return [MATRIX_OBSERVATION], np.ones((1, env.action_count(seat)), dtype=bool)
+
+
 # Each policy's tables, one per (game, seat) it was valued at. Weak keys: an
 # entry lives exactly as long as its policy.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _table(env, seat: int, policy) -> np.ndarray:
-    """Row ``r``: ``policy``'s action probabilities at seat ``seat``'s key
-    ``r`` (a matrix seat has the one key ``MATRIX_OBSERVATION``), built once
-    per policy and seat. A positive probability on an illegal action raises
-    ``IllegalAction``, as ``step`` would on playing it."""
+    """Row ``r``: ``policy``'s action probabilities at key ``r`` of
+    :func:`seat_keys`, built once per policy and seat. A positive
+    probability on an illegal action raises ``IllegalAction``, as ``step``
+    would on playing it."""
     leduc = isinstance(env, LeducEnv)
     per_seat = _TABLES.setdefault(policy, {})
     table = per_seat.get((leduc, seat))
     if table is not None:
         return table
-    if leduc:
-        index = _leduc_index()
-        keys, legal = index.keys[seat], index.legal[seat]
-    else:
-        keys, legal = [MATRIX_OBSERVATION], np.ones((1, env.action_count(seat)), dtype=bool)
+    keys, legal = seat_keys(env, seat)
     table = policy.action_probability_table(keys, legal)
     illegal = np.argwhere((table != 0.0) & ~legal)
     if len(illegal):
@@ -282,7 +288,8 @@ def _leduc_best_response(env, learner: int, spec) -> tuple[ValuePolicy, float]:
         choice = sums.argmax(axis=0)  # the lowest legal action among the best
         values[node_id] = child_values[choice[group_of_deal], every_deal]
         action_values[group_rows[:, None], legal] = sums.T
-    kept = {key: row for key, row in zip(index.keys[learner], action_values) if row.any()}
+    reached = action_values.any(axis=1)
+    kept = {k: row for k, row, keep in zip(index.keys[learner], action_values, reached) if keep}
     table = QTable(3, kept)
     value = sum(float(values[root.id].sum()) for root in index.roots)
     return ValuePolicy(table), value

@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import HParamSearchSpec, OracleHParams
 from .envs import derived_rng, estimate_payoffs
 from .errors import PlayerCountUnsupported
-from .oracle import OracleHParams, _broken_rule, train_best_response
+from .oracle import train_best_response
 
 # Named presets per environment family. Leduc values are the standard tuned
 # settings for this game; matrix-game values are small-scale defaults
@@ -61,42 +62,6 @@ def preset_hparams(env_name: str, kind: str) -> OracleHParams:
     if kind not in ("pure", "mix"):
         raise ValueError(f"unknown preset kind {kind!r}; expected 'pure' or 'mix'")
     return _PRESETS[family][kind]
-
-
-@dataclass
-class HParamSearchSpec:
-    """Candidate lists plus the sampling budget for the random search."""
-
-    learning_rate: Sequence[float] = (1e-3, 3e-3, 1e-4, 3e-4)
-    exploration_timesteps: Sequence[int] = (300, 1_000, 3_000)
-    total_timesteps: Sequence[int] = (1_000, 3_000, 10_000)
-    sample_count: int = 30
-    opponent_count: int = 5
-    discount: float = 0.0
-    eval_episodes: int = 30
-    learner: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("sample_count", "opponent_count", "eval_episodes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if isinstance(self.learner, bool) or self.learner not in (0, 1):
-            raise ValueError(f"learner must be seat 0 or 1, got {self.learner!r}")
-        # Every candidate is checked here, by the rule OracleHParams keeps,
-        # so a bad one fails before any training.
-        for name in ("learning_rate", "exploration_timesteps", "total_timesteps"):
-            candidates = getattr(self, name)
-            if len(candidates) == 0:
-                raise ValueError(f"candidate list {name} is empty")
-            for value in candidates:
-                rule = _broken_rule(name, value)
-                if rule is not None:
-                    raise ValueError(f"{name} candidate {value!r} is not {rule}")
-        rule = _broken_rule("discount", self.discount)
-        if rule is not None:
-            raise ValueError(f"discount must be {rule}, got {self.discount!r}")
 
 
 @dataclass

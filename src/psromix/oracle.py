@@ -5,55 +5,14 @@ episode starts)."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
+from .config import OracleHParams
 from .envs.base import Environment
 from .policies import QTable, ValuePolicy, greedy_over, is_greedy
-
-
-def _broken_rule(name: str, value) -> str | None:
-    """The rule that ``value`` breaks as the hyperparameter ``name``, or None.
-
-    Step counts are integers (at least 1 training step, at least 0
-    exploration steps); every other field is a number in [0, 1], the
-    learning rate in (0, 1]. A bool is neither.
-    """
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if name.endswith("_timesteps"):
-        least = 1 if name == "total_timesteps" else 0
-        ok = is_number and isinstance(value, int) and value >= least
-        return None if ok else f"an integer >= {least}"
-    if name == "learning_rate":
-        return None if is_number and 0.0 < value <= 1.0 else "a number in (0, 1]"
-    return None if is_number and 0.0 <= value <= 1.0 else "a number in [0, 1]"
-
-
-@dataclass
-class OracleHParams:
-    """Hyperparameters of the tabular one-step Q-learning oracle; each field
-    must keep :func:`_broken_rule`'s rule."""
-
-    learning_rate: float = 0.1
-    discount: float = 0.0
-    total_timesteps: int = 10_000
-    exploration_timesteps: int = 5_000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.03
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            rule = _broken_rule(field.name, value)
-            if rule is not None:
-                raise ValueError(f"{field.name} must be {rule}, got {value!r}")
-        if self.exploration_timesteps > self.total_timesteps:
-            raise ValueError(
-                "exploration_timesteps must not exceed total_timesteps "
-                f"({self.exploration_timesteps} > {self.total_timesteps})"
-            )
 
 
 @dataclass

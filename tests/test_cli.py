@@ -1,12 +1,22 @@
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
 from psromix.cli import main
-from psromix.config import _MSS_PARAMS, _MSS_RULES, config_from_json, config_to_json, load_config
+from psromix.config import (
+    _MSS_PARAMS,
+    RULES,
+    HParamSearchSpec,
+    config_from_json,
+    config_to_json,
+    load_config,
+)
 from psromix.engine import RunConfig, resume
+from psromix.envs import MATRIX_OBSERVATION
 from psromix.errors import ConfigError, CorruptCheckpoint
 from psromix.evaluation import export_eval_set
 from psromix.oracle import OracleHParams
@@ -167,19 +177,37 @@ def test_compare_single_dir_rejected(tmp_path):
     assert main(["compare", str(out)]) == 2
 
 
-def test_compare_environment_mismatch(tmp_path):
+def test_compare_environment_mismatch(tmp_path, capsys):
     cfg_a = write_config(tmp_path / "a.json", epochs=2)
     out_a = tmp_path / "oa"
     main(["run", str(cfg_a), "--output", str(out_a)])
     # fake a second run on another environment
     out_b = tmp_path / "ob"
-    (out_b / "checkpoint").mkdir(parents=True)
-    for name in ("checkpoint/config.json", "regret_curve.tsv"):
-        (out_b / name).write_bytes((out_a / name).read_bytes())
+    shutil.copytree(out_a / "checkpoint", out_b / "checkpoint")
     sections = json.loads((out_b / "checkpoint" / "config.json").read_text())
     sections["env"]["name"] = "leduc"
     (out_b / "checkpoint" / "config.json").write_text(json.dumps(sections))
+    capsys.readouterr()
     assert main(["compare", str(out_a), str(out_b)]) == 2
+    assert "different environments" in capsys.readouterr().err
+
+
+def test_compare_reads_the_checkpoint(tmp_path, capsys):
+    out_a, out_b = tmp_path / "oa", tmp_path / "ob"
+    main(["run", str(write_config(tmp_path / "a.json", epochs=2)), "--output", str(out_a)])
+    main(["run", str(write_config(tmp_path / "b.json", epochs=2)), "--output", str(out_b)])
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 0
+    table = capsys.readouterr().out
+    # The regret curve is an output for people and plotting tools, not an input.
+    (out_a / "regret_curve.tsv").write_text("epoch\tcumulative_train_steps\n0\t0\n")
+    assert main(["compare", str(out_a), str(out_b)]) == 0
+    assert capsys.readouterr().out == table
+    record = out_b / "checkpoint" / "record.json"
+    record.write_text(record.read_text()[:-40])
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_b}: ") and err.count("\n") == 1
 
 
 def test_eval_subcommand(tmp_path, capsys):
@@ -244,6 +272,9 @@ def test_hparam_search_subcommand(tmp_path, capsys):
     [
         pytest.param(lambda cfg: cfg["search"].update(learner=5), "search: learner", id="learner"),
         pytest.param(
+            lambda cfg: cfg["search"].update(learner=1.0), "search: learner", id="learner-float"
+        ),
+        pytest.param(
             lambda cfg: cfg["search"].update(opponent_count=0),
             "search: opponent_count",
             id="no-opponents",
@@ -276,6 +307,14 @@ def test_hparam_search_subcommand(tmp_path, capsys):
         ),
         pytest.param(
             lambda cfg: cfg["opponents"].update(sorce="checkpoint"), "opponents", id="opponents"
+        ),
+        pytest.param(lambda cfg: cfg["search"].update(seed=-1), "search: seed", id="seed-negative"),
+        pytest.param(lambda cfg: cfg["search"].update(seed=1.5), "search: seed", id="seed-float"),
+        pytest.param(lambda cfg: cfg["search"].update(seed=True), "search: seed", id="seed-bool"),
+        pytest.param(
+            lambda cfg: cfg.update(opponents={"source": "checkpoint", "path": 5}),
+            "opponents.path: ",
+            id="path-int",
         ),
     ],
 )
@@ -422,6 +461,22 @@ def _pure(**hparams):
         pytest.param(
             _pure(total_timesteps=0, exploration_timesteps=0), "oracle.pure", id="zero-steps"
         ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, early_stop_sum_regret=float("nan")),
+            "run.early_stop_sum_regret",
+            id="early-stop-nan",
+        ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, early_stop_sum_regret=-1),
+            "run.early_stop_sum_regret",
+            id="early-stop-negative",
+        ),
+        pytest.param(
+            lambda cfg: _edit_run_section(cfg, early_stop_sum_regret=float("inf")),
+            "run.early_stop_sum_regret",
+            id="early-stop-infinite",
+        ),
+        pytest.param(lambda cfg: cfg.update(env={"name": 5}), "env.name", id="env-name-int"),
     ],
 )
 def test_config_error_names_the_field(tmp_path, capsys, edit, field):
@@ -434,7 +489,25 @@ def test_config_error_names_the_field(tmp_path, capsys, edit, field):
 
 
 def test_every_solver_parameter_has_a_rule():
-    assert set().union(*_MSS_PARAMS.values()) == set(_MSS_RULES)
+    """Every checked config field is a key of the one rule table: a field
+    added without a rule fails here."""
+    solver_params = set().union(*_MSS_PARAMS.values())
+    hparams = {f.name for f in dataclasses.fields(OracleHParams)}
+    numeric_run_fields = {
+        f.name
+        for f in dataclasses.fields(RunConfig)
+        if f.type.split(" | ")[0] in ("int", "float", "bool")
+    }
+    search_fields = {f.name for f in dataclasses.fields(HParamSearchSpec)}
+    assert numeric_run_fields == {
+        "epochs",
+        "episodes_per_cell",
+        "seed",
+        "early_stop_sum_regret",
+        "analytic_cells",
+    }
+    checked = solver_params | hparams | numeric_run_fields | search_fields | {"workers", "path"}
+    assert checked == set(RULES)
 
 
 def leduc_config(path, kind="tabular", **run):
@@ -590,6 +663,32 @@ def test_eval_set_action_counts_checked(tmp_path, capsys, env_name):
     assert main(["eval", str(out / "checkpoint"), "--eval-set", str(eval_set)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "p1_0.txt" in err
+
+
+@pytest.mark.parametrize("case", ["seats-swapped", "rps-policy-in-leduc", "leduc-policy-in-rps"])
+def test_eval_set_keys_belong_to_their_seat(tmp_path, capsys, case):
+    leduc = tmp_path / "leduc"
+    assert main(["run", str(leduc_config(tmp_path / "leduc.json")), "--output", str(leduc)]) == 0
+    policies = leduc / "checkpoint" / "policies"
+    eval_set = tmp_path / "eval_set"
+    eval_set.mkdir()
+    run, name, player = leduc, "p0_0.txt", 0
+    if case == "seats-swapped":
+        (eval_set / "p0_0.txt").write_bytes((policies / "p1_1.txt").read_bytes())
+        (eval_set / "p1_0.txt").write_bytes((policies / "p0_1.txt").read_bytes())
+    elif case == "rps-policy-in-leduc":
+        rps_policy = ValuePolicy(QTable(3, {MATRIX_OBSERVATION: [0.0, 1.0, 0.0]}))
+        (eval_set / "p1_0.txt").write_text(policy_to_text(rps_policy))
+        name, player = "p1_0.txt", 1
+    else:
+        run = tmp_path / "rps"
+        rps_config = write_config(tmp_path / "rps.json", epochs=1)
+        assert main(["run", str(rps_config), "--output", str(run)]) == 0
+        (eval_set / "p0_0.txt").write_bytes((policies / "p0_1.txt").read_bytes())
+    capsys.readouterr()
+    assert main(["eval", str(run / "checkpoint"), "--eval-set", str(eval_set)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {eval_set / name}: ") and f"player {player} " in err
 
 
 def test_hparam_search_rejects_checkpoint_from_another_game(tmp_path, capsys):
