@@ -68,7 +68,7 @@ def _read_run_dir(path: str) -> RunRecord:
     """The run's record, resumed from its checkpoint."""
     try:
         return resume(os.path.join(path, "checkpoint"))
-    except (ConfigError, CorruptCheckpoint) as exc:
+    except CorruptCheckpoint as exc:
         raise PsromixError(f"{path}: not a completed run directory ({exc})") from exc
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import exact
 from .config import RunConfig, config_from_json, config_to_json
 from .envs import Environment, derived_rng, estimate_payoffs, make_env
-from .errors import CorruptCheckpoint, OutOfBounds, PlayerCountUnsupported
+from .errors import ConfigError, CorruptCheckpoint, OutOfBounds, PlayerCountUnsupported
 from .games import EmpiricalGame, StrategyId, deviation_gains, load_game, save_game
 from .hparams import preset_hparams
 from .oracle import SimulationCounter, TabularOracle
@@ -336,8 +336,14 @@ def resume(path) -> RunRecord:
         ]
         if not entries:
             raise CorruptCheckpoint(f"{path}: record.json holds no epochs")
-        with open(os.path.join(path, "config.json")) as fh:
-            config = config_from_json(fh.read())
+        config_path = os.path.join(path, "config.json")
+        with open(config_path) as fh:
+            try:
+                config = config_from_json(fh.read())
+            except ConfigError as exc:
+                raise CorruptCheckpoint(
+                    f"cannot restore checkpoint at {path}: {config_path}: {exc}"
+                ) from exc
         game = load_game(os.path.join(path, "game.txt"))
         if not game.is_complete():
             raise CorruptCheckpoint(

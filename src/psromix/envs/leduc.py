@@ -1,4 +1,4 @@
-"""Two-player Leduc Poker.
+"""Two-player Leduc Poker in compiled form.
 
 Six cards (three ranks, two suits), two betting rounds, actions FOLD / CALL /
 RAISE. Each player antes 1 chip; raises add 2 in round one and 4 in round two,
@@ -16,16 +16,17 @@ episode and never occupies a slot).
 
 Betting depends only on the seating and the action history, never on the
 cards, so the betting tree is compiled once at import: 170 nodes over both
-seatings, 72 of them decisions. Each :class:`Node` holds the acting player,
-the legal actions per player, the child per legal action, the round and the
-chips put in; each terminal node holds one read-only reward vector per
-outcome (player 0 wins, player 1 wins, split). A :class:`Deal` adds only the
-cards: per (player, private card, public card) view, one tuple of keys
-indexed by node id, built by :func:`leduc_encode`, which interns them so that
-each distinct key is one object, and the showdown outcome. Views and deals
-are built on first use and then shared by every episode, so an episode is a
-deal plus a node: ``player`` is the node's acting player, ``step`` is a child
-lookup and ``observation`` one table index.
+seatings, 72 of them decisions. Each :class:`Node` adds to the shared node
+form (see :mod:`psromix.envs.base`) the round and the chips put in; each
+terminal node holds three reward vectors, one per showdown outcome (player 0
+wins, player 1 wins, split). A :class:`Deal` is the cards: per (player,
+private card, public card) view, one tuple of keys indexed by node id, built
+by :func:`leduc_encode`, which interns them so that each distinct key is one
+object, and the showdown outcome. Views and deals are built on first use and
+then shared by every episode. ``draw_deal`` shuffles the six cards, the only
+draw an episode makes, and the training loop and the episode walker go from
+there by child lookups; :class:`LeducEpisode` is the cursor over the same
+deal and nodes, with the betting state read from its node.
 
 :func:`betting_tree` and :func:`all_deals` expose the tree and the 120
 equally likely deals, so :mod:`psromix.exact` can walk every episode at once.
@@ -39,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import IllegalAction
-from .base import Environment, EpisodeState
+from . import base
+from .base import Environment, EpisodeState, compile_tree
 
 FOLD, CALL, RAISE = 0, 1, 2
 
@@ -83,10 +84,6 @@ _ROUND_KEYS = {
 # Every key leduc_encode has built, by itself: one object per distinct key.
 _KEYS: dict[bytes, bytes] = {}
 
-# Returned by every non-terminal step; callers only add it into their own sums.
-_NO_REWARDS = np.zeros(2)
-_NO_REWARDS.flags.writeable = False
-
 # Showdown outcomes, the index into a terminal node's reward vectors.
 _P0_WINS, _P1_WINS, _SPLIT = 0, 1, 2  # the winners (0, 1, None) in that order
 
@@ -115,12 +112,11 @@ def leduc_encode(
 # -- the betting tree ------------------------------------------------------
 
 
-class Node:
+class Node(base.Node):
     """One betting state: a seating plus the action history so far. Immutable
     once the tree is built, and shared by every episode that reaches it."""
 
     __slots__ = (
-        "id",
         "first_player",
         "round_index",
         "round_actions",
@@ -128,11 +124,6 @@ class Node:
         "round_contrib",
         "current_bet",
         "raises_made",
-        "player",
-        "terminal",
-        "legal",
-        "children",
-        "rewards",
     )
 
     def __init__(self, first_player, round_index, round_actions, contributions,
@@ -144,11 +135,7 @@ class Node:
         self.round_contrib = round_contrib  # the same, this round only
         self.current_bet = current_bet
         self.raises_made = raises_made
-        self.player = player  # None at a terminal node
-        self.terminal = player is None
-        self.legal = (self._legal(0), self._legal(1))
-        self.children: dict[int, Node] = {}
-        self.rewards: tuple[np.ndarray, ...] | None = None
+        super().__init__(player, (self._legal(0), self._legal(1)))
 
     def _legal(self, player: int) -> tuple[int, ...]:
         raises = (RAISE,) if self.raises_made < MAX_RAISES_PER_ROUND else ()
@@ -209,24 +196,8 @@ def _reward_vector(contributions: tuple[int, int], winner: int | None) -> np.nda
     return rewards
 
 
-def _build_tree() -> tuple[list[Node], tuple[Node, Node]]:
-    nodes: list[Node] = []
-
-    def expand(node: Node) -> Node:
-        node.id = len(nodes)
-        nodes.append(node)
-        if not node.terminal:
-            for action in node.legal[node.player]:
-                node.children[action] = expand(node._after(action))
-        return node
-
-    roots = tuple(
-        expand(Node(first, 0, ((), ()), (ANTE, ANTE), (0, 0), 0, 0, first)) for first in range(2)
-    )
-    return nodes, roots
-
-
-_NODES, _ROOTS = _build_tree()
+_ROOTS = tuple(Node(first, 0, ((), ()), (ANTE, ANTE), (0, 0), 0, 0, first) for first in range(2))
+_NODES = compile_tree(_ROOTS, Node._after)
 
 
 def betting_tree() -> tuple[list[Node], tuple[Node, Node]]:
@@ -261,25 +232,28 @@ def _showdown_outcome(private0: int, private1: int, public: int) -> int:
     return _SPLIT
 
 
-class Deal:
+class Deal(base.Deal):
     """The cards of one deal: both players' views and the showdown outcome."""
 
-    __slots__ = ("privates", "public", "views", "outcome")
+    __slots__ = ("privates", "public")
 
     def __init__(self, private0: int, private1: int, public: int):
         self.privates = (private0, private1)
         self.public = public
-        self.views = (_view(0, private0, public), _view(1, private1, public))
-        self.outcome = _showdown_outcome(private0, private1, public)
+        super().__init__(
+            (_view(0, private0, public), _view(1, private1, public)),
+            _showdown_outcome(private0, private1, public),
+        )
 
 
 _deal = functools.cache(Deal)  # one shared deal per (private0, private1, public)
+_CARDS = list(range(N_CARDS))
 
 
 @functools.cache
 def all_deals() -> tuple[Deal, ...]:
     """The 120 ordered deals of three distinct cards (private0, private1,
-    public), in lexicographic order. ``reset`` draws each with equal
+    public), in lexicographic order. ``draw_deal`` draws each with equal
     probability."""
     return tuple(_deal(*cards) for cards in itertools.permutations(range(N_CARDS), 3))
 
@@ -287,15 +261,19 @@ def all_deals() -> tuple[Deal, ...]:
 class LeducEnv(Environment):
     name = "leduc"
     n_players = 2
+    roots = _ROOTS
 
     def action_count(self, player: int) -> int:
         return 3
 
-    def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
+    def draw_deal(self, rng) -> Deal:
         # Shuffling a list makes the draws rng.permutation(N_CARDS) would.
-        cards = list(range(N_CARDS))
+        cards = _CARDS.copy()
         rng.shuffle(cards)
-        return LeducEpisode(_deal(cards[0], cards[1], cards[2]), _ROOTS[first_player])
+        return _deal(cards[0], cards[1], cards[2])
+
+    def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
+        return LeducEpisode(self.draw_deal(rng), _ROOTS[first_player])
 
     def deal(
         self, private0: int, private1: int, public: int, first_player: int = 0
@@ -305,45 +283,13 @@ class LeducEnv(Environment):
 
 
 class LeducEpisode(EpisodeState):
-    """A deal plus a node of the betting tree. ``player`` and ``terminal``
-    are plain attributes; the betting state is read from the node."""
+    """The cursor over a Leduc deal and betting node, with the betting state
+    read from the node."""
 
-    def __init__(self, deal: Deal, node: Node):
-        self._deal = deal
-        self._node = node
-        self.player = node.player
-        self.terminal = node.terminal
-
-    def __deepcopy__(self, memo) -> "LeducEpisode":
-        # Deal and node are immutable and shared; only the position is copied.
-        return LeducEpisode(self._deal, self._node)
-
-    # -- observation / legality ------------------------------------------
-
-    def observation(self, player: int) -> bytes:
-        return self._deal.views[player][self._node.id]
-
-    def legal_actions(self, player: int) -> tuple[int, ...]:
-        return self._node.legal[player]
-
-    # -- dynamics ---------------------------------------------------------
-
-    def step(self, action: int) -> np.ndarray:
-        node = self._node
-        child = node.children.get(action)
-        if child is None:
-            raise IllegalAction(
-                f"player {node.player} chose action {action}; "
-                f"legal set is {node.legal[node.player]}"
-            )
-        self._node = child
-        self.player = child.player
-        if child.terminal:
-            self.terminal = True
-            return child.rewards[self._deal.outcome]
-        return _NO_REWARDS
-
-    # -- betting state, derived from the node -----------------------------
+    # Entries of this class's own, so that perfbench/run.py can wrap Leduc's
+    # steps and observations without touching another game's.
+    observation = EpisodeState.observation
+    step = EpisodeState.step
 
     @property
     def privates(self) -> tuple[int, int]:

@@ -1,9 +1,16 @@
-"""One-shot matrix-game environments.
+"""One-shot matrix-game environments in compiled form.
 
 Every episode is one joint action, chosen seat by seat; no seat observes
 anything, so this is the simultaneous game. The payoff tensor has shape
 ``(*action_counts, n_players)``. The built-in rock-paper-scissors game
 uses the win=1 / tie=0.5 / lose=0 convention.
+
+The game tree (see :mod:`psromix.envs.base`) is compiled when the
+environment is built: one node per joint-action prefix, the terminal of a
+full joint action holding its tensor cell as the one reward vector. Chance
+has no part, so there is one deal, whose views are all
+``MATRIX_OBSERVATION``, and ``draw_deal`` draws nothing. The seating is
+fixed, so both roots are the same node.
 """
 
 from __future__ import annotations
@@ -12,13 +19,19 @@ import itertools
 
 import numpy as np
 
-from ..errors import IllegalAction
-from .base import Environment, EpisodeState
+from . import base
+from .base import Deal, Environment, EpisodeState, compile_tree
 
 # Matrix games have a single information state shared by all players.
 MATRIX_OBSERVATION = b"matrix"
 
 ROCK, PAPER, SCISSORS = 0, 1, 2
+
+
+class _Node(base.Node):
+    """A joint-action prefix: the seats before ``player`` have chosen ``joint``."""
+
+    __slots__ = ("joint",)
 
 
 class MatrixGameEnv(Environment):
@@ -43,47 +56,36 @@ class MatrixGameEnv(Environment):
         self.action_counts = tensor.shape[:-1]
         self.name = name
         self._legal = tuple(tuple(range(k)) for k in self.action_counts)
-        self._no_rewards = np.zeros(self.n_players)
-        self._no_rewards.flags.writeable = False
+        root = self._node(())
+        nodes = compile_tree((root,), self._after)
+        self.roots = (root, root)
+        self._deal = Deal(((MATRIX_OBSERVATION,) * len(nodes),) * self.n_players)
+
+    def _node(self, joint: tuple[int, ...]) -> _Node:
+        seat = len(joint)
+        node = _Node(seat if seat < self.n_players else None, self._legal)
+        node.joint = joint
+        if node.terminal:
+            node.rewards = (self.payoff_tensor[joint],)
+        return node
+
+    def _after(self, node: _Node, action: int) -> _Node:
+        return self._node(node.joint + (action,))
 
     def action_count(self, player: int) -> int:
         return self.action_counts[player]
 
+    def draw_deal(self, rng) -> Deal:
+        return self._deal
+
     def reset(self, rng, first_player: int = 0) -> "MatrixEpisode":
-        return MatrixEpisode(self)
+        return MatrixEpisode(self._deal, self.roots[0])
 
 
 class MatrixEpisode(EpisodeState):
-    """The seats act in order, each unaware of the earlier choices. Every step
-    but the last returns a shared read-only zero vector; the last returns the
-    tensor cell of the joint action."""
-
-    def __init__(self, env: MatrixGameEnv):
-        self.env = env
-        self.player = 0
-        self.terminal = False
-        self._joint: list[int] = []
-
-    def observation(self, player: int) -> bytes:
-        return MATRIX_OBSERVATION
-
-    def legal_actions(self, player: int) -> tuple[int, ...]:
-        return self.env._legal[player]
-
-    def step(self, action: int) -> np.ndarray:
-        player = self.player
-        if action not in self.env._legal[player]:
-            raise IllegalAction(
-                f"player {player} chose action {action}; "
-                f"legal set is {self.env._legal[player]}"
-            )
-        self._joint.append(action)
-        if player + 1 < self.env.n_players:
-            self.player = player + 1
-            return self.env._no_rewards
-        self.player = None
-        self.terminal = True
-        return self.env.payoff_tensor[tuple(self._joint)]
+    """The cursor over a matrix game's nodes: the seats act in order, each
+    unaware of the earlier choices; the last step returns the tensor cell of
+    the joint action."""
 
 
 def rps_env() -> MatrixGameEnv:

@@ -1,6 +1,13 @@
 """The tabular best-response oracle: one-step Q-learning against fixed
 opponents (fixed for each episode; a provider callable may resample them at
-episode starts)."""
+episode starts).
+
+Training walks the environment's compiled game tree (see
+:mod:`psromix.envs.base`) directly: an episode is a deal from ``draw_deal``
+and a node, a key is one view lookup, a step is one child lookup, and the
+learner's reward is read once, at the terminal node. Matrix games and Leduc
+share the one loop.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .config import OracleHParams
-from .envs.base import Environment
+from .envs.base import Environment, illegal_action
 from .policies import QTable, ValuePolicy, greedy_over, is_greedy
 
 
@@ -58,9 +65,8 @@ def train_best_response(
     an episode). Exactly ``total_timesteps`` learner actions are taken;
     epsilon decays linearly over ``exploration_timesteps``. Opponent draws
     consume ``opponent_rng`` (default: ``rng``) so that fixed-opponent
-    trainings are unaffected by how the provider samples. Actions are not
-    checked here: every environment's ``step`` raises ``IllegalAction`` on
-    an opponent action it does not allow.
+    trainings are unaffected by how the provider samples. An opponent action
+    the node has no child for raises ``IllegalAction``.
 
     Opponents do not change during a call, so a greedy one (see
     :func:`~psromix.policies.is_greedy`) is asked to ``act`` once per
@@ -74,49 +80,55 @@ def train_best_response(
     n_actions = env.action_count(learner)
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
-    # numpy's per-element boxing (``float(acc_reward)`` keeps numpy scalars
-    # out of the rows). A key gets its own zero row when first updated.
+    # numpy's per-element boxing (``float(reward)`` keeps numpy scalars out
+    # of the rows). A key gets its own zero row when first updated.
     default_row = [0.0] * n_actions
     rows: dict[bytes, list[float]] = {}
     get_row = rows.get
     memos: dict[object, dict | None] = {}  # opponent -> its actions, or None
     random, integers = rng.random, rng.integers
+    roots, draw_deal = env.roots, env.draw_deal
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
+    # epsilon_at is flat from the end of the ramp on.
+    ramp = hparams.exploration_timesteps
+    flat_epsilon = epsilon_at(ramp, hparams)
     t = 0
     episode = 0
 
     while t < total:
         opponent_policies = provider(opponent_rng)
-        state = env.reset(rng, first_player=episode % 2)
+        deal = draw_deal(rng)
+        views = deal.views
+        node = roots[episode % 2]
         episode += 1
         pending_key = None
         pending_action = 0
-        acc_reward = 0.0
-        while not state.terminal:
-            player = state.player
-            key = state.observation(player)
-            legal = state.legal_actions(player)
+        while not node.terminal:
+            player = node.player
+            key = views[player][node.id]
+            legal = node.legal[player]
             if player == learner:
                 if pending_key is not None:
                     row = get_row(pending_key)
                     if row is None:
                         row = rows[pending_key] = default_row.copy()
-                    bootstrap = max(get_row(key, default_row)[a] for a in legal)
-                    target = float(acc_reward) + gamma * bootstrap
+                    # No reward arrives before the terminal node.
+                    bootstrap = max(map(get_row(key, default_row).__getitem__, legal))
+                    target = gamma * bootstrap
                     row[pending_action] += lr * (target - row[pending_action])
                     pending_key = None
-                    acc_reward = 0.0
                     if t >= total:
                         break
-                epsilon = epsilon_at(t, hparams)
+                epsilon = epsilon_at(t, hparams) if t < ramp else flat_epsilon
                 if epsilon > 0.0 and random() < epsilon:
                     action = legal[integers(len(legal))]
                 else:
                     action = greedy_over(get_row(key, default_row), legal)
                 pending_key, pending_action = key, action
                 t += 1
+                node = node.children[action]
             else:
                 policy = opponent_policies[player]
                 try:
@@ -129,14 +141,16 @@ def train_best_response(
                     action = memo.get((key, legal))
                     if action is None:
                         action = memo[key, legal] = policy.act(key, legal, rng)
-            rewards = state.step(action)
-            if pending_key is not None:
-                acc_reward += rewards[learner]
+                child = node.children.get(action)
+                if child is None:
+                    raise illegal_action(node, action)
+                node = child
         if pending_key is not None:
+            reward = float(node.rewards[deal.outcome][learner])
             row = get_row(pending_key)
             if row is None:
                 row = rows[pending_key] = default_row.copy()
-            row[pending_action] += lr * (float(acc_reward) - row[pending_action])
+            row[pending_action] += lr * (reward - row[pending_action])
     if counter is not None:
         counter.train_steps += t
     return ValuePolicy(QTable(n_actions, rows))

@@ -376,6 +376,25 @@ def test_corrupt_policy_file_rejected(tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eval_names_a_checkpoint_config_that_breaks_a_rule(tmp_path, capsys):
+    # A broken config.json inside a checkpoint is a corrupt checkpoint, not
+    # an error in the user's own config: exit 2, naming the file.
+    out = tmp_path / "oa"
+    main(["run", str(write_config(tmp_path / "a.json", epochs=1)), "--output", str(out)])
+    config_path = out / "checkpoint" / "config.json"
+    cfg = json.loads(config_path.read_text())
+    cfg["run"]["epochs"] = 0
+    config_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = ["eval", str(out / "checkpoint"), "--eval-set", str(out / "checkpoint" / "policies")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(config_path) in err and "run.epochs" in err
+    with pytest.raises(CorruptCheckpoint, match="run.epochs"):
+        resume(str(out / "checkpoint"))
+
+
 def _edit_run_section(cfg, **changes):
     cfg["run"].update(changes)
 

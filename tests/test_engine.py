@@ -272,18 +272,19 @@ def test_mixed_oracles_rejects_three_players(tmp_path):
 
 
 def test_opponents_resampled_once_per_episode():
-    # The trainer asks the opponent provider exactly once per episode; the
-    # drawn policies stay fixed until the next episode starts.
+    # The trainer asks the opponent provider exactly once per episode, as it
+    # draws the episode's deal; the drawn policies stay fixed until the next
+    # episode starts. An RPS episode holds one learner step.
     calls = []
-    resets = [0]
+    deals = [0]
     counting_env = rps_env()
-    original_reset = counting_env.reset
+    original_draw_deal = counting_env.draw_deal
 
-    def counted_reset(rng, first_player=0):
-        resets[0] += 1
-        return original_reset(rng, first_player)
+    def counted_draw_deal(rng):
+        deals[0] += 1
+        return original_draw_deal(rng)
 
-    counting_env.reset = counted_reset
+    counting_env.draw_deal = counted_draw_deal
 
     def provider(rng):
         calls.append(1)
@@ -296,7 +297,7 @@ def test_opponents_resampled_once_per_episode():
         OracleHParams(discount=0.0, total_timesteps=250, exploration_timesteps=100),
         np.random.default_rng(0),
     )
-    assert len(calls) == resets[0]
+    assert len(calls) == deals[0] == 250
 
 
 def test_early_stop():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from psromix.envs import (
     MATRIX_OBSERVATION,
     Environment,
-    EpisodeState,
     LeducEnv,
     rps_env,
 )
+from psromix.envs.base import Deal, Node, compile_tree
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import IllegalAction, WrongEnvironment
 from psromix.evaluation import DeviationSet, proxy_regret, regret
@@ -162,48 +162,49 @@ def test_mixture_draws_match_searchsorted():
     assert set(log) == {0, 2, 4}
 
 
-class RepeatedKeyEpisode(EpisodeState):
-    """One player, two decisions under the same key; action 0 costs 1."""
+class _Decision(Node):
+    __slots__ = ("taken",)
 
-    def __init__(self):
-        self.steps_left = 2
-        self.player = 0
-        self.terminal = False
 
-    def observation(self, player):
-        return b"k"
-
-    def legal_actions(self, player):
-        return (0, 1)
-
-    def step(self, action):
-        self.steps_left -= 1
-        self.terminal = self.steps_left == 0
-        self.player = None if self.terminal else 0
-        return np.array([-1.0 if action == 0 else 0.0])
+def _repeated_key_node(taken):
+    """One player, two decisions under one key. The first allows only action
+    0; at the second, action 0 loses 1 and action 1 wins 1."""
+    node = _Decision(0 if len(taken) < 2 else None, ((0,),) if not taken else ((0, 1),))
+    node.taken = taken
+    if node.terminal:
+        node.rewards = (np.array([-1.0 if taken[1] == 0 else 1.0]),)
+    return node
 
 
 class RepeatedKeyEnv(Environment):
     name = "repeated-key"
     n_players = 1
 
+    def __init__(self):
+        root = _repeated_key_node(())
+        nodes = compile_tree((root,), lambda node, a: _repeated_key_node(node.taken + (a,)))
+        self.roots = (root, root)
+        self._deal = Deal(((b"k",) * len(nodes),))
+
     def action_count(self, player):
         return 2
 
-    def reset(self, rng, first_player=0):
-        return RepeatedKeyEpisode()
+    def draw_deal(self, rng):
+        return self._deal
 
 
 def test_greedy_action_reads_the_update_to_a_repeated_key():
-    # Greedy throughout. The first decision ties and plays 0; its update
-    # (to -0.5) lands on the key being acted on, so the second decision
-    # must see it and play 1, whose terminal update leaves 0.
+    # Greedy throughout, two episodes. The first ties at the second decision,
+    # plays 0 and leaves [-1, 0]. In the second, the update at the second
+    # decision (to max(-1, 0) = 0) lands on the key being acted on, so the
+    # greedy choice must see the tie [0, 0] and play 0 again, leaving
+    # [-1, 0]. A choice read before the update would play 1 and leave [0, 1].
     hparams = OracleHParams(
-        learning_rate=0.5, discount=1.0, total_timesteps=2,
+        learning_rate=1.0, discount=1.0, total_timesteps=4,
         exploration_timesteps=0, epsilon_end=0.0,
     )
     policy = train_best_response(RepeatedKeyEnv(), 0, {}, hparams, np.random.default_rng(0))
-    assert policy.q.lookup(b"k").tolist() == [-0.5, 0.0]
+    assert policy.q.lookup(b"k").tolist() == [-1.0, 0.0]
 
 
 def test_leduc_training_learns_something():
