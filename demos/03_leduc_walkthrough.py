@@ -37,7 +37,7 @@ print(f"key: {key.hex()[:20]}... ({len(key)} bytes, injective over information s
 print("\n== random play is exactly zero-sum ==")
 rng = np.random.default_rng(0)
 randoms = [pm.uniform_random_policy(3), pm.uniform_random_policy(3)]
-sums = [simulate_episode(env, randoms, rng, first_player=ep % 2).returns.sum()
+sums = [simulate_episode(env, randoms, rng, first_player=ep % 2).sum()
         for ep in range(1_000)]
 print(f"1000 episodes, max |return sum| = {max(abs(s) for s in sums)}")
 

@@ -2,8 +2,8 @@
 
 Proxy regret measures deviation gain against discovered plus held-out
 policies, clipped at zero; the similarity report checks how behaviourally
-diverse a policy set is by greedy-action agreement over a deduplicated
-corpus of visited states.
+diverse a policy set is by greedy-action agreement over every information
+state that some assignment of the policies to the seats reaches.
 
 The held-out evaluation set is written under PSROMIX_OUTPUT_ROOT (default:
 the working directory), as the command-line tool writes its outputs.
@@ -63,8 +63,6 @@ library = [
                            np.random.default_rng(seed))
     for seed in range(3)
 ]
-report = pm.similarity_report(library, leduc, episodes_per_profile=30,
-                              rng=np.random.default_rng(0))
-print(f"states collected: {report.corpus_size_raw}, "
-      f"after deduplication: {report.corpus_size_deduplicated}")
+report = pm.similarity_report(library, leduc)
+print(f"information states reached by some profile: {report.corpus_size_deduplicated}")
 print(export_similarity(report, [f"br{i}" for i in range(3)]))

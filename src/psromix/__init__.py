@@ -20,10 +20,8 @@ from .engine import (
 )
 from .envs import (
     Environment,
-    EpisodeResult,
     LeducEnv,
     MatrixGameEnv,
-    Transition,
     estimate_payoffs,
     leduc_encode,
     make_env,

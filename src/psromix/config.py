@@ -62,7 +62,6 @@ RULES: dict[str, tuple[str, Callable[[object], bool]]] = {
     # search and opponents sections
     "sample_count": _integer(1),
     "opponent_count": _integer(1),
-    "eval_episodes": _integer(1),
     "learner": ("seat 0 or 1", lambda v: _real(v) and isinstance(v, int) and v in (0, 1)),
     "path": ("a string", lambda v: isinstance(v, str)),
 }
@@ -166,7 +165,6 @@ class HParamSearchSpec:
     sample_count: int = 30
     opponent_count: int = 5
     discount: float = 0.0
-    eval_episodes: int = 30
     learner: int = 0
     seed: int = 0
 
@@ -177,6 +175,8 @@ class HParamSearchSpec:
             if f.name not in _CANDIDATE_LISTS:
                 _check(f.name, value)
                 continue
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{f.name} must be a list of candidates, got {value!r}")
             if len(value) == 0:
                 raise ValueError(f"candidate list {f.name} is empty")
             kind, test = RULES[f.name]
@@ -291,9 +291,11 @@ def load_search_config(path) -> tuple[Environment, HParamSearchSpec, dict]:
     hyperparameter-search config file, checked field by field."""
     sections = _sections(_read(path), ("env", "search", "opponents"))
     env = _env_name(sections)
+    search = sections.get("search", {})
+    _check_fields("search", search, {f.name for f in dataclasses.fields(HParamSearchSpec)})
     try:
-        spec = HParamSearchSpec(**sections.get("search", {}))
-    except (TypeError, ValueError) as exc:
+        spec = HParamSearchSpec(**search)
+    except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
     opponents = sections.get("opponents", {})
     _check_fields("opponents", opponents, ("source", "path"))

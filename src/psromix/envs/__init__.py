@@ -3,9 +3,7 @@
 from ..errors import ConfigError
 from .base import (
     Environment,
-    EpisodeResult,
     EpisodeState,
-    Transition,
     derive_stream_seed,
     derived_rng,
     estimate_payoffs,
@@ -43,9 +41,7 @@ def make_env(spec: str) -> Environment:
 
 __all__ = [
     "Environment",
-    "EpisodeResult",
     "EpisodeState",
-    "Transition",
     "FOLD",
     "CALL",
     "RAISE",

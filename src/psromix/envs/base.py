@@ -18,13 +18,17 @@ pair: :func:`simulate_episode` here and ``oracle.train_best_response`` walk
 it directly, and an :class:`EpisodeState` from ``reset`` is a cursor over the
 same pair for single-episode use. A missing child is an illegal action; the
 walkers and the cursor raise the same :func:`illegal_action` error for it.
+
+Episodes are simulated only where the paper simulates: in best-response
+training and in the sampled payoff cells of :func:`estimate_payoffs`. A
+simulated episode yields its per-player returns and nothing else; every
+other value in psromix is exact (see :mod:`psromix.exact`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,21 +93,6 @@ def _no_rewards(n_players: int) -> np.ndarray:
     return zeros
 
 
-class Transition(NamedTuple):
-    """One recorded decision: what the player saw and could choose from."""
-
-    observation: bytes
-    legal_actions: tuple[int, ...]
-
-
-@dataclass
-class EpisodeResult:
-    """Per-player undiscounted returns plus optional per-agent decisions."""
-
-    returns: np.ndarray
-    transitions: dict[int, list[Transition]] = field(default_factory=dict)
-
-
 class EpisodeState:
     """A cursor over one episode: a deal plus the node reached so far.
 
@@ -164,18 +153,11 @@ class Environment:
 
 
 def simulate_episode(
-    env: Environment,
-    policies: Sequence,
-    rng,
-    first_player: int = 0,
-    record_for: Sequence[int] = (),
-) -> EpisodeResult:
-    """Run one episode with every policy held fixed throughout.
-
-    ``record_for`` names the players whose decisions should be collected,
-    one Transition per decision, in order. An action the node has no child
-    for raises ``IllegalAction``.
-    """
+    env: Environment, policies: Sequence, rng, first_player: int = 0
+) -> np.ndarray:
+    """Run one episode with every policy held fixed throughout, and return
+    the per-player undiscounted returns. An action the node has no child for
+    raises ``IllegalAction``."""
     if len(policies) != env.n_players:
         raise ValueError(
             f"expected {env.n_players} policies, got {len(policies)}"
@@ -183,21 +165,14 @@ def simulate_episode(
     deal = env.draw_deal(rng)
     views = deal.views
     node = env.roots[first_player]
-    transitions: dict[int, list[Transition]] = {p: [] for p in record_for}
-
     while not node.terminal:
         player = node.player
-        obs = views[player][node.id]
-        legal = node.legal[player]
-        if player in transitions:
-            transitions[player].append(Transition(obs, legal))
-        action = policies[player].act(obs, legal, rng)
+        action = policies[player].act(views[player][node.id], node.legal[player], rng)
         child = node.children.get(action)
         if child is None:
             raise illegal_action(node, action)
         node = child
-    returns = np.zeros(env.n_players) + node.rewards[deal.outcome]
-    return EpisodeResult(returns=returns, transitions=transitions)
+    return np.zeros(env.n_players) + node.rewards[deal.outcome]
 
 
 def derive_stream_seed(rng) -> int:
@@ -223,8 +198,5 @@ def estimate_payoffs(env: Environment, profile: Sequence, episodes: int, rng) ->
     base = derive_stream_seed(rng)
     total = np.zeros(env.n_players)
     for ep in range(episodes):
-        result = simulate_episode(
-            env, profile, derived_rng(base, ep), first_player=ep % 2
-        )
-        total += result.returns
+        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2)
     return total / episodes

@@ -49,10 +49,6 @@ class EmptyDeviationSet(PsromixError):
     """Regret was requested against an empty deviation set."""
 
 
-class EmptyCorpus(PsromixError):
-    """Similarity analysis collected no observations."""
-
-
 class ConfigError(PsromixError):
     """A run configuration is invalid; the message names the field."""
 

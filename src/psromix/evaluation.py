@@ -5,7 +5,8 @@ policy in the deviation set. In an environment the payoffs are exact (see
 :mod:`psromix.exact`, which keeps each policy's table): each matchup is
 computed once per call, so repeated pairings cost nothing. Every built-in
 environment (matrix games and Leduc) has exact values; any other one is
-rejected with ``WrongEnvironment``.
+rejected with ``WrongEnvironment``. The similarity report's state corpus is
+exact as well: nothing in this module simulates an episode.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import exact
-from .envs.base import Environment, derive_stream_seed, derived_rng, simulate_episode
-from .errors import EmptyCorpus, EmptyDeviationSet
+from .envs.base import Environment, derived_rng
+# Unused here; perfbench/run.py traces calls through this name.
+from .envs.base import simulate_episode  # noqa: F401
+from .errors import EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
 from .serialize import save_policy
 from .solvers import SolutionProfile
@@ -161,55 +164,33 @@ class SimilarityReport:
     """Pairwise greedy-action agreement over a deduplicated state corpus."""
 
     agreement: np.ndarray
-    corpus_size_raw: int
     corpus_size_deduplicated: int
 
     def pair(self, i: int, j: int) -> float:
         return float(self.agreement[i, j])
 
 
-def similarity_report(
-    policies: Sequence,
-    env: Environment,
-    profiles_to_sample: int | None = None,
-    episodes_per_profile: int = 30,
-    rng=None,
-) -> SimilarityReport:
+def similarity_report(policies: Sequence, env: Environment) -> SimilarityReport:
     """Mean greedy-action agreement between every pair of policies.
 
-    Simulates policy profiles (all assignments of the policies to seats, or a
-    random subset of ``profiles_to_sample`` of them), collects the states
-    observed by every agent, removes duplicate states (which would otherwise
-    bias the comparison toward early-episode behaviour), and reports the
-    fraction of remaining states on which each pair's greedy actions agree.
+    The corpus holds each information state once: every key at which its
+    seat acts with positive probability under some profile, an assignment
+    of the policies to the seats, all of which are used. The reach is exact
+    (see :func:`psromix.exact.reached_keys`), so nothing is simulated and
+    nothing is drawn. Reports the fraction of the corpus on which each
+    pair's greedy actions agree.
     """
     if len(policies) < 2:
         raise ValueError("similarity_report needs at least two policies")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    all_profiles = list(itertools.product(range(len(policies)), repeat=env.n_players))
-    if profiles_to_sample is not None and profiles_to_sample < len(all_profiles):
-        chosen = rng.choice(len(all_profiles), size=profiles_to_sample, replace=False)
-        all_profiles = [all_profiles[i] for i in sorted(chosen)]
-
-    base = derive_stream_seed(rng)
-    corpus: dict[bytes, tuple[int, ...]] = {}  # observation -> legal actions
-    raw_count = 0
-    for profile_index, assignment in enumerate(all_profiles):
-        seated = tuple(policies[i] for i in assignment)
-        for ep in range(episodes_per_profile):
-            result = simulate_episode(
-                env,
-                seated,
-                derived_rng(base + profile_index, ep),
-                first_player=ep % 2,
-                record_for=range(env.n_players),
-            )
-            for transitions in result.transitions.values():
-                for tr in transitions:
-                    raw_count += 1
-                    corpus.setdefault(tr.observation, tr.legal_actions)
-    if not corpus:
-        raise EmptyCorpus("no states collected from the sampled profiles")
+    per_seat = [exact.seat_keys(env, seat) for seat in range(env.n_players)]
+    reached = [np.zeros(len(keys), dtype=bool) for keys, _ in per_seat]
+    for profile in itertools.product(policies, repeat=env.n_players):
+        for seen, mask in zip(reached, exact.reached_keys(env, profile)):
+            seen |= mask
+    corpus: dict[bytes, tuple[int, ...]] = {}  # key -> legal actions
+    for (keys, legal), seen in zip(per_seat, reached):
+        for row in np.flatnonzero(seen):
+            corpus.setdefault(keys[row], tuple(np.flatnonzero(legal[row]).tolist()))
 
     n = len(policies)
     greedy = np.empty((n, len(corpus)), dtype=int)
@@ -220,7 +201,7 @@ def similarity_report(
     for i in range(n):
         for j in range(n):
             agreement[i, j] = float(np.mean(greedy[i] == greedy[j]))
-    return SimilarityReport(agreement, raw_count, len(corpus))
+    return SimilarityReport(agreement, len(corpus))
 
 
 def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
@@ -252,6 +233,5 @@ def export_similarity(report: SimilarityReport, names: Sequence[str]) -> str:
     for i, name in enumerate(names):
         row = "\t".join(repr(float(v)) for v in report.agreement[i])
         lines.append(f"{name}\t{row}")
-    lines.append(f"# corpus_raw {report.corpus_size_raw}")
     lines.append(f"# corpus_deduplicated {report.corpus_size_deduplicated}")
     return "\n".join(lines) + "\n"

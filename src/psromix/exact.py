@@ -11,12 +11,14 @@ Leduc has exact values too: its betting tree is small enough to walk every
 episode at once. A game is a seating (who acts first) and one of the 120
 ordered deals; exact values weigh the two seatings equally, as every
 simulated estimate in psromix alternates them, and the deals uniformly, as
-``reset`` draws them. A seat has 936 keys, and the walk runs on index arrays
-over (node, deal) built on first use:
+``draw_deal`` draws them. A seat has 936 keys, and the walk runs on index
+arrays over (node, deal) built on first use:
 
 - a profile's value sums, over terminal nodes and deals, each seat's reach
   (the product of its own action probabilities along the path) times the
   chance-weighted reward;
+- the keys a profile reaches are those of the acting seat at every (node,
+  deal) of positive reach;
 - a best response sends the opponents' reach down to the terminal nodes, one
   component at a time weighted by its prior weight, and brings the values
   back up. At a learner node the deals are grouped by the learner's key, and
@@ -112,6 +114,23 @@ def seat_keys(env, seat: int) -> tuple[Sequence[bytes], np.ndarray]:
         index = _leduc_index()
         return index.keys[seat], index.legal[seat]
     return [MATRIX_OBSERVATION], np.ones((1, env.action_count(seat)), dtype=bool)
+
+
+def reached_keys(env, policies: Sequence) -> list[np.ndarray]:
+    """Per seat, a boolean mask over the rows of :func:`seat_keys`: the keys
+    at which that seat acts with positive probability when the profile
+    ``policies`` plays. On a matrix game every seat's one key is reached."""
+    _check(env)
+    if not isinstance(env, LeducEnv):
+        return [np.ones(1, dtype=bool) for _ in range(env.n_players)]
+    index = _leduc_index()
+    reach = _node_reach(
+        index, {seat: _table(env, seat, policy) for seat, policy in enumerate(policies)}
+    )
+    reached = [np.zeros(len(keys), dtype=bool) for keys in index.keys]
+    for player, _, parents, positions in index.levels:
+        reached[player][positions[reach[parents] > 0] // 3] = True
+    return reached
 
 
 # Each policy's tables, one per (game, seat) it was valued at. Weak keys: an
@@ -245,9 +264,9 @@ def _leduc_index() -> _LeducIndex:
     return _LeducIndex()
 
 
-def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Reach of each (terminal node, deal): the product, down the tree, of
-    the action probabilities of the seats in ``tables``."""
+def _node_reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Reach of each (node, deal): the product, down the tree, of the action
+    probabilities of the seats in ``tables``."""
     reach = np.ones(index.shape)
     for player, ids, parents, positions in index.levels:
         table = tables.get(player)
@@ -255,7 +274,12 @@ def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
             reach[ids] = reach[parents]
         else:
             reach[ids] = reach[parents] * np.take(table, positions)
-    return reach[index.terminals]
+    return reach
+
+
+def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
+    """:func:`_node_reach` at the terminal nodes."""
+    return _node_reach(index, tables)[index.terminals]
 
 
 def _leduc_value(tables: Sequence[np.ndarray]) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The search samples configurations uniformly from per-hyperparameter candidate
 lists and scores each twice: the pure task trains one best response per
-opponent policy and averages the final greedy-evaluation returns; the mix
-task trains a single best response against the uniform mixture of the
-opponents and scores its final return against that mixture. The winners of
-the two tasks are returned as (pure, mix); ties break toward the
-first-sampled configuration.
+opponent policy and averages their exact values against their opponents; the
+mix task trains a single best response against the uniform mixture of the
+opponents and scores its exact value against that mixture. Scores are exact
+(see :mod:`psromix.exact`): only training simulates. The winners of the two
+tasks are returned as (pure, mix); ties break toward the first-sampled
+configuration.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import HParamSearchSpec, OracleHParams
-from .envs import derived_rng, estimate_payoffs
+from .envs import derived_rng
 from .errors import PlayerCountUnsupported
+from .exact import analytic_payoffs
 from .oracle import train_best_response
 
 # Named presets per environment family. Leduc values are the standard tuned
@@ -87,11 +89,12 @@ def _sample_config(spec: HParamSearchSpec, rng) -> OracleHParams:
     )
 
 
-def _final_return(env, learner, policy, opponent, episodes, rng) -> float:
+def _value(env, learner, policy, opponent) -> float:
+    """The learner's exact value playing ``policy`` against ``opponent``."""
     profile = [None, None]
     profile[learner] = policy
     profile[1 - learner] = opponent
-    return float(estimate_payoffs(env, profile, episodes, rng)[learner])
+    return float(analytic_payoffs(env, profile)[learner])
 
 
 def hparam_search(
@@ -117,19 +120,14 @@ def hparam_search(
     pure_scores = np.empty(spec.sample_count)
     mix_scores = np.empty(spec.sample_count)
     for index, hp in enumerate(configs):
-        returns = []
+        values = []
         for j, opponent in enumerate(opponent_policies):
             policy = train_best_response(
                 env, learner, {opponent_seat: opponent}, hp,
                 derived_rng(spec.seed, 1, index, j),
             )
-            returns.append(
-                _final_return(
-                    env, learner, policy, opponent, spec.eval_episodes,
-                    derived_rng(spec.seed, 2, index, j),
-                )
-            )
-        pure_scores[index] = float(np.mean(returns))
+            values.append(_value(env, learner, policy, opponent))
+        pure_scores[index] = float(np.mean(values))
 
         def provider(rng, _opponents=opponent_policies):
             return {opponent_seat: _opponents[rng.integers(k)]}
@@ -138,15 +136,7 @@ def hparam_search(
             env, learner, provider, hp, derived_rng(spec.seed, 3, index)
         )
         mix_scores[index] = float(
-            np.mean(
-                [
-                    _final_return(
-                        env, learner, mixed_policy, opponent, spec.eval_episodes,
-                        derived_rng(spec.seed, 4, index, j),
-                    )
-                    for j, opponent in enumerate(opponent_policies)
-                ]
-            )
+            np.mean([_value(env, learner, mixed_policy, other) for other in opponent_policies])
         )
 
     return HParamSearchResult(

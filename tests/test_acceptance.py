@@ -15,7 +15,7 @@ import psromix as pm
 from psromix.cli import main as cli_main
 from psromix.envs import MATRIX_OBSERVATION, estimate_payoffs
 from psromix.envs.leduc import LeducEnv
-from psromix.exact import analytic_payoffs
+from psromix.exact import analytic_payoffs, seat_keys
 from psromix.policies import QTable, ValuePolicy
 
 KEY = MATRIX_OBSERVATION
@@ -246,21 +246,13 @@ def test_criterion_7_leduc_integrity():
     rng = np.random.default_rng(707)
     policies = [pm.uniform_random_policy(3), pm.uniform_random_policy(3)]
     for episode in range(10_000):
-        result = pm.simulate_episode(env, policies, rng, first_player=episode % 2)
-        assert result.returns.sum() == 0.0
+        returns = pm.simulate_episode(env, policies, rng, first_player=episode % 2)
+        assert returns.sum() == 0.0
 
-    checked = 0
-    for episode in range(200):
-        result = pm.simulate_episode(
-            env, policies, rng, first_player=episode % 2, record_for=(0, 1)
-        )
-        for transitions in result.transitions.values():
-            for transition in transitions:
-                key = transition.observation
-                assert len(key) == 30
-                assert set(key).issubset({0, 1})
-                checked += 1
-    assert checked > 0
+    for seat in range(2):
+        for key in seat_keys(env, seat)[0]:
+            assert len(key) == 30
+            assert set(key).issubset({0, 1})
 
     from test_leduc import enumerate_information_states
 
@@ -306,9 +298,7 @@ def test_criterion_8_regret_properties():
         return table
 
     policies = [ValuePolicy(one_hot_table(a % 3)) for a in range(4)]
-    rep = pm.similarity_report(
-        policies, pm.rps_env(), episodes_per_profile=2, rng=np.random.default_rng(1)
-    )
+    rep = pm.similarity_report(policies, pm.rps_env())
     assert np.allclose(np.diag(rep.agreement), 1.0)
     assert np.array_equal(rep.agreement, rep.agreement.T)
     report(8, "1000 proxy-regret clips >= 0; 1000 monotonic enlargements; similarity symmetric, unit diagonal")

@@ -248,7 +248,6 @@ def search_config():
             "total_timesteps": [200],
             "sample_count": 2,
             "opponent_count": 2,
-            "eval_episodes": 10,
             "learner": 1,
             "seed": 3,
         },
@@ -280,9 +279,19 @@ def test_hparam_search_subcommand(tmp_path, capsys):
             id="no-opponents",
         ),
         pytest.param(
-            lambda cfg: cfg["search"].update(eval_episodes=0),
-            "search: eval_episodes",
-            id="no-eval-episodes",
+            lambda cfg: cfg["search"].update(eval_episodes=30),
+            "search: unknown field(s) ['eval_episodes']",
+            id="unknown-field",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(learning_rate=0.1),
+            "search: learning_rate must be a list of candidates, got 0.1",
+            id="candidates-number",
+        ),
+        pytest.param(
+            lambda cfg: cfg["search"].update(learning_rate="abc"),
+            "search: learning_rate must be a list of candidates, got 'abc'",
+            id="candidates-string",
         ),
         pytest.param(
             lambda cfg: cfg["search"].update(learning_rate=[-1.0]),

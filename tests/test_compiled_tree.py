@@ -283,7 +283,7 @@ def test_matrix_walk_gives_the_cursor_and_tensor_rewards(env):
     for joint in itertools.product(*(range(k) for k in env.action_counts)):
         seated = [pure_action_policy(k, a) for k, a in zip(env.action_counts, joint)]
         rng = np.random.default_rng(0)
-        walked = simulate_episode(env, seated, rng).returns
+        walked = simulate_episode(env, seated, rng)
         cursor = _cursor_rewards(env, joint)
         cell = env.payoff_tensor[joint]
         assert walked.tobytes() == cursor.tobytes() == cell.tobytes()

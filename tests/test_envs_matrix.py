@@ -18,19 +18,19 @@ from psromix.policies import FixedMixturePolicy, pure_action_policy
 
 def test_rps_tie_convention():
     env = rps_env()
-    result = simulate_episode(
+    returns = simulate_episode(
         env, [pure_action_policy(3, 0), pure_action_policy(3, 0)], np.random.default_rng(0)
     )
-    assert result.returns == pytest.approx([0.5, 0.5])
+    assert returns == pytest.approx([0.5, 0.5])
 
 
 def test_rps_win_lose_convention():
     env = rps_env()
     # paper beats rock
-    result = simulate_episode(
+    returns = simulate_episode(
         env, [pure_action_policy(3, 1), pure_action_policy(3, 0)], np.random.default_rng(0)
     )
-    assert result.returns == pytest.approx([1.0, 0.0])
+    assert returns == pytest.approx([1.0, 0.0])
 
 
 def test_mixture_vs_pure_rock_monte_carlo():
@@ -81,7 +81,7 @@ def test_estimate_payoffs_shard_invariant_derivation():
     base = derive_stream_seed(np.random.default_rng(9))
     total = np.zeros(2)
     for ep in reversed(range(100)):
-        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2).returns
+        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2)
     assert np.allclose(mean, total / 100, atol=1e-15)
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from psromix.envs import LeducEnv, rps_env
 from psromix.envs.matrix import MatrixGameEnv
-from psromix.errors import EmptyCorpus, EmptyDeviationSet
-from psromix.exact import analytic_payoffs
+from psromix.envs.leduc import CALL
+from psromix.errors import EmptyDeviationSet
+from psromix.exact import analytic_payoffs, reached_keys, seat_keys
 from psromix.evaluation import (
     DeviationSet,
     export_similarity,
@@ -211,21 +213,14 @@ def test_env_regret_equals_regret_in_analytic_game(case):
 
 
 def leduc_value_policy(seed):
+    """A greedy policy with random action values at every key of both seats."""
     rng = np.random.default_rng(seed)
     table = QTable(3)
-    policy = ValuePolicy(table)
-    # populate on a sample of reachable observations
     env = LeducEnv()
-    from psromix.envs import simulate_episode
-
-    explorer = [uniform_random_policy(3), uniform_random_policy(3)]
-    for ep in range(120):
-        result = simulate_episode(env, explorer, rng, first_player=ep % 2, record_for=(0, 1))
-        for transitions in result.transitions.values():
-            for tr in transitions:
-                if tr.observation not in table.values:
-                    table.set(tr.observation, rng.normal(size=3))
-    return policy
+    for seat in range(2):
+        for key in seat_keys(env, seat)[0]:
+            table.set(key, rng.normal(size=3))
+    return ValuePolicy(table)
 
 
 def test_similarity_self_is_one_and_symmetric():
@@ -235,7 +230,7 @@ def test_similarity_self_is_one_and_symmetric():
         ValuePolicy(_table([0.0, 1.0, 0.0])),
         ValuePolicy(_table([1.0, 0.5, 0.0])),
     ]
-    report = similarity_report(policies, env, episodes_per_profile=2, rng=np.random.default_rng(0))
+    report = similarity_report(policies, env)
     assert np.allclose(np.diag(report.agreement), 1.0)
     assert np.array_equal(report.agreement, report.agreement.T)
     assert report.pair(0, 2) == 1.0  # same greedy action everywhere
@@ -250,49 +245,85 @@ def _table(values):
     return table
 
 
-def test_similarity_leduc_dedup_shrinks():
-    env = LeducEnv()
-    policies = [leduc_value_policy(s) for s in range(3)]
-    report = similarity_report(
-        policies, env, episodes_per_profile=10, rng=np.random.default_rng(1)
-    )
-    assert report.corpus_size_deduplicated < report.corpus_size_raw
-    assert np.allclose(np.diag(report.agreement), 1.0)
-    assert np.array_equal(report.agreement, report.agreement.T)
-
-
 def test_similarity_requires_two_policies():
     with pytest.raises(ValueError):
         similarity_report([uniform_random_policy(3)], rps_env())
 
 
-def test_similarity_empty_corpus():
-    with pytest.raises(EmptyCorpus):
-        similarity_report(
-            [uniform_random_policy(3), uniform_random_policy(3)],
-            rps_env(),
-            profiles_to_sample=0,
-            rng=np.random.default_rng(0),
-        )
-
-
 def test_similarity_export_labels():
     env = rps_env()
     policies = [ValuePolicy(_table([1, 0, 0])), ValuePolicy(_table([0, 1, 0]))]
-    report = similarity_report(policies, env, episodes_per_profile=1)
+    report = similarity_report(policies, env)
     text = export_similarity(report, ["a", "b"])
     assert text.splitlines()[0] == "policy\ta\tb"
     assert "# corpus_deduplicated 1" in text
 
 
-def test_similarity_profile_subsampling():
-    env = rps_env()
-    policies = [ValuePolicy(_table([1, 0, 0])), ValuePolicy(_table([0, 1, 0]))]
-    report = similarity_report(
-        policies, env, profiles_to_sample=2, episodes_per_profile=1,
-        rng=np.random.default_rng(2),
+def _keys_met(env, profile) -> dict:
+    """Brute force: every key (with its legal actions) at which its seat
+    acts, walking every deal and seating with the ``deal`` cursor and
+    following every action of positive probability."""
+    met = {}
+
+    def walk(state):
+        if state.terminal:
+            return
+        player = state.player
+        key, legal = state.observation(player), state.legal_actions(player)
+        met.setdefault(key, legal)
+        probabilities = profile[player].action_probabilities(key, legal)
+        for action in legal:
+            if probabilities[action] > 0:
+                child = copy.deepcopy(state)
+                child.step(action)
+                walk(child)
+
+    for cards in itertools.permutations(range(6), 3):
+        for first_player in range(2):
+            walk(env.deal(*cards, first_player=first_player))
+    return met
+
+
+LEDUC_LIBRARY = {
+    "uniform": uniform_random_policy(3),
+    "greedy": leduc_value_policy(7),
+    "call": pure_action_policy(3, CALL),
+}
+
+
+@pytest.mark.parametrize(
+    "profile", list(itertools.product(LEDUC_LIBRARY, repeat=2)), ids="-".join
+)
+def test_reached_keys_match_brute_force_walk(profile):
+    env = LeducEnv()
+    policies = [LEDUC_LIBRARY[name] for name in profile]
+    met = _keys_met(env, policies)
+    reached = {
+        key
+        for seat, mask in enumerate(reached_keys(env, policies))
+        for key, hit in zip(seat_keys(env, seat)[0], mask)
+        if hit
+    }
+    assert reached == set(met)
+
+
+@pytest.mark.parametrize("names", [("greedy", "call"), ("uniform", "greedy", "call")])
+def test_similarity_corpus_matches_brute_force_walk(names):
+    env = LeducEnv()
+    library = [LEDUC_LIBRARY[name] for name in names]
+    corpus = {}
+    for profile in itertools.product(library, repeat=2):
+        corpus.update(_keys_met(env, profile))
+    greedy = np.array(
+        [[policy.greedy_action(key, legal) for key, legal in corpus.items()] for policy in library]
     )
-    assert report.corpus_size_raw == 4  # 2 profiles x 1 episode x 2 seats
+    expected = (greedy[:, None, :] == greedy[None, :, :]).mean(axis=2)
+
+    report = similarity_report(library, env)
+    assert report.corpus_size_deduplicated == len(corpus)
+    assert np.array_equal(report.agreement, expected)
+    if "uniform" in names:
+        assert len(corpus) == 1872  # uniform play reaches every information state
 
 
 def _leduc_regret_case():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from psromix.envs import rps_env
+from psromix.envs import CALL, LeducEnv, derived_rng, rps_env
 from psromix.errors import PlayerCountUnsupported
+from psromix.exact import analytic_payoffs
 from psromix.hparams import HParamSearchSpec, hparam_search, preset_hparams
-from psromix.policies import FixedMixturePolicy
+from psromix.oracle import train_best_response
+from psromix.policies import FixedMixturePolicy, pure_action_policy, uniform_random_policy
 
 
 def small_spec(**overrides):
@@ -15,7 +17,6 @@ def small_spec(**overrides):
         sample_count=4,
         opponent_count=3,
         discount=0.0,
-        eval_episodes=40,
         learner=1,
         seed=0,
     )
@@ -51,8 +52,9 @@ def test_sample_count_one_returns_same_config_for_both_tasks():
 def test_k_equal_one_tasks_coincide():
     spec = small_spec(opponent_count=1, sample_count=2)
     result = hparam_search(spec, rps_env(), [FixedMixturePolicy([0.0, 0.3, 0.7])])
-    # With one opponent both tasks train against the same fixed policy;
-    # outputs may differ only through sampling noise across configs.
+    # With one opponent both tasks train against the same fixed policy and
+    # score exactly against it; the scores may differ only through the
+    # tasks' separate training streams.
     assert len(result.pure_scores) == 2
     assert len(result.mix_scores) == 2
 
@@ -69,6 +71,43 @@ def test_returned_pure_config_maximizes_stored_scores():
     assert np.array_equal(repeat.pure_scores, result.pure_scores)
     assert repeat.pure_hparams == result.pure_hparams
     assert repeat.mix_hparams == result.mix_hparams
+
+
+@pytest.mark.parametrize(
+    "env, opponent_policies",
+    [
+        (rps_env(), opponents()),
+        (LeducEnv(), [uniform_random_policy(3), pure_action_policy(3, CALL)]),
+    ],
+    ids=["rps", "leduc"],
+)
+def test_scores_are_exact_values_of_the_trained_responses(env, opponent_policies):
+    spec = small_spec(sample_count=3, opponent_count=len(opponent_policies))
+    result = hparam_search(spec, env, opponent_policies)
+    learner, opponent_seat = spec.learner, 1 - spec.learner
+
+    def value(policy, opponent):
+        profile = [None, None]
+        profile[learner], profile[opponent_seat] = policy, opponent
+        return analytic_payoffs(env, profile)[learner]
+
+    def provider(rng):
+        return {opponent_seat: opponent_policies[rng.integers(len(opponent_policies))]}
+
+    for index, hp in enumerate(result.configs):
+        pure = [
+            value(
+                train_best_response(
+                    env, learner, {opponent_seat: opponent}, hp,
+                    derived_rng(spec.seed, 1, index, j),
+                ),
+                opponent,
+            )
+            for j, opponent in enumerate(opponent_policies)
+        ]
+        assert result.pure_scores[index] == np.mean(pure)
+        mixed = train_best_response(env, learner, provider, hp, derived_rng(spec.seed, 3, index))
+        assert result.mix_scores[index] == np.mean([value(mixed, o) for o in opponent_policies])
 
 
 def test_tie_breaks_toward_first_sampled():
