@@ -5,14 +5,19 @@ expansion they share.
 Randomness discipline: one root seed; every consumer draws from a stream
 derived from (seed, epoch, player, purpose), so adding instrumentation or
 resuming from a checkpoint never perturbs trajectories, and a resumed run
-reproduces an unbroken one exactly.
+reproduces an unbroken one exactly. The streams are independent, so no
+player's response depends on when another's is trained: that is what makes
+it safe to train an epoch's tabular responses concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -163,37 +168,111 @@ def _opponent_indices(n_players: int, player: int) -> tuple[int, ...]:
     return tuple(p for p in range(n_players) if p != player)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_concurrently(jobs):
+    """Return ``[job() for job in jobs]``, running ``jobs[0]`` in this
+    process and each other job at the same time in a forked child that
+    pipes back its pickled result or exception. The first job, in order, to
+    raise has its exception raised here, with its own type and message; on
+    any exception every child still running is killed and reaped first.
+    Without ``os.fork``, or with one CPU to run on, where the children could
+    only add their cost, the jobs run here, in order."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return [job() for job in jobs]
+    children = []  # (pid, read end of its pipe), in job order
+    try:
+        for job in jobs[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1  # unless the payload is sent
+                try:
+                    try:
+                        payload = pickle.dumps((True, job()), protocol=5)
+                    except BaseException as exc:  # re-raised by the parent
+                        payload = pickle.dumps((False, exc), protocol=5)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)  # so the next child does not hold it open
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [jobs[0]()]
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()  # to EOF, before reaping
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not payload:
+                raise ChildProcessError(f"a training process sent nothing (wait status {status})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _counting_steps(respond):
+    """``respond`` called with a fresh counter: (its response, its steps)."""
+    counter = SimulationCounter()
+    return respond(counter), counter.train_steps
+
+
 def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int):
-    """One strategy-expansion pass: a new policy per player, per the algorithm."""
+    """One strategy-expansion pass: a new policy per player, per the algorithm.
+
+    The players' responses read only the previous epoch's solution and their
+    own streams, so tabular ones train concurrently (:func:`_run_concurrently`)
+    with the bytes of training them in turn. Exact responses take
+    milliseconds, less than a fork, and are computed here in player order.
+    """
     config = record.config
     game = record.game
     target = record.entries[-1].solution  # solved at epoch-1, trained against now
-    new_policies = []
+    jobs = []
     for player in range(env.n_players):
         train_rng = derived_rng(config.seed, epoch, player, _TRAIN)
-        draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
         others = _opponent_indices(env.n_players, player)
         if config.algorithm == "psro":
             mixtures = {p: (list(game.strategy_sets[p]), target.weights(p)) for p in others}
-            policy = oracle.respond_mixture(
-                env, player, mixtures, train_rng, record.counter, draw_rng
+            draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
+            respond = partial(
+                oracle.respond_mixture, env, player, mixtures, train_rng, opponent_rng=draw_rng
             )
         elif config.algorithm == "mixed-oracles":
             opponent = others[0]
             newest = game.strategy_sets[opponent][-1]
-            response = oracle.respond_fixed(
-                env, player, {opponent: newest}, train_rng, record.counter
-            )
-            record.libraries[player].append(response)
-            policy = combine_responses(record.libraries[player], target.weights(opponent))
+            respond = partial(oracle.respond_fixed, env, player, {opponent: newest}, train_rng)
         else:  # mixed-opponents: collapse each opponent's mixture separately
             combined = {
                 p: combine_opponents(game.strategy_sets[p], target.weights(p))
                 for p in others
             }
-            policy = oracle.respond_fixed(
-                env, player, combined, train_rng, record.counter
-            )
+            respond = partial(oracle.respond_fixed, env, player, combined, train_rng)
+        jobs.append(partial(_counting_steps, respond))
+    if config.oracle == "exact":
+        results = [job() for job in jobs]
+    else:
+        results = _run_concurrently(jobs)
+    new_policies = []
+    for player, (policy, steps) in enumerate(results):
+        record.counter.train_steps += steps
+        if config.algorithm == "mixed-oracles":
+            record.libraries[player].append(policy)
+            opponent = _opponent_indices(env.n_players, player)[0]
+            policy = combine_responses(record.libraries[player], target.weights(opponent))
         new_policies.append(policy)
     return new_policies, target
 

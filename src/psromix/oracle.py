@@ -24,7 +24,8 @@ from .policies import QTable, ValuePolicy, greedy_over, is_greedy
 
 @dataclass
 class SimulationCounter:
-    """Cumulative simulation effort: learner training steps and evaluation episodes."""
+    """Cumulative simulation effort: learner training steps, and the episodes
+    simulated to fill payoff cells (exact cells count none)."""
 
     train_steps: int = 0
     eval_episodes: int = 0
