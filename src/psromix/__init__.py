@@ -1,7 +1,8 @@
 """Iterative empirical-game solving with single-policy best responses.
 
-The package builds empirical games by simulation, solves them with
-meta-strategy solvers, and grows strategy sets with best-response oracles.
+The package builds empirical games, whose cells come from simulation or,
+with ``run.analytic_cells``, from exact values; solves them with
+meta-strategy solvers; and grows strategy sets with best-response oracles.
 Besides the plain epoch loop it implements two variants that only ever train
 against a single opponent policy: one transfers stored responses across
 epochs by value-mixing them, the other collapses the opponent mixture into a

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .config import HParamSearchSpec, load_config, load_search_config
 from .engine import RunRecord, checkpoint, export_regret_curve, resume, run_algorithm
 from .envs import Environment, make_env
 from .errors import ConfigError, CorruptCheckpoint, EnvironmentMismatch, PsromixError
-from .evaluation import proxy_regret, sum_regret
+from .evaluation import POLICY_FILE, proxy_regret, sum_regret
 from .games import save_game
 from .hparams import hparam_search
 from .policies import ValuePolicy, uniform_random_policy
@@ -115,7 +114,7 @@ def _load_eval_set(path: str, env: Environment) -> list[list]:
     except OSError as exc:
         raise PsromixError(f"{path}: cannot list the evaluation set: {exc.strerror}") from exc
     for name in names:
-        match = re.fullmatch(r"p(\d+)_\d+\.txt", name)
+        match = POLICY_FILE.fullmatch(name)
         if match is None:
             continue
         file = os.path.join(path, name)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,9 @@ from .errors import EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
 from .serialize import save_policy
 from .solvers import SolutionProfile
+
+# The name of a held-out set's policy file: ``p<player>_<k>.txt``.
+POLICY_FILE = re.compile(r"p(\d+)_\d+\.txt")
 
 
 @dataclass
@@ -208,12 +212,14 @@ def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
     """Write a held-out evaluation set sampled from a run's final solution support.
 
     Draws up to ``size`` distinct policies per player, support-weighted, and
-    writes one policy file per entry (``p<player>_<k>.txt``). Returns the
-    sampled per-player policy lists.
+    writes one policy file per entry (``p<player>_<k>.txt``), deleting the
+    directory's other policy files so that it holds this set alone; files of
+    any other name are left alone. Returns the sampled per-player policy lists.
     """
     os.makedirs(path, exist_ok=True)
     rng = derived_rng(seed, 101)
     sampled: list[list] = []
+    written = set()
     for player in range(record.game.n_players):
         weights = record.solution.weights(player)
         support = np.flatnonzero(weights > 0.0)
@@ -222,8 +228,13 @@ def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
         chosen = rng.choice(support, size=take, replace=False, p=probs)
         policies = [record.game.strategy_sets[player][int(i)] for i in sorted(chosen)]
         for k, policy in enumerate(policies):
-            save_policy(policy, os.path.join(path, f"p{player}_{k}.txt"))
+            name = f"p{player}_{k}.txt"
+            written.add(name)
+            save_policy(policy, os.path.join(path, name))
         sampled.append(policies)
+    for entry in os.scandir(path):
+        if entry.is_file() and POLICY_FILE.fullmatch(entry.name) and entry.name not in written:
+            os.unlink(entry.path)
     return sampled
 
 

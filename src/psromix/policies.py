@@ -1,27 +1,16 @@
 """Value-based and scripted policies.
 
 A policy maps an observation plus the legal action set to an action. Value
-policies are backed by an action-value table (anything exposing ``lookup``,
-``action_count`` and ``default_value``); greedy ties always break toward the
+policies are backed by a :class:`QTable` (a Q-mixture from
+:mod:`psromix.qmixing` is one too); greedy ties always break toward the
 lowest action index so behaviour is deterministic given the table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-
-class ValueTable(Protocol):
-    """Interface shared by QTable and the Q-mixture in :mod:`psromix.qmixing`."""
-
-    action_count: int
-    default_value: float
-
-    def lookup(self, key: bytes) -> np.ndarray: ...
-
-    def known_keys(self) -> Iterable[bytes]: ...
 
 
 class QTable:
@@ -113,7 +102,7 @@ class ValuePolicy:
     strategy for each player.
     """
 
-    def __init__(self, q: ValueTable, epsilon: float = 0.0):
+    def __init__(self, q: QTable, epsilon: float = 0.0):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
         self.q = q

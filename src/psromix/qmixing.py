@@ -4,8 +4,9 @@ A mixture of value policies is itself a value policy: its action values at an
 observation are the components' values weighted by the mixture probabilities
 (components that never saw the observation contribute their default value).
 The weights are fixed, so a mixture is flattened once, when it is built, into
-one stored vector per key any component knows plus one default vector; a
-lookup is then a single dict access, whatever the support size. The same
+a :class:`~psromix.policies.QTable`: one stored vector per key any component
+knows plus one default. It is looked up, saved and loaded as that table, and
+a lookup is a single dict access, whatever the support size. The same
 construction serves two roles in the epoch loops: combining a library of
 stored best responses into a response to a mixed opponent, and collapsing a
 mixed opponent into a single representative policy to train against.
@@ -19,22 +20,20 @@ import numpy as np
 
 from .errors import MissingResponse, NotValueBased
 from .games import as_weights
-from .policies import ValuePolicy
+from .policies import QTable, ValuePolicy
 
 
-class MixedQPolicy:
-    """Weighted sum of component action-value tables.
+class MixedQPolicy(QTable):
+    """Weighted sum of component action-value tables, held as a QTable.
 
-    Immutable after construction; exposes the same lookup interface as QTable
-    so mixtures can be nested and acted on greedily. The sums are taken at
-    construction, for every key in the union of the components'
-    ``known_keys()`` and once for unseen keys, each as ``total = 0;
-    total += weight * component.lookup(key)`` in component order; ``lookup``
-    returns these read-only vectors. ``default_value`` is the same weighted
-    sum of the components' defaults.
+    Not to be updated after construction. The sums are taken for every key in
+    the union of the components' ``known_keys()``, each as ``total = 0;
+    total += weight * component.lookup(key)`` in component order, and stored
+    as read-only vectors. ``default_value`` is the same weighted sum of the
+    components' defaults, so it is also what each unseen key sums to.
     """
 
-    def __init__(self, components: Sequence, weights):
+    def __init__(self, components: Sequence[QTable], weights):
         self.weights = np.asarray(weights, dtype=float)
         if len(components) != len(self.weights):
             raise ValueError("one weight per component required")
@@ -48,28 +47,24 @@ class MixedQPolicy:
         if len(counts) != 1:
             raise ValueError(f"components disagree on action count: {sorted(counts)}")
         self.components = tuple(components)
-        self.action_count = counts.pop()
+        action_count = counts.pop()
 
         keys = list(set().union(*(c.known_keys() for c in self.components)))
-        # Row i holds the sum for keys[i]; the last row the unseen-key sum.
         # Whole-array ops round each element exactly as a per-key loop would.
-        totals = np.zeros((len(keys) + 1, self.action_count))
+        totals = np.zeros((len(keys), action_count))
         default_value = 0.0
         for weight, component in zip(self.weights, self.components):
-            values = [component.lookup(key) for key in keys]
-            values.append(np.full(self.action_count, component.default_value))
-            totals += weight * np.array(values)
+            rows = np.array([component.lookup(key) for key in keys], dtype=float)
+            totals += weight * rows.reshape(totals.shape)
             default_value += weight * component.default_value
+        super().__init__(action_count, default_value=default_value)
         totals.flags.writeable = False
-        self.default_value = float(default_value)
-        self._default = totals[-1]
-        self._values = dict(zip(keys, totals))
+        self.values = dict(zip(keys, totals))
 
-    def lookup(self, key: bytes) -> np.ndarray:
-        return self._values.get(key, self._default)
-
-    def known_keys(self):
-        return self._values.keys()
+    # An entry of this class's own: the benchmark's tracer (perfbench/run.py)
+    # patches ``lookup`` through each class's ``__dict__``, so mixture lookups
+    # are counted apart from plain table lookups.
+    lookup = QTable.lookup
 
 
 def _value_table(policy):

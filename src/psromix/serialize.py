@@ -1,10 +1,10 @@
 """Structured-text serialization of policies.
 
 All files carry a versioned header line. Floats are written with repr so
-they round-trip bit-exactly. Mixture-backed value policies are saved as a
-plain table: the stored vectors and the default are exactly the sums the live
-mixture holds (see :class:`psromix.qmixing.MixedQPolicy`), so behaviour is
-unchanged after a round trip, on seen and unseen keys alike.
+they round-trip bit-exactly. A Q-mixture (:class:`psromix.qmixing.MixedQPolicy`)
+is a QTable holding its summed vectors and default, so it is saved as that
+table and loads back as a plain QTable with the same lookups, on seen and
+unseen keys alike.
 """
 
 from __future__ import annotations
@@ -89,7 +89,10 @@ def _parse_policy(lines: list[str]):
             raise CorruptCheckpoint(
                 f"policy file: a table line needs 'key', a hex key and {actions} values"
             )
-        table.set(bytes.fromhex(tokens[1]), np.array([float(tok) for tok in tokens[2:]]))
+        key = bytes.fromhex(tokens[1])
+        if key in table.values:
+            raise CorruptCheckpoint(f"policy file: key {tokens[1]} is repeated")
+        table.set(key, np.array([float(tok) for tok in tokens[2:]]))
     return ValuePolicy(table, epsilon=epsilon)
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import os
 import shutil
@@ -365,6 +364,7 @@ def _five_key_policy_lines():
         pytest.param(lambda lines: lines[:-2], id="truncated-table"),
         pytest.param(lambda lines: lines[:3], id="short-header"),
         pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], id="value-count"),
+        pytest.param(lambda lines: lines[:-1] + lines[-2:-1], id="repeated-key"),
     ],
 )
 def test_corrupt_policy_file_rejected(tmp_path, capsys, corrupt):
@@ -559,25 +559,18 @@ def test_leduc_analytic_cells_simulate_no_episodes(tmp_path, capsys):
     assert record.game.is_complete() and record.game.shape == (3, 3)
 
 
-# sha256 over regret_curve.tsv, game.txt and every checkpoint file, the
-# digest the benchmark takes of a run directory.
+# The `artifact_digest` of a 3-epoch exact Leduc psro run.
 LEDUC_EXACT_PSRO_DIGEST = "3cd25e9f65d59ea9ddb58f8dfb55e5572c7fcea2727ac757c65467b929c5b962"
 
 
-def test_leduc_exact_psro_bytes_are_pinned(tmp_path):
+def test_leduc_exact_psro_bytes_are_pinned(tmp_path, artifact_digest):
     path = leduc_config(
         tmp_path / "cfg.json", kind="exact", algorithm="psro", epochs=3, analytic_cells=True
     )
     out = tmp_path / "out"
     assert main(["run", str(path), "--output", str(out)]) == 0
-    files = [out / "regret_curve.tsv", out / "game.txt"]
-    files += sorted(p for p in (out / "checkpoint").rglob("*") if p.is_file())
-    digest = hashlib.sha256()
-    for file in files:
-        digest.update(str(file.relative_to(out)).encode() + b"\0")
-        digest.update(file.read_bytes())
     assert resume(out / "checkpoint").counter.train_steps == 0
-    assert digest.hexdigest() == LEDUC_EXACT_PSRO_DIGEST
+    assert artifact_digest(out) == LEDUC_EXACT_PSRO_DIGEST
 
 
 # What `psromix eval` prints for a seed-5 run scored against a held-out set

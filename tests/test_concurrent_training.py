@@ -4,7 +4,6 @@ bytes such runs write, which are those of training the players one after
 another, and check that a failure in either process reaches the caller
 unchanged and leaves no child process behind."""
 
-import hashlib
 import json
 import os
 import pickle
@@ -42,18 +41,6 @@ def write_config(path, env_name, algorithm):
     return path
 
 
-def run_digest(out):
-    """sha256 over regret_curve.tsv, game.txt and every checkpoint file, the
-    digest the benchmark takes of a run directory."""
-    files = [out / "regret_curve.tsv", out / "game.txt"]
-    files += sorted(p for p in (out / "checkpoint").rglob("*") if p.is_file())
-    digest = hashlib.sha256()
-    for file in files:
-        digest.update(str(file.relative_to(out)).encode() + b"\0")
-        digest.update(file.read_bytes())
-    return digest.hexdigest()
-
-
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
     """Responses are forked only with two or more CPUs to run on."""
@@ -84,7 +71,9 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("forking", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("env_name, algorithm", sorted(PINNED_DIGESTS))
-def test_tabular_run_bytes_are_pinned(tmp_path, monkeypatch, env_name, algorithm, forking):
+def test_tabular_run_bytes_are_pinned(
+    tmp_path, monkeypatch, artifact_digest, env_name, algorithm, forking
+):
     monkeypatch.chdir(tmp_path)
     save_matrix_env(MatrixGameEnv(np.random.default_rng(9).random((2, 2, 2, 3))), "three.matrix")
     forks = []
@@ -98,7 +87,7 @@ def test_tabular_run_bytes_are_pinned(tmp_path, monkeypatch, env_name, algorithm
     assert_no_children_left()
     players = 2 if env_name == "leduc" else 3
     assert len(forks) == (3 * (players - 1) if forking else 0)  # 3 epochs
-    assert run_digest(tmp_path / "out") == PINNED_DIGESTS[env_name, algorithm]
+    assert artifact_digest(tmp_path / "out") == PINNED_DIGESTS[env_name, algorithm]
 
 
 def fast_config(**overrides):

@@ -19,6 +19,7 @@ from psromix.errors import ConfigError, CorruptCheckpoint, PlayerCountUnsupporte
 from psromix.games import EmpiricalGame
 from psromix.oracle import OracleHParams, SimulationCounter, train_best_response
 from psromix.policies import QTable, ValuePolicy, pure_action_policy, uniform_random_policy
+from psromix.qmixing import MixedQPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 LEGAL = (0, 1, 2)
@@ -358,6 +359,22 @@ def test_checkpoint_resume_continues_identically(tmp_path):
             straight.game.strategy_sets[player], continued.game.strategy_sets[player]
         ):
             assert np.array_equal(a.q.lookup(key), b.q.lookup(key))
+
+
+def test_resumed_mixtures_are_the_live_tables(tmp_path):
+    """A mixed-oracles strategy is a Q-mixture while the run is live and a
+    plain QTable after resume; both are QTables with the same lookups."""
+    record = run_algorithm(fast_config(algorithm="mixed-oracles", env="leduc", epochs=3, seed=6))
+    checkpoint(record, tmp_path / "ck")
+    restored = resume(tmp_path / "ck")
+    live = [policy.q for policies in record.game.strategy_sets for policy in policies]
+    loaded = [policy.q for policies in restored.game.strategy_sets for policy in policies]
+    assert any(isinstance(table, MixedQPolicy) for table in live)
+    assert all(type(table) is QTable for table in loaded)
+    for a, b in zip(live, loaded, strict=True):
+        assert isinstance(a, QTable) and sorted(a.known_keys()) == sorted(b.known_keys())
+        for key in [*a.known_keys(), b"unseen"]:
+            assert a.lookup(key).tobytes() == b.lookup(key).tobytes()
 
 
 def test_checkpoint_round_trip_preserves_payoffs_exactly(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from psromix.errors import EmptyDeviationSet
 from psromix.exact import analytic_payoffs, reached_keys, seat_keys
 from psromix.evaluation import (
     DeviationSet,
+    export_eval_set,
     export_similarity,
     proxy_regret,
     regret,
@@ -27,6 +29,8 @@ from psromix.policies import (
     pure_action_policy,
     uniform_random_policy,
 )
+from psromix.serialize import policy_to_text
+from psromix.solvers import SolutionProfile
 
 P2_BLOCK = np.array([[0.7, 0.15], [0.2, 0.7]])
 
@@ -363,3 +367,20 @@ def test_leduc_regret_is_exact_and_independent_of_deviation_order():
             w * gain for w, gain in zip(sigma[player], gains[: len(populations[player])])
         )
         assert values[player] == pytest.approx(max(gains) - base, abs=1e-12)
+
+
+def test_export_eval_set_replaces_the_directorys_policy_files_only(tmp_path):
+    game = EmpiricalGame(2)
+    for player in range(2):
+        for action in range(3):
+            game.add_policy(player, pure_action_policy(3, action))
+        game.add_policy(player, uniform_random_policy(3))
+    record = SimpleNamespace(game=game, solution=SolutionProfile((np.full(4, 0.25),) * 2, "", 0.0))
+    (tmp_path / "notes.txt").write_text("the user's own\n")
+    (tmp_path / "p0_old.txt").write_text("not a policy file name\n")
+    assert [len(policies) for policies in export_eval_set(record, tmp_path, size=4)] == [4, 4]
+    sampled = export_eval_set(record, tmp_path, size=1, seed=3)
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["notes.txt", "p0_0.txt", "p0_old.txt", "p1_0.txt"]
+    for player, (policy,) in enumerate(sampled):
+        assert (tmp_path / f"p{player}_0.txt").read_text() == policy_to_text(policy)

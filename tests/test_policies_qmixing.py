@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,16 @@ def test_flattened_mixture_equals_per_call_sum(mixture):
         assert not values.flags.writeable
         assert np.array_equal(loaded.lookup(key), values)
     assert np.array_equal(mixture.lookup(UNSEEN), np.full(3, mixture.default_value))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(random_mixtures())
+def test_mixture_unpickles_as_a_table_with_the_same_lookups(mixture):
+    copy = pickle.loads(pickle.dumps(mixture))
+    assert type(copy) is QTable and list(copy.known_keys()) == list(mixture.known_keys())
+    assert copy.default_value == mixture.default_value
+    for key in MIX_KEYS + [UNSEEN]:
+        assert copy.lookup(key).tobytes() == mixture.lookup(key).tobytes()
 
 
 LEGAL_SETS = [(1,), (1, 2), (0, 1), (0, 1, 2), (0,), (0, 2), (2,)]
