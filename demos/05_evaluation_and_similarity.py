@@ -1,12 +1,17 @@
 """Evaluate solutions against deviation sets and compare policy libraries.
 
-Proxy regret measures deviation gain against discovered plus held-out
-policies, clipped at zero; the similarity report checks how behaviourally
-diverse a policy set is by greedy-action agreement over every information
-state that some assignment of the policies to the seats reaches.
+A deviation set is a plain list per player: strategy indices for an
+empirical game, policies for an environment. Proxy regret measures deviation
+gain against discovered plus held-out policies, clipped at zero; the
+similarity report checks how behaviourally diverse a policy set is by
+greedy-action agreement over every information state that some assignment
+of the policies to the seats reaches.
 
 The held-out evaluation set is written under PSROMIX_OUTPUT_ROOT (default:
-the working directory), as the command-line tool writes its outputs.
+the working directory), as the command-line tool writes its outputs, by the
+writer that stores a checkpoint's policies (``psromix.engine.save_policy_set``):
+a rerun replaces the directory's ``p<player>_<k>.txt`` files and leaves
+any other file there alone.
 """
 
 import os
@@ -21,9 +26,7 @@ env = pm.rps_env()
 print("== regret against pure deviations ==")
 populations = [[pm.FixedMixturePolicy([0.0, 0.3, 0.7])], [pm.pure_action_policy(3, 0)]]
 sigma = [np.array([1.0]), np.array([1.0])]
-deviations = pm.DeviationSet(
-    tuple(tuple(pm.pure_action_policy(3, a) for a in range(3)) for _ in range(2))
-)
+deviations = [[pm.pure_action_policy(3, a) for a in range(3)]] * 2
 values = pm.regret(env, sigma, deviations, populations=populations)
 print(f"player 2 plays R against (0,.3,.7): regret {values[1]:.3f} (R is already the BR)")
 print(f"player 1 could deviate: regret {values[0]:.3f}")

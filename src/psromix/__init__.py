@@ -32,7 +32,6 @@ from .envs import (
 from .errors import *  # noqa: F401,F403 -- the error module defines __all__-safe names only
 from .exact import ExactOracle, analytic_payoffs, exact_best_response, has_exact_values
 from .evaluation import (
-    DeviationSet,
     SimilarityReport,
     proxy_regret,
     regret,

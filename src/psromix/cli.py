@@ -23,11 +23,11 @@ from .config import HParamSearchSpec, load_config, load_search_config
 from .engine import RunRecord, checkpoint, export_regret_curve, resume, run_algorithm
 from .envs import Environment, make_env
 from .errors import ConfigError, CorruptCheckpoint, EnvironmentMismatch, PsromixError
-from .evaluation import POLICY_FILE, proxy_regret, sum_regret
+from .evaluation import proxy_regret, sum_regret
 from .games import save_game
 from .hparams import hparam_search
 from .policies import ValuePolicy, uniform_random_policy
-from .serialize import load_policy
+from .serialize import POLICY_FILE, load_policy
 
 
 def _output_root() -> str:

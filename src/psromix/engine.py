@@ -31,11 +31,13 @@ from .hparams import preset_hparams
 from .oracle import SimulationCounter, TabularOracle
 from .policies import uniform_random_policy
 from .qmixing import combine_opponents, combine_responses
-from .serialize import load_policy, save_policy
+from .serialize import POLICY_FILE, load_policy, save_policy
 from .solvers import SolutionProfile, get_solver
 
 # Purpose codes for derived random streams.
 _TRAIN, _OPPONENT_DRAW, _EXPAND = 0, 1, 2
+# The config fields a resumed run may change: how long it runs.
+_RESUMABLE = ("run.epochs", "run.early_stop_sum_regret")
 
 
 @dataclass
@@ -277,6 +279,22 @@ def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int)
     return new_policies, target
 
 
+def _check_resumable(saved: RunConfig, config: RunConfig) -> None:
+    """Raise ConfigError naming the first field, in the canonical rendering,
+    in which ``config`` differs from the config a resumed run was started
+    with. Only :data:`_RESUMABLE` fields may change: every other field
+    sets the trajectory that the checkpoint already holds part of."""
+    before, after = (json.loads(config_to_json(c)) for c in (saved, config))
+    for section, fields in after.items():
+        for name in sorted({*before[section], *fields}):
+            old, new = before[section].get(name), fields.get(name)
+            if old != new and f"{section}.{name}" not in _RESUMABLE:
+                raise ConfigError(
+                    f"{section}.{name}: the checkpointed run has {old!r}, "
+                    f"the config resuming it has {new!r}"
+                )
+
+
 def run_algorithm(
     config: RunConfig,
     resume_record: RunRecord | None = None,
@@ -284,6 +302,8 @@ def run_algorithm(
 ) -> RunRecord:
     """Run (or continue) the configured epoch loop and return its record."""
     config.validate()
+    if resume_record is not None:
+        _check_resumable(resume_record.config, config)
     env = make_env(config.env)
     if config.algorithm == "mixed-oracles" and env.n_players != 2:
         raise PlayerCountUnsupported(
@@ -298,7 +318,12 @@ def run_algorithm(
         record = resume_record
         record.config = config
 
+    stop = config.early_stop_sum_regret
     for epoch in range(record.next_epoch, config.epochs + 1):
+        # Decided from the log, so a resumed early-stopped run stops too.
+        last = record.entries[-1]
+        if stop is not None and last.epoch >= 1 and last.sum_regret < stop:
+            break
         new_policies, target = _train_new_policies(record, env, oracle, epoch)
         new_ids = tuple(
             record.game.add_policy(player, policy)
@@ -314,12 +339,7 @@ def run_algorithm(
         )
         record.game.epoch = epoch
         solution = solver(record.game)
-        entry = _log_epoch(record, epoch, solution, target, new_ids)
-        if (
-            config.early_stop_sum_regret is not None
-            and entry.sum_regret < config.early_stop_sum_regret
-        ):
-            break
+        _log_epoch(record, epoch, solution, target, new_ids)
     return record
 
 
@@ -343,9 +363,11 @@ def export_regret_curve(record: RunRecord) -> str:
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def _save_policies(directory: str, policy_sets) -> None:
-    """Write ``p{player}_{index}.txt`` per policy and delete every other file
-    in ``directory``, so an overwritten longer run leaves nothing behind."""
+def save_policy_set(directory, policy_sets) -> None:
+    """Write ``p<player>_<index>.txt`` per policy (one list per player) and
+    delete ``directory``'s other files named as :data:`POLICY_FILE`, so an
+    overwritten longer set leaves nothing behind; files of any other name
+    stay. The one writer of policy sets: checkpoints and evaluation sets."""
     policies = {
         f"p{player}_{index}.txt": policy
         for player, members in enumerate(policy_sets)
@@ -357,7 +379,8 @@ def _save_policies(directory: str, policy_sets) -> None:
         save_policy(policy, os.path.join(directory, name))
     if os.path.isdir(directory):
         for entry in os.scandir(directory):
-            if entry.is_file() and entry.name not in policies:
+            stale = POLICY_FILE.fullmatch(entry.name) and entry.name not in policies
+            if stale and entry.is_file():
                 os.unlink(entry.path)
 
 
@@ -368,8 +391,8 @@ def checkpoint(record: RunRecord, path) -> None:
     ``record.json`` is the commit marker. It is removed before anything else
     is written and atomically put back last, so a write cut short leaves a
     checkpoint that :func:`resume` rejects instead of one that mixes old and
-    new state. Policy and library files that are not part of this state,
-    such as those of a longer run checkpointed here before, are deleted
+    new state. :func:`save_policy_set` writes both policy directories, so
+    the policy files of a longer run checkpointed here before are deleted
     before the commit. Counters and the next epoch are read back from the log.
     """
     os.makedirs(path, exist_ok=True)
@@ -380,8 +403,8 @@ def checkpoint(record: RunRecord, path) -> None:
         fh.write(config_to_json(record.config))
     save_game(record.game, os.path.join(path, "game.txt"))
 
-    _save_policies(os.path.join(path, "policies"), record.game.strategy_sets)
-    _save_policies(os.path.join(path, "library"), record.libraries or [])
+    save_policy_set(os.path.join(path, "policies"), record.game.strategy_sets)
+    save_policy_set(os.path.join(path, "library"), record.libraries or [])
 
     entries = [asdict(e) for e in record.entries]
     partial_path = record_path + ".partial"

@@ -78,14 +78,8 @@ class MatrixGameEnv(Environment):
     def draw_deal(self, rng) -> Deal:
         return self._deal
 
-    def reset(self, rng, first_player: int = 0) -> "MatrixEpisode":
-        return MatrixEpisode(self._deal, self.roots[0])
-
-
-class MatrixEpisode(EpisodeState):
-    """The cursor over a matrix game's nodes: the seats act in order, each
-    unaware of the earlier choices; the last step returns the tensor cell of
-    the joint action."""
+    def reset(self, rng, first_player: int = 0) -> EpisodeState:
+        return EpisodeState(self._deal, self.roots[0])
 
 
 def rps_env() -> MatrixGameEnv:

@@ -1,54 +1,33 @@
 """Regret metrics against deviation sets and policy-similarity analysis.
 
 Regret of a profile is the best payoff gain available by deviating to a
-policy in the deviation set. In an environment the payoffs are exact (see
-:mod:`psromix.exact`, which keeps each policy's table): each matchup is
-computed once per call, so repeated pairings cost nothing. Every built-in
-environment (matrix games and Leduc) has exact values; any other one is
-rejected with ``WrongEnvironment``. The similarity report's state corpus is
-exact as well: nothing in this module simulates an episode.
+policy in the deviation set: one sequence of entries per player, strategy
+indices for an empirical game and policies for an environment. In an
+environment the payoffs are exact (see :mod:`psromix.exact`, which keeps
+each policy's table): each matchup is computed once per call, so repeated
+pairings cost nothing. Every built-in environment (matrix games and Leduc)
+has exact values; any other one is rejected with ``WrongEnvironment``. The
+similarity report's state corpus is exact as well: nothing in this module
+simulates an episode.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import exact
+from .engine import save_policy_set
 from .envs.base import Environment, derived_rng
 # Unused here; perfbench/run.py traces calls through this name.
 from .envs.base import simulate_episode  # noqa: F401
 from .errors import EmptyDeviationSet
 from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
-from .serialize import save_policy
 from .solvers import SolutionProfile
-
-# The name of a held-out set's policy file: ``p<player>_<k>.txt``.
-POLICY_FILE = re.compile(r"p(\d+)_\d+\.txt")
-
-
-@dataclass
-class DeviationSet:
-    """Per-player deviation policies (or strategy indices, for a game)."""
-
-    per_player: tuple[tuple, ...]
-
-    @classmethod
-    def from_sets(cls, psro: Sequence[Sequence] = (), eval_set: Sequence[Sequence] = ()):
-        """Union of discovered and held-out policies."""
-        n = max(len(psro), len(eval_set))
-        players = []
-        for player in range(n):
-            discovered = list(psro[player]) if player < len(psro) else []
-            held_out = list(eval_set[player]) if player < len(eval_set) else []
-            players.append(tuple(discovered + held_out))
-        return cls(tuple(players))
 
 
 def _solution_weights(sigma) -> list[np.ndarray]:
@@ -65,10 +44,11 @@ def sum_regret(per_player_regrets) -> float:
 def regret(
     env_or_game,
     sigma,
-    deviations: DeviationSet,
+    deviations: Sequence[Sequence],
     populations: Sequence[Sequence] | None = None,
 ) -> np.ndarray:
-    """Per-player regret of ``sigma`` against a deviation set.
+    """Per-player regret of ``sigma`` against ``deviations``, one sequence of
+    deviation entries per player.
 
     With an EmpiricalGame, deviation entries are strategy indices and payoffs
     come from the table. With an environment, deviation entries are policies,
@@ -84,22 +64,20 @@ def regret(
     return _regret_in_env(env_or_game, populations, sigma, deviations)
 
 
-def _check_nonempty(deviations: DeviationSet, n_players: int) -> None:
-    if len(deviations.per_player) != n_players:
-        raise ValueError(
-            f"deviation set covers {len(deviations.per_player)} players, expected {n_players}"
-        )
-    for player, entries in enumerate(deviations.per_player):
+def _check_nonempty(deviations: Sequence[Sequence], n_players: int) -> None:
+    if len(deviations) != n_players:
+        raise ValueError(f"deviation set covers {len(deviations)} players, expected {n_players}")
+    for player, entries in enumerate(deviations):
         if len(entries) == 0:
             raise EmptyDeviationSet(f"player {player} has no deviation policies")
 
 
-def _regret_in_game(game: EmpiricalGame, sigma, deviations: DeviationSet) -> np.ndarray:
+def _regret_in_game(game: EmpiricalGame, sigma, deviations: Sequence[Sequence]) -> np.ndarray:
     _check_nonempty(deviations, game.n_players)
     weights = _solution_weights(sigma)
     gains = tensor_gains(payoff_tensor(game), weights)
     return np.array(
-        [max(g[int(i)] for i in devs) for g, devs in zip(gains, deviations.per_player)]
+        [max(g[int(i)] for i in devs) for g, devs in zip(gains, deviations)]
     )
 
 
@@ -124,10 +102,7 @@ def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[i
 def _regret_in_env(env, populations, sigma, deviations) -> np.ndarray:
     _check_nonempty(deviations, env.n_players)
     weights = _solution_weights(sigma)
-    seats = [
-        _seat_pool(population, devs)
-        for population, devs in zip(populations, deviations.per_player)
-    ]
+    seats = [_seat_pool(population, devs) for population, devs in zip(populations, deviations)]
     pools = [pool for pool, _ in seats]
 
     @functools.cache
@@ -157,8 +132,12 @@ def proxy_regret(
 ) -> np.ndarray:
     """Regret against the union of discovered and held-out policies, clipped
     at zero per player (every deviation may be worse than the profile).
+    The shorter of the two per-player lists is padded with empty sets.
     Payoffs are exact, as in :func:`regret`."""
-    deviations = DeviationSet.from_sets(psro_set, eval_set)
+    deviations = [
+        [*discovered, *held_out]
+        for discovered, held_out in itertools.zip_longest(psro_set, eval_set, fillvalue=())
+    ]
     raw = regret(env_or_game, sigma, deviations, populations)
     return np.maximum(raw, 0.0)
 
@@ -212,29 +191,20 @@ def export_eval_set(record, path, size: int, seed: int = 0) -> list[list]:
     """Write a held-out evaluation set sampled from a run's final solution support.
 
     Draws up to ``size`` distinct policies per player, support-weighted, and
-    writes one policy file per entry (``p<player>_<k>.txt``), deleting the
-    directory's other policy files so that it holds this set alone; files of
-    any other name are left alone. Returns the sampled per-player policy lists.
+    writes them with :func:`psromix.engine.save_policy_set`, which replaces
+    the directory's ``p<player>_<k>.txt`` policy files and leaves files of
+    any other name alone. Returns the sampled per-player policy lists.
     """
-    os.makedirs(path, exist_ok=True)
     rng = derived_rng(seed, 101)
     sampled: list[list] = []
-    written = set()
     for player in range(record.game.n_players):
         weights = record.solution.weights(player)
         support = np.flatnonzero(weights > 0.0)
         take = min(size, len(support))
         probs = weights[support] / weights[support].sum()
         chosen = rng.choice(support, size=take, replace=False, p=probs)
-        policies = [record.game.strategy_sets[player][int(i)] for i in sorted(chosen)]
-        for k, policy in enumerate(policies):
-            name = f"p{player}_{k}.txt"
-            written.add(name)
-            save_policy(policy, os.path.join(path, name))
-        sampled.append(policies)
-    for entry in os.scandir(path):
-        if entry.is_file() and POLICY_FILE.fullmatch(entry.name) and entry.name not in written:
-            os.unlink(entry.path)
+        sampled.append([record.game.strategy_sets[player][int(i)] for i in sorted(chosen)])
+    save_policy_set(path, sampled)
     return sampled
 
 

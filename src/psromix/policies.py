@@ -16,8 +16,8 @@ import numpy as np
 class QTable:
     """Action-value table keyed by observation, with a default for unseen keys.
 
-    Every unseen key looks up the same read-only default vector; ``ensure``
-    inserts a fresh writable copy before a key's values are updated.
+    Every unseen key looks up the same read-only default vector; ``set``
+    stores a key's own vector.
     """
 
     def __init__(
@@ -45,14 +45,6 @@ class QTable:
     def lookup(self, key: bytes) -> np.ndarray:
         """Return the stored vector (treat as read-only) or the shared default."""
         return self.values.get(key, self._default)
-
-    def ensure(self, key: bytes) -> np.ndarray:
-        """Return the mutable vector for ``key``, inserting the default first."""
-        vec = self.values.get(key)
-        if vec is None:
-            vec = np.full(self.action_count, self.default_value)
-            self.values[key] = vec
-        return vec
 
     def known_keys(self) -> Iterable[bytes]:
         return self.values.keys()

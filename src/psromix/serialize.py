@@ -5,9 +5,15 @@ they round-trip bit-exactly. A Q-mixture (:class:`psromix.qmixing.MixedQPolicy`)
 is a QTable holding its summed vectors and default, so it is saved as that
 table and loads back as a plain QTable with the same lookups, on seen and
 unseen keys alike.
+
+A policy set is a directory of ``p<player>_<k>.txt`` files (:data:`POLICY_FILE`),
+written only by :func:`psromix.engine.save_policy_set`, for checkpoints and
+evaluation sets alike.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -15,6 +21,7 @@ from .errors import CorruptCheckpoint
 from .policies import FixedMixturePolicy, QTable, ValuePolicy
 
 POLICY_HEADER = "psromix-policy v1"
+POLICY_FILE = re.compile(r"p(\d+)_\d+\.txt")
 
 
 def policy_to_text(policy) -> str:

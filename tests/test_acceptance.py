@@ -123,9 +123,7 @@ def test_criterion_3_double_oracle_convergence():
     )
     record = pm.run_algorithm(config)
     env = pm.rps_env()
-    deviations = pm.DeviationSet(
-        tuple(tuple(pm.pure_action_policy(3, a) for a in range(3)) for _ in range(2))
-    )
+    deviations = [[pm.pure_action_policy(3, a) for a in range(3)]] * 2
     sums = []
     for entry in record.entries:
         populations = [
@@ -282,12 +280,8 @@ def test_criterion_8_regret_properties():
             [eval_set[p][0], pm.FixedMixturePolicy(rng.dirichlet(np.ones(3)))]
             for p in range(2)
         ]
-        r_small = pm.regret(
-            env, sigma, pm.DeviationSet(tuple(map(tuple, small))), populations=populations
-        )
-        r_big = pm.regret(
-            env, sigma, pm.DeviationSet(tuple(map(tuple, big))), populations=populations
-        )
+        r_small = pm.regret(env, sigma, small, populations=populations)
+        r_big = pm.regret(env, sigma, big, populations=populations)
         assert (r_big >= r_small - 1e-12).all()
 
     def one_hot_table(action):

@@ -5,7 +5,7 @@ compiled nodes directly. The reference below is the training loop as it ran
 through ``reset`` / ``observation`` / ``legal_actions`` / ``step`` before
 that: the walk must give the same learner rows bit for bit, the same step
 count and the same random streams. The matrix tree is checked cell by cell
-against the payoff tensor and the ``MatrixEpisode`` cursor.
+against the payoff tensor and the episode cursor that ``reset`` returns.
 """
 
 import itertools

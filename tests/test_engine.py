@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from pathlib import Path
@@ -308,6 +309,70 @@ def test_early_stop():
                       early_stop_sum_regret=1e-9)
     record = run_algorithm(cfg)
     assert record.entries[-1].epoch == 1
+
+
+def _checkpoint_bytes(path):
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+def test_resumed_early_stopped_run_adds_no_epoch(tmp_path):
+    # The stop is decided from the log, so resuming a stopped run, even with
+    # more epochs to go, trains nothing and rewrites the same checkpoint.
+    config = load_config(ROOT / "demos" / "configs" / "rps_psro_exact.json")
+    record = run_algorithm(config)
+    assert [e.epoch for e in record.entries] == [0, 1]
+    ck = tmp_path / "ck"
+    checkpoint(record, ck)
+    written = _checkpoint_bytes(ck)
+    restored = resume(ck)
+    continued = run_algorithm(restored.config, resume_record=restored)
+    assert [e.epoch for e in continued.entries] == [0, 1]
+    checkpoint(continued, ck)
+    assert _checkpoint_bytes(ck) == written
+    longer = run_algorithm(dataclasses.replace(config, epochs=10), resume_record=resume(ck))
+    assert [e.epoch for e in longer.entries] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"algorithm": "mixed-oracles"}, "run.algorithm"),
+        ({"seed": 3, "algorithm": "mixed-opponents"}, "run.algorithm"),
+        ({"seed": 3}, "run.seed"),
+        ({"mss": "uniform"}, "mss.name"),
+        ({"oracle": "exact"}, "oracle.kind"),
+        ({"mix_hparams": None}, "oracle.mix"),
+    ],
+    ids=["algorithm", "algorithm-and-seed", "seed", "solver", "oracle", "hparams"],
+)
+def test_resume_with_a_changed_config_names_the_field(tmp_path, change, field):
+    checkpoint(run_algorithm(fast_config(epochs=2)), tmp_path / "ck")
+    restored = resume(tmp_path / "ck")
+    with pytest.raises(ConfigError, match=f"^{field}: the checkpointed run has "):
+        run_algorithm(fast_config(epochs=3, **change), resume_record=restored)
+
+
+def test_resume_may_change_how_long_the_run_goes(tmp_path):
+    checkpoint(run_algorithm(fast_config(epochs=2)), tmp_path / "ck")
+    restored = resume(tmp_path / "ck")
+    # nash leaves internal regret at about 0, so the new threshold stops the
+    # run before epoch 3: the stop is read from epoch 2's log entry.
+    resumed = run_algorithm(
+        fast_config(epochs=5, early_stop_sum_regret=0.5), resume_record=restored
+    )
+    assert [e.epoch for e in resumed.entries] == [0, 1, 2]
+
+
+def test_checkpoint_replaces_stale_policy_files_only(tmp_path):
+    policies = tmp_path / "ck" / "policies"
+    policies.mkdir(parents=True)
+    (policies / "p0_9.txt").write_text("from a longer run\n")
+    (policies / "notes.txt").write_text("not a policy file\n")
+    checkpoint(run_algorithm(fast_config(epochs=1)), tmp_path / "ck")
+    assert sorted(p.name for p in policies.iterdir()) == [
+        "notes.txt", "p0_0.txt", "p0_1.txt", "p1_0.txt", "p1_1.txt"
+    ]
+    assert (policies / "notes.txt").read_text() == "not a policy file\n"
 
 
 def test_early_stop_under_replicator_runs_all_epochs():

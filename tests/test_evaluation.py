@@ -13,7 +13,6 @@ from psromix.envs.leduc import CALL
 from psromix.errors import EmptyDeviationSet
 from psromix.exact import analytic_payoffs, reached_keys, seat_keys
 from psromix.evaluation import (
-    DeviationSet,
     export_eval_set,
     export_similarity,
     proxy_regret,
@@ -46,19 +45,13 @@ def matching_pennies_game():
 
 
 def all_pure_deviations(n_actions=3, n_players=2):
-    return DeviationSet(
-        tuple(
-            tuple(pure_action_policy(n_actions, a) for a in range(n_actions))
-            for _ in range(n_players)
-        )
-    )
+    return [[pure_action_policy(n_actions, a) for a in range(n_actions)]] * n_players
 
 
 def test_regret_zero_at_equilibrium_in_game():
     game = matching_pennies_game()
     sigma = [np.array([10 / 21, 11 / 21]), np.array([11 / 21, 10 / 21])]
-    deviations = DeviationSet(((0, 1), (0, 1)))
-    values = regret(game, sigma, deviations)
+    values = regret(game, sigma, [[0, 1], [0, 1]])
     assert abs(values[1]) < 1e-12
     assert abs(values[0]) < 1e-12
 
@@ -66,8 +59,7 @@ def test_regret_zero_at_equilibrium_in_game():
 def test_regret_zero_when_profile_is_best_response():
     game = matching_pennies_game()
     sigma = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]  # p2 plays R vs pi_1^1
-    deviations = DeviationSet(((0, 1), (0, 1)))
-    values = regret(game, sigma, deviations)
+    values = regret(game, sigma, [[0, 1], [0, 1]])
     assert values[1] == pytest.approx(0.0, abs=1e-12)  # R is the BR already
 
 
@@ -83,9 +75,7 @@ def test_regret_can_be_negative_for_weak_sets():
     env = rps_env()
     populations = [[pure_action_policy(3, 0)], [pure_action_policy(3, 1)]]
     sigma = [np.array([1.0]), np.array([1.0])]
-    weak = DeviationSet(
-        ((pure_action_policy(3, 0),), (pure_action_policy(3, 2),))
-    )  # p2 deviating from winning P to losing S
+    weak = [[pure_action_policy(3, 0)], [pure_action_policy(3, 2)]]  # p2: winning P to losing S
     values = regret(env, sigma, weak, populations=populations)
     assert values[1] < 0
 
@@ -93,7 +83,7 @@ def test_regret_can_be_negative_for_weak_sets():
 def test_empty_deviation_set_rejected():
     game = matching_pennies_game()
     with pytest.raises(EmptyDeviationSet):
-        regret(game, [np.array([1.0, 0.0])] * 2, DeviationSet(((), (0,))))
+        regret(game, [np.array([1.0, 0.0])] * 2, [[], [0]])
 
 
 def test_proxy_regret_clips_at_zero():
@@ -116,12 +106,35 @@ def test_proxy_equals_regret_when_nonnegative():
     populations = [[FixedMixturePolicy([0.0, 0.3, 0.7])], [pure_action_policy(3, 2)]]
     sigma = [np.array([1.0]), np.array([1.0])]
     pure = [[pure_action_policy(3, a) for a in range(3)] for _ in range(2)]
-    raw = regret(
-        env, sigma, DeviationSet.from_sets(pure, [[], []]), populations=populations
-    )
+    raw = regret(env, sigma, pure, populations=populations)
     clipped = proxy_regret(env, sigma, pure, [[], []], populations=populations)
     assert clipped[1] == pytest.approx(raw[1])
     assert raw[1] > 0
+
+
+def test_proxy_regret_pads_the_shorter_set_list():
+    env = rps_env()
+    populations = [[pure_action_policy(3, 0)], [pure_action_policy(3, 1)]]
+    sigma = [np.array([1.0]), np.array([1.0])]
+    eval_set = [[pure_action_policy(3, 2)], [pure_action_policy(3, 2)]]
+    padded = proxy_regret(env, sigma, [[], []], eval_set, populations=populations)
+    assert padded[0] > 0.0
+    assert np.array_equal(proxy_regret(env, sigma, [], eval_set, populations=populations), padded)
+
+
+def test_regret_takes_lists_or_tuples():
+    game = matching_pennies_game()
+    sigma = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
+    assert np.array_equal(regret(game, sigma, [[0, 1], [1]]), regret(game, sigma, ((0, 1), (1,))))
+    env = rps_env()
+    populations = [[pure_action_policy(3, 0)], [pure_action_policy(3, 1)]]
+    deviations = [[pure_action_policy(3, a) for a in range(3)]] * 2
+    as_lists = regret(env, [[1.0], [1.0]], deviations, populations=populations)
+    as_tuples = regret(
+        env, ((1.0,), (1.0,)), tuple(map(tuple, deviations)),
+        populations=tuple(map(tuple, populations)),
+    )
+    assert np.array_equal(as_lists, as_tuples)
 
 
 def test_sum_regret():
@@ -161,8 +174,8 @@ def test_deviation_monotonicity_randomized():
             [FixedMixturePolicy(rng.dirichlet(np.ones(3)))] for _ in range(2)
         ]
         big = [small[p] + extra[p] for p in range(2)]
-        r_small = regret(env, sigma, DeviationSet(tuple(map(tuple, small))), populations=populations)
-        r_big = regret(env, sigma, DeviationSet(tuple(map(tuple, big))), populations=populations)
+        r_small = regret(env, sigma, small, populations=populations)
+        r_big = regret(env, sigma, big, populations=populations)
         assert (r_big >= r_small - 1e-12).all()
 
 
@@ -187,7 +200,7 @@ def regret_cases(draw):
         held_out = [random_policy() for _ in range(draw(st.integers(0, 3)))]
         populations.append(population)
         sigma.append(weights / weights.sum())
-        deviations.append(tuple(members + held_out) or (population[0],))
+        deviations.append(members + held_out or [population[0]])
     return env, populations, sigma, deviations
 
 
@@ -197,7 +210,7 @@ def test_env_regret_equals_regret_in_analytic_game(case):
     # The env path sums matchups over the mixture supports; the game path
     # reads the gain vectors of a game filled with the same analytic cells.
     env, populations, sigma, deviations = case
-    env_regret = regret(env, sigma, DeviationSet(deviations), populations=populations)
+    env_regret = regret(env, sigma, deviations, populations=populations)
     game = EmpiricalGame(2)
     pools = []
     for player in range(2):
@@ -208,10 +221,10 @@ def test_env_regret_equals_regret_in_analytic_game(case):
         pools.append(pool)
     for i, j in game.all_profiles():
         game.payoffs.record((i, j), analytic_payoffs(env, [pools[0][i], pools[1][j]]), 1)
-    indices = DeviationSet(tuple(
-        tuple(next(k for k, q in enumerate(pool) if q is p) for p in devs)
+    indices = [
+        [next(k for k, q in enumerate(pool) if q is p) for p in devs]
         for pool, devs in zip(pools, deviations)
-    ))
+    ]
     padded = [np.pad(w, (0, len(pool) - len(w))) for w, pool in zip(sigma, pools)]
     assert regret(game, padded, indices) == pytest.approx(env_regret, abs=1e-12)
 
@@ -346,9 +359,7 @@ def test_leduc_regret_is_exact_and_independent_of_deviation_order():
     populations, sigma, forward, permuted = _leduc_regret_case()
 
     def regrets(per_player):
-        return regret(
-            env, sigma, DeviationSet(tuple(map(tuple, per_player))), populations=populations
-        )
+        return regret(env, sigma, per_player, populations=populations)
 
     values = regrets(forward)
     # The order of the deviations changes no bit.

@@ -14,7 +14,7 @@ from psromix.envs import (
 from psromix.envs.base import Deal, Node, compile_tree
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import IllegalAction, WrongEnvironment
-from psromix.evaluation import DeviationSet, proxy_regret, regret
+from psromix.evaluation import proxy_regret, regret
 from psromix.exact import exact_best_response
 from psromix.oracle import (
     OracleHParams,
@@ -302,7 +302,7 @@ _UNIFORM = uniform_random_policy(3)
         ),
         pytest.param(
             lambda env: regret(
-                env, [[1.0], [1.0]], DeviationSet(((_UNIFORM,), (_UNIFORM,))),
+                env, [[1.0], [1.0]], [[_UNIFORM], [_UNIFORM]],
                 populations=[[_UNIFORM], [_UNIFORM]],
             ),
             id="regret",
@@ -432,7 +432,7 @@ def reference_train_best_response(
                 key = state.observation(player)
                 legal = state.legal_actions(player)
                 if pending_key is not None:
-                    vec = q.ensure(pending_key)
+                    vec = q.values.setdefault(pending_key, np.zeros(q.action_count))
                     bootstrap = max(q.lookup(key)[a] for a in legal)
                     target = acc_reward + hparams.discount * bootstrap
                     vec[pending_action] += hparams.learning_rate * (target - vec[pending_action])
@@ -455,7 +455,7 @@ def reference_train_best_response(
             if pending_key is not None:
                 acc_reward += rewards[learner]
         if pending_key is not None:
-            vec = q.ensure(pending_key)
+            vec = q.values.setdefault(pending_key, np.zeros(q.action_count))
             vec[pending_action] += hparams.learning_rate * (acc_reward - vec[pending_action])
     if counter is not None:
         counter.train_steps += t

@@ -222,14 +222,11 @@ def test_action_probability_table_equals_per_key_probabilities(rows, epsilon):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(random_tables())
-def test_qtable_default_is_shared_read_only_and_ensure_copies(table):
+def test_qtable_default_is_shared_read_only(table):
     default = table.lookup(UNSEEN)
     assert not default.flags.writeable
     assert table.lookup(b"other unseen") is default
-    vec = table.ensure(UNSEEN)
-    assert vec.flags.writeable and not np.shares_memory(vec, default)
-    vec += 1.0
-    assert np.array_equal(table.lookup(b"other unseen"), np.full(3, table.default_value))
+    assert np.array_equal(default, np.full(3, table.default_value))
 
 
 def test_permutation_invariance():
