@@ -143,7 +143,8 @@ def _load_eval_set(path: str, env: Environment) -> list[list]:
 def _cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
-    record = resume(_resolve(args.checkpoint))
+    # Evaluation reads the game and its solution, never the library.
+    record = resume(_resolve(args.checkpoint), library=False)
     env = make_env(record.config.env)
     eval_set = _load_eval_set(_resolve(args.eval_set), env)
     if all(len(policies) == 0 for policies in eval_set):

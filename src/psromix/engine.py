@@ -304,6 +304,7 @@ def run_algorithm(
     config.validate()
     if resume_record is not None:
         _check_resumable(resume_record.config, config)
+        _check_library(resume_record)
     env = make_env(config.env)
     if config.algorithm == "mixed-oracles" and env.n_players != 2:
         raise PlayerCountUnsupported(
@@ -363,6 +364,13 @@ def export_regret_curve(record: RunRecord) -> str:
 # Checkpointing
 # ---------------------------------------------------------------------------
 
+def _check_library(record: RunRecord) -> None:
+    """A Mixed-Oracles record read without its library can neither continue
+    its run nor be checkpointed (that would delete the library's files)."""
+    if record.config.algorithm == "mixed-oracles" and record.libraries is None:
+        raise ValueError("the record holds no library: resume it with library=True")
+
+
 def save_policy_set(directory, policy_sets) -> None:
     """Write ``p<player>_<index>.txt`` per policy (one list per player) and
     delete ``directory``'s other files named as :data:`POLICY_FILE`, so an
@@ -395,6 +403,7 @@ def checkpoint(record: RunRecord, path) -> None:
     the policy files of a longer run checkpointed here before are deleted
     before the commit. Counters and the next epoch are read back from the log.
     """
+    _check_library(record)
     os.makedirs(path, exist_ok=True)
     record_path = os.path.join(path, "record.json")
     if os.path.exists(record_path):
@@ -413,11 +422,14 @@ def checkpoint(record: RunRecord, path) -> None:
     os.replace(partial_path, record_path)
 
 
-def resume(path) -> RunRecord:
+def resume(path, library: bool = True) -> RunRecord:
     """Rebuild a RunRecord from a checkpoint directory.
 
     The counters and the next epoch come from the last ``record.json`` entry;
     a Mixed-Oracles run holds one library response per player per epoch.
+    ``library=False`` reads no library (``libraries`` stays None), for a
+    reader of the game and its solution only; such a record cannot continue
+    a Mixed-Oracles run.
     Files that older versions also wrote (``meta.txt``, ``counters.txt``,
     ``library/manifest.txt``) are ignored.
     """
@@ -459,7 +471,7 @@ def resume(path) -> RunRecord:
                     os.path.join(policy_dir, f"p{player}_{index}.txt")
                 )
         libraries = None
-        if config.algorithm == "mixed-oracles":
+        if library and config.algorithm == "mixed-oracles":
             library_dir = os.path.join(path, "library")
             libraries = [
                 [

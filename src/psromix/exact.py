@@ -313,8 +313,8 @@ def _leduc_best_response(env, learner: int, spec) -> tuple[ValuePolicy, float]:
         values[node_id] = child_values[choice[group_of_deal], every_deal]
         action_values[group_rows[:, None], legal] = sums.T
     reached = action_values.any(axis=1)
-    kept = {k: row for k, row, keep in zip(index.keys[learner], action_values, reached) if keep}
-    table = QTable(3, kept)
+    kept = [key for key, keep in zip(index.keys[learner], reached.tolist()) if keep]
+    table = QTable.from_rows(3, kept, action_values[reached])
     value = sum(float(values[root.id].sum()) for root in index.roots)
     return ValuePolicy(table), value
 

@@ -4,11 +4,19 @@ A policy maps an observation plus the legal action set to an action. Value
 policies are backed by a :class:`QTable` (a Q-mixture from
 :mod:`psromix.qmixing` is one too); greedy ties always break toward the
 lowest action index so behaviour is deterministic given the table.
+
+A table keeps the rows of its known keys in one read-only array and a
+key-to-row index; its ``values`` is a read-only view of those rows by key.
+Bulk readers (policy files, exact probability tables, value mixtures,
+pickles) take many rows with one fancy index (:meth:`QTable.rows_for`)
+instead of one lookup per key.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import repeat
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,49 +24,84 @@ import numpy as np
 class QTable:
     """Action-value table keyed by observation, with a default for unseen keys.
 
-    Every unseen key looks up the same read-only default vector; ``set``
-    stores a key's own vector.
+    The known keys' vectors are the rows of one read-only ``(n_keys,
+    action_count)`` array, ``rows``, in insertion order. ``values`` is a
+    read-only mapping from each key to its row, a view into ``rows``, so
+    :meth:`lookup` is one dict access; every unseen key looks up the same
+    read-only default vector. :meth:`rows_for` gathers many keys' rows at
+    once. A table is built in bulk, from a dict of vectors or with
+    :meth:`from_rows`; ``set`` copies every row to store one more.
     """
 
     def __init__(
         self,
         action_count: int,
-        values: dict[bytes, np.ndarray] | None = None,
+        values: Mapping[bytes, np.ndarray | Sequence[float]] | None = None,
         default_value: float = 0.0,
     ):
-        self.action_count = int(action_count)
-        self.default_value = float(default_value)
-        self._default = np.full(self.action_count, self.default_value)
-        self._default.flags.writeable = False
-        self.values: dict[bytes, np.ndarray] = {}
-        for key, vec in (values or {}).items():
-            self.set(key, vec)
+        action_count = int(action_count)
+        rows = np.empty((0, action_count))
+        if values:
+            rows = np.array(list(values.values()), dtype=float)
+        self._store(action_count, list(values or ()), rows, float(default_value))
+
+    @classmethod
+    def from_rows(
+        cls, action_count: int, keys: Sequence[bytes], rows: np.ndarray, default_value: float = 0.0
+    ) -> QTable:
+        """The table whose row ``i`` (copied from ``rows``) is key ``keys[i]``'s."""
+        table = cls.__new__(cls)
+        table._store(int(action_count), list(keys), rows, float(default_value))
+        return table
+
+    def _store(
+        self, action_count: int, keys: list[bytes], rows: np.ndarray, default_value: float
+    ) -> None:
+        n = len(keys)
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape != (n, action_count):
+            raise ValueError(f"rows have shape {rows.shape}, expected ({n}, {action_count})")
+        index = dict(zip(keys, range(n)))
+        if len(index) != n:
+            raise ValueError("a key is repeated")
+        # The default is one more row, so rows_for needs one fancy index.
+        table = np.empty((n + 1, action_count))
+        table[:n] = rows
+        table[n] = default_value
+        table.flags.writeable = False
+        self.action_count = action_count
+        self.default_value = default_value
+        self.rows = table[:n]
+        self._table = table
+        self._default = table[n]
+        self._index = index
+        self._by_key = dict(zip(keys, self.rows))
+        self.values: Mapping[bytes, np.ndarray] = MappingProxyType(self._by_key)
 
     def set(self, key: bytes, vec) -> None:
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape != (self.action_count,):
-            raise ValueError(
-                f"value vector has shape {arr.shape}, expected ({self.action_count},)"
-            )
-        self.values[key] = arr
+        """Store ``key``'s vector, in a copy of every row."""
+        QTable.__init__(self, self.action_count, {**self._by_key, key: vec}, self.default_value)
 
     def lookup(self, key: bytes) -> np.ndarray:
-        """Return the stored vector (treat as read-only) or the shared default."""
-        return self.values.get(key, self._default)
+        """Return the key's read-only row, or the shared read-only default."""
+        return self._by_key.get(key, self._default)
+
+    def rows_for(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Row ``i`` is ``lookup(keys[i])``, the default for an unseen key;
+        all rows in one new array."""
+        positions = map(self._index.get, keys, repeat(len(self._index)))
+        return self._table[np.fromiter(positions, np.intp, len(keys))]
 
     def known_keys(self) -> Iterable[bytes]:
-        return self.values.keys()
+        return self._index.keys()
 
     def __reduce__(self):
-        # Pickled as one stacked array: a trained Leduc table pickles and
+        # Pickled as the one row array: a trained Leduc table pickles and
         # unpickles several times faster than with one array per key.
-        keys = list(self.values)
-        stacked = np.array(list(self.values.values())).reshape(len(keys), self.action_count)
-        return (_unstacked_qtable, (self.action_count, keys, stacked, self.default_value))
-
-
-def _unstacked_qtable(action_count, keys, stacked, default_value) -> QTable:
-    return QTable(action_count, dict(zip(keys, stacked)), default_value)
+        return (
+            QTable.from_rows,
+            (self.action_count, list(self._index), self.rows, self.default_value),
+        )
 
 
 def greedy_over(vec, legal_actions: Sequence[int]) -> int:
@@ -122,7 +165,7 @@ class ValuePolicy:
     def action_probability_table(self, keys: Sequence[bytes], legal_mask: np.ndarray) -> np.ndarray:
         """Row ``i`` is ``action_probabilities(keys[i], legal)`` for the
         legal actions of ``legal_mask[i]``, bit for bit; all rows at once."""
-        values = np.array([self.q.lookup(key) for key in keys], dtype=float)
+        values = self.q.rows_for(keys)
         probs = np.zeros(values.shape)
         if self.epsilon > 0.0:
             probs = np.where(legal_mask, (self.epsilon / legal_mask.sum(axis=1))[:, None], 0.0)

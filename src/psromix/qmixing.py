@@ -4,12 +4,14 @@ A mixture of value policies is itself a value policy: its action values at an
 observation are the components' values weighted by the mixture probabilities
 (components that never saw the observation contribute their default value).
 The weights are fixed, so a mixture is flattened once, when it is built, into
-a :class:`~psromix.policies.QTable`: one stored vector per key any component
-knows plus one default. It is looked up, saved and loaded as that table, and
-a lookup is a single dict access, whatever the support size. The same
-construction serves two roles in the epoch loops: combining a library of
-stored best responses into a response to a mixed opponent, and collapsing a
-mixed opponent into a single representative policy to train against.
+a :class:`~psromix.policies.QTable`: one row per key any component knows,
+all in one read-only array, plus one default. Each component gives its rows
+for all those keys at once (``rows_for``). The mixture is looked up, saved
+and loaded as that table, and a lookup is a single dict access, whatever
+the support size. The same construction serves two roles in the epoch
+loops: combining a library of stored best responses into a response to a
+mixed opponent, and collapsing a mixed opponent into a single
+representative policy to train against.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ class MixedQPolicy(QTable):
     Not to be updated after construction. The sums are taken for every key in
     the union of the components' ``known_keys()``, each as ``total = 0;
     total += weight * component.lookup(key)`` in component order, and stored
-    as read-only vectors. ``default_value`` is the same weighted sum of the
-    components' defaults, so it is also what each unseen key sums to.
+    as the table's read-only rows. ``default_value`` is the same weighted sum
+    of the components' defaults, so it is also what each unseen key sums to.
     """
 
     def __init__(self, components: Sequence[QTable], weights):
@@ -54,12 +56,9 @@ class MixedQPolicy(QTable):
         totals = np.zeros((len(keys), action_count))
         default_value = 0.0
         for weight, component in zip(self.weights, self.components):
-            rows = np.array([component.lookup(key) for key in keys], dtype=float)
-            totals += weight * rows.reshape(totals.shape)
+            totals += weight * component.rows_for(keys)
             default_value += weight * component.default_value
-        super().__init__(action_count, default_value=default_value)
-        totals.flags.writeable = False
-        self.values = dict(zip(keys, totals))
+        self._store(action_count, keys, totals, default_value)
 
     # An entry of this class's own: the benchmark's tracer (perfbench/run.py)
     # patches ``lookup`` through each class's ``__dict__``, so mixture lookups

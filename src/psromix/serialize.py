@@ -1,10 +1,12 @@
 """Structured-text serialization of policies.
 
 All files carry a versioned header line. Floats are written with repr so
-they round-trip bit-exactly. A Q-mixture (:class:`psromix.qmixing.MixedQPolicy`)
-is a QTable holding its summed vectors and default, so it is saved as that
-table and loads back as a plain QTable with the same lookups, on seen and
-unseen keys alike.
+they round-trip bit-exactly. A value policy's table is written from its one
+row array (:meth:`psromix.policies.QTable.rows_for`, keys sorted) and read
+back, once every line has passed its checks, into one array. A Q-mixture
+(:class:`psromix.qmixing.MixedQPolicy`) is a QTable holding its summed rows
+and default, so it is saved as that table and loads back as a plain QTable
+with the same lookups, on seen and unseen keys alike.
 
 A policy set is a directory of ``p<player>_<k>.txt`` files (:data:`POLICY_FILE`),
 written only by :func:`psromix.engine.save_policy_set`, for checkpoints and
@@ -38,9 +40,10 @@ def policy_to_text(policy) -> str:
         lines.append(f"actions {table.action_count}")
         lines.append(f"default {float(table.default_value)!r}")
         lines.append(f"table {len(keys)}")
-        for key in keys:
-            values = table.lookup(key)
-            lines.append("key " + key.hex() + " " + " ".join(repr(float(v)) for v in values))
+        # One line per key, filled a column at a time; %r is repr.
+        line = "key %s " + " ".join(["%r"] * table.action_count)
+        columns = table.rows_for(keys).T.tolist()
+        lines += map(line.__mod__, zip(map(bytes.hex, keys), *columns))
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize policy of type {type(policy).__name__}")
 
@@ -63,7 +66,7 @@ def _scalar(lines: list[str], index: int, name: str) -> str:
 def policy_from_text(text: str):
     """Parse a policy file; any truncation or malformed line raises
     CorruptCheckpoint, so a damaged file never loads as a smaller policy."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or lines[0] != POLICY_HEADER:
         raise CorruptCheckpoint("policy file missing its versioned header")
     try:
@@ -89,17 +92,24 @@ def _parse_policy(lines: list[str]):
         raise CorruptCheckpoint(
             f"policy file: declares {n_keys} table lines, holds {len(lines) - 6}"
         )
-    table = QTable(actions, default_value=default)
-    for line in lines[6:]:
-        tokens = line.split()
-        if tokens[0] != "key" or len(tokens) != actions + 2:
-            raise CorruptCheckpoint(
-                f"policy file: a table line needs 'key', a hex key and {actions} values"
-            )
-        key = bytes.fromhex(tokens[1])
-        if key in table.values:
-            raise CorruptCheckpoint(f"policy file: key {tokens[1]} is repeated")
-        table.set(key, np.array([float(tok) for tok in tokens[2:]]))
+    if actions < 0:
+        raise CorruptCheckpoint(f"policy file: negative action count {actions}")
+    # Every line checked, then parsed a column at a time into one array.
+    table_lines = list(map(str.split, lines[6:]))
+    columns = list(zip(*table_lines))
+    if set(map(len, table_lines)) - {actions + 2} or (columns and set(columns[0]) != {"key"}):
+        raise CorruptCheckpoint(
+            f"policy file: a table line needs 'key', a hex key and {actions} values"
+        )
+    keys = list(map(bytes.fromhex, columns[1])) if columns else []
+    if len(set(keys)) != n_keys:
+        seen = set()
+        for key, tokens in zip(keys, table_lines):
+            if key in seen:
+                raise CorruptCheckpoint(f"policy file: key {tokens[1]} is repeated")
+            seen.add(key)
+    values = np.array(columns[2:], dtype=float).reshape(actions, n_keys)
+    table = QTable.from_rows(actions, keys, values.T, default)
     return ValuePolicy(table, epsilon=epsilon)
 
 

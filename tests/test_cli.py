@@ -589,8 +589,9 @@ EVAL_LINES = {
 }
 
 
-@pytest.mark.parametrize("env_name, algorithm, epochs", sorted(EVAL_LINES))
-def test_eval_output_is_pinned(tmp_path, capsys, env_name, algorithm, epochs):
+def _pinned_eval_inputs(tmp_path, env_name, algorithm, epochs):
+    """The checkpoint (seed 5) and the eval set (from seed 101) that
+    :data:`EVAL_LINES` is pinned on."""
     for seed in (5, 101):
         path = write_config(tmp_path / f"cfg{seed}.json", algorithm, seed, epochs=epochs)
         cfg = json.loads(path.read_text())
@@ -599,10 +600,26 @@ def test_eval_output_is_pinned(tmp_path, capsys, env_name, algorithm, epochs):
         assert main(["run", str(path), "--output", str(tmp_path / f"run{seed}")]) == 0
     eval_set = tmp_path / "eval_set"
     export_eval_set(resume(tmp_path / "run101" / "checkpoint"), eval_set, size=2, seed=1)
+    return tmp_path / "run5" / "checkpoint", eval_set
+
+
+@pytest.mark.parametrize("env_name, algorithm, epochs", sorted(EVAL_LINES))
+def test_eval_output_is_pinned(tmp_path, capsys, env_name, algorithm, epochs):
+    checkpoint, eval_set = _pinned_eval_inputs(tmp_path, env_name, algorithm, epochs)
     capsys.readouterr()
-    argv = ["eval", str(tmp_path / "run5" / "checkpoint"), "--eval-set", str(eval_set)]
-    assert main(argv) == 0
+    assert main(["eval", str(checkpoint), "--eval-set", str(eval_set)]) == 0
     assert capsys.readouterr().out.splitlines() == EVAL_LINES[env_name, algorithm, epochs]
+
+
+def test_eval_reads_no_library_but_resume_needs_it(tmp_path, capsys):
+    pin = ("leduc", "mixed-oracles", 3)
+    checkpoint, eval_set = _pinned_eval_inputs(tmp_path, *pin)
+    shutil.rmtree(checkpoint / "library")
+    capsys.readouterr()
+    assert main(["eval", str(checkpoint), "--eval-set", str(eval_set)]) == 0
+    assert capsys.readouterr().out.splitlines() == EVAL_LINES[pin]
+    with pytest.raises(CorruptCheckpoint, match="library"):
+        resume(checkpoint)
 
 
 def test_solver_parameter_of_the_default_type_accepted():

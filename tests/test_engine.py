@@ -426,6 +426,20 @@ def test_checkpoint_resume_continues_identically(tmp_path):
             assert np.array_equal(a.q.lookup(key), b.q.lookup(key))
 
 
+def test_a_record_read_without_its_library_cannot_continue_or_be_saved(tmp_path):
+    ck = tmp_path / "ck"
+    checkpoint(run_algorithm(fast_config(algorithm="mixed-oracles", epochs=2)), ck)
+    written = _checkpoint_bytes(ck)
+    partial = resume(ck, library=False)
+    assert partial.libraries is None
+    assert export_regret_curve(partial) == export_regret_curve(resume(ck))
+    with pytest.raises(ValueError, match="no library"):
+        run_algorithm(fast_config(algorithm="mixed-oracles", epochs=3), resume_record=partial)
+    with pytest.raises(ValueError, match="no library"):
+        checkpoint(partial, ck)
+    assert _checkpoint_bytes(ck) == written
+
+
 def test_resumed_mixtures_are_the_live_tables(tmp_path):
     """A mixed-oracles strategy is a Q-mixture while the run is live and a
     plain QTable after resume; both are QTables with the same lookups."""

@@ -412,11 +412,15 @@ def reference_train_best_response(
 ):
     """``train_best_response`` as it was before opponents were memoized and
     the learner's rows became lists: every opponent acts at every step, and
-    the learner updates float64 rows of a QTable in place."""
+    the learner updates float64 rows in place. The rows are kept in a plain
+    dict, a zero row made on a key's first update, and become a QTable once,
+    at the end."""
     provider = opponents if callable(opponents) else lambda r: opponents
     if opponent_rng is None:
         opponent_rng = rng
-    q = QTable(env.action_count(learner))
+    n_actions = env.action_count(learner)
+    rows: dict[bytes, np.ndarray] = {}
+    unseen = np.zeros(n_actions)
     t = 0
     episode = 0
     while t < hparams.total_timesteps:
@@ -432,8 +436,8 @@ def reference_train_best_response(
                 key = state.observation(player)
                 legal = state.legal_actions(player)
                 if pending_key is not None:
-                    vec = q.values.setdefault(pending_key, np.zeros(q.action_count))
-                    bootstrap = max(q.lookup(key)[a] for a in legal)
+                    vec = rows.setdefault(pending_key, np.zeros(n_actions))
+                    bootstrap = max(rows.get(key, unseen)[a] for a in legal)
                     target = acc_reward + hparams.discount * bootstrap
                     vec[pending_action] += hparams.learning_rate * (target - vec[pending_action])
                     pending_key = None
@@ -444,7 +448,7 @@ def reference_train_best_response(
                 if epsilon > 0.0 and rng.random() < epsilon:
                     action = legal[rng.integers(len(legal))]
                 else:
-                    action = greedy_over(q.lookup(key), legal)
+                    action = greedy_over(rows.get(key, unseen), legal)
                 pending_key, pending_action = key, action
                 t += 1
             else:
@@ -455,11 +459,11 @@ def reference_train_best_response(
             if pending_key is not None:
                 acc_reward += rewards[learner]
         if pending_key is not None:
-            vec = q.values.setdefault(pending_key, np.zeros(q.action_count))
+            vec = rows.setdefault(pending_key, np.zeros(n_actions))
             vec[pending_action] += hparams.learning_rate * (acc_reward - vec[pending_action])
     if counter is not None:
         counter.train_steps += t
-    return ValuePolicy(q)
+    return ValuePolicy(QTable(n_actions, rows))
 
 
 def _psro_provider(opponent, policies, weights):

@@ -15,7 +15,7 @@ from psromix.policies import (
     uniform_random_policy,
 )
 from psromix.qmixing import MixedQPolicy, combine_opponents, combine_responses
-from psromix.serialize import policy_from_text, policy_to_text
+from psromix.serialize import POLICY_HEADER, policy_from_text, policy_to_text
 
 KEY = MATRIX_OBSERVATION
 LEGAL = (0, 1, 2)
@@ -227,6 +227,124 @@ def test_qtable_default_is_shared_read_only(table):
     assert not default.flags.writeable
     assert table.lookup(b"other unseen") is default
     assert np.array_equal(default, np.full(3, table.default_value))
+
+
+# Tables over any finite float (repr writes every NaN as the same "nan", and
+# infinities in a mixture sum to NaN), the extremes always among the
+# choices, with or without keys.
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+any_value = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+any_key = st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def plain_tables(draw, action_count):
+    keys = draw(st.lists(any_key, unique=True, max_size=6))
+    row = st.lists(any_value, min_size=action_count, max_size=action_count)
+    return QTable(action_count, {key: draw(row) for key in keys}, draw(any_value))
+
+
+@st.composite
+def stored_tables(draw):
+    """A plain table, possibly empty, or a mixture of such tables; no
+    action at all is an edge case the writer keeps too."""
+    action_count = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return draw(plain_tables(action_count))
+    inner = draw(st.lists(plain_tables(action_count), min_size=1, max_size=3))
+    return MixedQPolicy(inner, draw(random_weights(len(inner))))
+
+
+def per_key_policy_text(policy):
+    """``policy_to_text`` for a value policy as written with one array per
+    key: one lookup per key and one ``repr(float(v))`` per value."""
+    table = policy.q
+    keys = sorted(table.known_keys())
+    lines = [POLICY_HEADER]
+    lines.append("kind value")
+    lines.append(f"epsilon {policy.epsilon!r}")
+    lines.append(f"actions {table.action_count}")
+    lines.append(f"default {float(table.default_value)!r}")
+    lines.append(f"table {len(keys)}")
+    for key in keys:
+        values = table.lookup(key)
+        lines.append("key " + key.hex() + " " + " ".join(repr(float(v)) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def row_bits(table, keys):
+    return [table.lookup(key).tobytes() for key in keys]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_tables(), st.sampled_from([0.0, 0.1, 1.0]))
+def test_policy_text_equals_the_per_key_writer(table, epsilon):
+    policy = ValuePolicy(table, epsilon=epsilon)
+    assert policy_to_text(policy) == per_key_policy_text(policy)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_tables())
+def test_policy_text_reads_back_the_same_keys_and_bits(table):
+    loaded = policy_from_text(policy_to_text(ValuePolicy(table))).q
+    keys = sorted(table.known_keys())
+    assert list(loaded.known_keys()) == keys
+    assert row_bits(loaded, keys + [UNSEEN]) == row_bits(table, keys + [UNSEEN])
+    assert loaded.rows.shape == (len(keys), table.action_count)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_tables(), st.data())
+def test_rows_for_equals_stacked_lookups(table, data):
+    known = sorted(table.known_keys())
+    pool = st.sampled_from(known) | any_key if known else any_key
+    keys = data.draw(st.lists(pool, max_size=10))
+    rows = table.rows_for(keys)
+    stacked = np.array([table.lookup(key) for key in keys]).reshape(len(keys), table.action_count)
+    assert rows.shape == stacked.shape and rows.tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_tables())
+def test_pickle_keeps_keys_bits_and_read_only_rows(table):
+    copy = pickle.loads(pickle.dumps(table))
+    keys = list(table.known_keys())
+    assert list(copy.known_keys()) == keys
+    assert row_bits(copy, keys + [UNSEEN]) == row_bits(table, keys + [UNSEEN])
+    assert copy.rows.tobytes() == table.rows.tobytes()
+    assert not copy.rows.flags.writeable
+    assert all(not copy.lookup(key).flags.writeable for key in keys + [UNSEEN])
+
+
+def test_values_is_a_read_only_view_of_the_rows():
+    table = QTable(3, {b"a": [1.0, 2.0, 3.0], b"b": [4.0, 5.0, 6.0]}, default_value=-1.0)
+    assert np.shares_memory(table.values[b"b"], table.rows)
+    assert table.values[b"b"].tolist() == table.rows[1].tolist() == [4.0, 5.0, 6.0]
+    with pytest.raises(TypeError):
+        table.values[b"c"] = np.zeros(3)
+    with pytest.raises(ValueError):
+        table.values[b"a"][0] = 9.0
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = 9.0
+    # set stores a new row in new arrays: the rows read before keep their bits.
+    before = table.lookup(b"a")
+    table.set(b"a", [7.0, 8.0, 9.0])
+    table.set(b"c", [0.5, 0.5, 0.5])
+    assert before.tolist() == [1.0, 2.0, 3.0]
+    assert table.rows.tolist() == [[7.0, 8.0, 9.0], [4.0, 5.0, 6.0], [0.5, 0.5, 0.5]]
+    assert table.rows_for([b"c", b"zz"]).tolist() == [[0.5, 0.5, 0.5], [-1.0, -1.0, -1.0]]
+
+
+def test_from_rows_checks_shape_and_repeats():
+    table = QTable.from_rows(2, [b"x", b"y"], np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5)
+    assert table.lookup(b"y").tolist() == [3.0, 4.0]
+    assert table.lookup(b"z").tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="shape"):
+        QTable.from_rows(3, [b"x", b"y"], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="repeated"):
+        QTable.from_rows(2, [b"x", b"x"], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        QTable(3, {b"x": [1.0, 2.0]})
 
 
 def test_permutation_invariance():
