@@ -64,9 +64,9 @@ def _default_run_dir(config_path: str) -> str:
 
 
 def _read_run_dir(path: str) -> RunRecord:
-    """The run's record, resumed from its checkpoint."""
+    """The run's record, resumed from its checkpoint without the library."""
     try:
-        return resume(os.path.join(path, "checkpoint"))
+        return resume(os.path.join(path, "checkpoint"), library=False)
     except CorruptCheckpoint as exc:
         raise PsromixError(f"{path}: not a completed run directory ({exc})") from exc
 
@@ -191,7 +191,7 @@ def _build_opponents(section: dict, env, spec: HParamSearchSpec) -> list:
             uniform_random_policy(env.action_count(opponent_seat))
             for _ in range(spec.opponent_count)
         ]
-    record = resume(_resolve(section["path"]))
+    record = resume(_resolve(section["path"]), library=False)
     if record.config.env != env.name:
         raise EnvironmentMismatch(
             f"opponents: checkpoint comes from {record.config.env!r}, "

@@ -6,18 +6,23 @@ Randomness discipline: one root seed; every consumer draws from a stream
 derived from (seed, epoch, player, purpose), so adding instrumentation or
 resuming from a checkpoint never perturbs trajectories, and a resumed run
 reproduces an unbroken one exactly. The streams are independent, so no
-player's response depends on when another's is trained: that is what makes
-it safe to train an epoch's tabular responses concurrently.
+player's response, and no cell, depends on when another is computed. That
+is what lets each epoch's players run their jobs at the same time: player
+0's in this process, every other player's in a worker forked once per run
+(:func:`_player_jobs`). A job trains the player's response, builds its new
+strategy and fills the cells in which that strategy is the only new one;
+this process fills the rest.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -78,29 +83,42 @@ def expand_enfg(
     rng,
     counter: SimulationCounter | None = None,
     analytic: bool = False,
+    filled=None,
 ) -> EmpiricalGame:
     """Fill exactly the missing profile cells, in lexicographic order.
 
     Existing cells are never re-simulated. Each cell runs on a stream derived
     from the profile indices, so cells for distinct profiles commute and the
-    filled table does not depend on their order. With ``analytic=True``
-    cells hold exact values and consume no episodes.
+    filled table does not depend on their order or on the process that
+    simulates them: ``filled`` maps profiles already simulated elsewhere on
+    those streams to their payoffs, which are recorded as given. With
+    ``analytic=True`` cells hold exact values and consume no episodes.
     """
     missing = game.missing_profiles()
     if not missing:
         return game
-    base = int(rng.integers(2**62))
+    base = _cell_seed(rng)
+    filled = filled or {}
     for profile in missing:
-        policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
-        if analytic:
-            mean = exact.analytic_payoffs(env, policies)
-        else:
-            cell_rng = derived_rng(base, *profile)
-            mean = estimate_payoffs(env, policies, episodes_per_cell, cell_rng)
+        mean = filled.get(profile)
+        if mean is None:
+            policies = [game.strategy_sets[p][i] for p, i in enumerate(profile)]
+            mean = _cell(env, policies, profile, base, episodes_per_cell, analytic)
         game.payoffs.record(profile, mean, 1 if analytic else episodes_per_cell)
         if counter is not None and not analytic:
             counter.eval_episodes += episodes_per_cell
     return game
+
+
+def _cell_seed(rng) -> int:
+    """The base seed of one expansion's cells, drawn from its stream."""
+    return int(rng.integers(2**62))
+
+
+def _cell(env, policies, profile, base: int, episodes: int, analytic: bool) -> np.ndarray:
+    if analytic:
+        return exact.analytic_payoffs(env, policies)
+    return estimate_payoffs(env, policies, episodes, derived_rng(base, *profile))
 
 
 def _make_oracle(config: RunConfig, env_name: str):
@@ -176,115 +194,229 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_concurrently(jobs):
-    """Return ``[job() for job in jobs]``, running ``jobs[0]`` in this
-    process and each other job at the same time in a forked child that
-    pipes back its pickled result or exception. The first job, in order, to
-    raise has its exception raised here, with its own type and message; on
-    any exception every child still running is killed and reaped first.
-    Without ``os.fork``, or with one CPU to run on, where the children could
-    only add their cost, the jobs run here, in order."""
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        return [job() for job in jobs]
-    children = []  # (pid, read end of its pipe), in job order
-    try:
-        for job in jobs[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1  # unless the payload is sent
-                try:
-                    try:
-                        payload = pickle.dumps((True, job()), protocol=5)
-                    except BaseException as exc:  # re-raised by the parent
-                        payload = pickle.dumps((False, exc), protocol=5)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)  # so the next child does not hold it open
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [jobs[0]()]
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()  # to EOF, before reaping
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if not payload:
-                raise ChildProcessError(f"a training process sent nothing (wait status {status})")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+def _epoch_job(record: RunRecord, env: Environment, oracle, epoch: int, target, player: int):
+    """One player's share of an epoch: train its response to ``target``,
+    build its new strategy from it, and fill the cells in which that
+    strategy is the only new one, against the other players' strategies at
+    the start of the epoch, on the streams :func:`expand_enfg` gives them.
 
-
-def _counting_steps(respond):
-    """``respond`` called with a fresh counter: (its response, its steps)."""
-    counter = SimulationCounter()
-    return respond(counter), counter.train_steps
-
-
-def _train_new_policies(record: RunRecord, env: Environment, oracle, epoch: int):
-    """One strategy-expansion pass: a new policy per player, per the algorithm.
-
-    The players' responses read only the previous epoch's solution and their
-    own streams, so tabular ones train concurrently (:func:`_run_concurrently`)
-    with the bytes of training them in turn. Exact responses take
-    milliseconds, less than a fork, and are computed here in player order.
+    Returns (new strategy, response, train steps, {profile: payoffs}). It
+    reads only ``target``, the strategy sets, its own library and its own
+    streams, and changes nothing, so the players' jobs can run in any order
+    or at the same time and give the same results.
     """
     config = record.config
     game = record.game
-    target = record.entries[-1].solution  # solved at epoch-1, trained against now
-    jobs = []
-    for player in range(env.n_players):
-        train_rng = derived_rng(config.seed, epoch, player, _TRAIN)
-        others = _opponent_indices(env.n_players, player)
-        if config.algorithm == "psro":
-            mixtures = {p: (list(game.strategy_sets[p]), target.weights(p)) for p in others}
-            draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
-            respond = partial(
-                oracle.respond_mixture, env, player, mixtures, train_rng, opponent_rng=draw_rng
-            )
-        elif config.algorithm == "mixed-oracles":
-            opponent = others[0]
-            newest = game.strategy_sets[opponent][-1]
-            respond = partial(oracle.respond_fixed, env, player, {opponent: newest}, train_rng)
-        else:  # mixed-opponents: collapse each opponent's mixture separately
-            combined = {
-                p: combine_opponents(game.strategy_sets[p], target.weights(p))
-                for p in others
-            }
-            respond = partial(oracle.respond_fixed, env, player, combined, train_rng)
-        jobs.append(partial(_counting_steps, respond))
-    if config.oracle == "exact":
-        results = [job() for job in jobs]
-    else:
-        results = _run_concurrently(jobs)
-    new_policies = []
-    for player, (policy, steps) in enumerate(results):
-        record.counter.train_steps += steps
-        if config.algorithm == "mixed-oracles":
-            record.libraries[player].append(policy)
-            opponent = _opponent_indices(env.n_players, player)[0]
-            policy = combine_responses(record.libraries[player], target.weights(opponent))
-        new_policies.append(policy)
-    return new_policies, target
+    train_rng = derived_rng(config.seed, epoch, player, _TRAIN)
+    others = _opponent_indices(env.n_players, player)
+    counter = SimulationCounter()
+    if config.algorithm == "psro":
+        mixtures = {p: (list(game.strategy_sets[p]), target.weights(p)) for p in others}
+        draw_rng = derived_rng(config.seed, epoch, player, _OPPONENT_DRAW)
+        response = oracle.respond_mixture(
+            env, player, mixtures, train_rng, counter, opponent_rng=draw_rng
+        )
+    elif config.algorithm == "mixed-oracles":
+        opponent = others[0]
+        newest = game.strategy_sets[opponent][-1]
+        response = oracle.respond_fixed(env, player, {opponent: newest}, train_rng, counter)
+    else:  # mixed-opponents: collapse each opponent's mixture separately
+        combined = {
+            p: combine_opponents(game.strategy_sets[p], target.weights(p)) for p in others
+        }
+        response = oracle.respond_fixed(env, player, combined, train_rng, counter)
+    strategy = response
+    if config.algorithm == "mixed-oracles":
+        library = [*record.libraries[player], response]
+        strategy = combine_responses(library, target.weights(others[0]))
+
+    base = _cell_seed(derived_rng(config.seed, epoch, 0, _EXPAND))
+    new_index = len(game.strategy_sets[player])
+    cells = {}
+    for rest in itertools.product(*(range(len(game.strategy_sets[p])) for p in others)):
+        profile = (*rest[:player], new_index, *rest[player:])
+        policies = [
+            strategy if p == player else game.strategy_sets[p][i] for p, i in enumerate(profile)
+        ]
+        cells[profile] = _cell(
+            env, policies, profile, base, config.episodes_per_cell, config.analytic_cells
+        )
+    return strategy, response, counter.train_steps, cells
 
 
-def _check_resumable(saved: RunConfig, config: RunConfig) -> None:
+def _add_strategy(record: RunRecord, player: int, strategy, response) -> StrategyId:
+    if record.libraries is not None:
+        record.libraries[player].append(response)
+    return record.game.add_policy(player, strategy)
+
+
+@contextlib.contextmanager
+def _player_jobs(record: RunRecord, env: Environment, oracle):
+    """Yield ``run(epoch, target)``: every player's :func:`_epoch_job`
+    result, in player order.
+
+    Player 0's job runs here. With ``os.fork`` and two or more CPUs to run
+    on, every other player's job runs in that player's :class:`_Worker`,
+    forked at the first call and kept until the ``with`` block ends, at the
+    same time as player 0's. The first player, in player order, whose job
+    raises has its exception raised here, with its own type and message; on
+    any exception every worker is killed and reaped. Exact responses take
+    less time than a fork, and on one CPU the workers could only add their
+    cost, so there, or without ``os.fork``, every job runs here, in order.
+    """
+    n_players = env.n_players
+
+    def job(epoch, target, player):
+        return _epoch_job(record, env, oracle, epoch, target, player)
+
+    if record.config.oracle == "exact" or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield lambda epoch, target: [job(epoch, target, p) for p in range(n_players)]
+        return
+    workers: list[_Worker] = []
+
+    def run(epoch, target):
+        if not workers:
+            for player in range(1, n_players):
+                workers.append(_Worker(record, env, oracle, player, workers))
+        for worker in workers:
+            worker.send(epoch, target, record.game)
+        results = [job(epoch, target, 0)]
+        return results + [worker.receive() for worker in workers]
+
+    try:
+        yield run
+        for worker in workers:
+            worker.stop()
+    finally:
+        for worker in workers:
+            worker.kill()
+
+
+class _Worker:
+    """A forked process that runs one player's :func:`_epoch_job` each
+    epoch, on its own copy of the run record as it was forked.
+
+    Each epoch the parent sends it, as pickles on an ``os.pipe`` stream, the
+    epoch, the target and the other players' strategies added since its
+    last message; it appends its own new strategy and library response
+    itself, and pipes back its job's pickled result or exception.
+    """
+
+    def __init__(self, record: RunRecord, env: Environment, oracle, player: int, siblings):
+        inbox_read, inbox_write = os.pipe()
+        outbox_read, outbox_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (inbox_read, inbox_write, outbox_read, outbox_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1  # unless its loop returns
+            try:
+                # Only the parent may hold a worker's inbox open, or that
+                # worker never sees the end of its stream.
+                for fd in (inbox_write, outbox_read):
+                    os.close(fd)
+                for sibling in siblings:
+                    os.close(sibling.inbox.fileno())
+                    os.close(sibling.outbox.fileno())
+                with os.fdopen(inbox_read, "rb") as inbox, os.fdopen(outbox_write, "wb") as outbox:
+                    _serve(record, env, oracle, player, inbox, outbox)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(inbox_read)
+        os.close(outbox_write)
+        self.pid: int | None = pid
+        self.player = player
+        self.inbox = os.fdopen(inbox_write, "wb")
+        self.outbox = os.fdopen(outbox_read, "rb")
+        self.known = list(record.game.shape)  # the strategies it holds, per player
+
+    def send(self, epoch: int, target: SolutionProfile, game: EmpiricalGame) -> None:
+        added = {
+            p: game.strategy_sets[p][known:]
+            for p, known in enumerate(self.known)
+            if p != self.player
+        }
+        self.known = list(game.shape)
+        try:
+            self.inbox.write(pickle.dumps((epoch, target, added), protocol=5))
+            self.inbox.flush()
+        except BrokenPipeError:
+            self._lost()
+
+    def receive(self):
+        try:
+            ok, value = pickle.load(self.outbox)
+        except (EOFError, pickle.UnpicklingError):
+            self._lost()
+        if not ok:
+            raise value
+        return value
+
+    def _lost(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        raise ChildProcessError(
+            f"player {self.player}'s worker exited without replying (wait status {status})"
+        )
+
+    def stop(self) -> None:
+        """Close the worker's inbox, so it exits, and reap it."""
+        self.inbox.close()
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def kill(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for stream in (self.inbox, self.outbox):
+            with contextlib.suppress(OSError):
+                stream.close()
+
+
+def _serve(record: RunRecord, env: Environment, oracle, player: int, inbox, outbox) -> None:
+    """A worker's loop: until its inbox ends, or its job raises, run the
+    player's job on each message and reply with the job's result."""
+    while True:
+        try:
+            epoch, target, added = pickle.load(inbox)
+        except EOFError:
+            return
+        for p, strategies in added.items():
+            record.game.strategy_sets[p].extend(strategies)
+        try:
+            reply = (True, _epoch_job(record, env, oracle, epoch, target, player))
+        except BaseException as exc:  # re-raised by the parent
+            reply = (False, exc)
+        outbox.write(pickle.dumps(reply, protocol=5))
+        outbox.flush()
+        if not reply[0]:
+            return
+        strategy, response, _, _ = reply[1]
+        _add_strategy(record, player, strategy, response)
+
+
+def _stops(entry: EpochEntry, threshold: float | None) -> bool:
+    """Whether ``run.early_stop_sum_regret`` ends a run after ``entry``."""
+    return threshold is not None and entry.epoch >= 1 and entry.sum_regret < threshold
+
+
+def _check_resumable(record: RunRecord, config: RunConfig) -> None:
     """Raise ConfigError naming the first field, in the canonical rendering,
     in which ``config`` differs from the config a resumed run was started
     with. Only :data:`_RESUMABLE` fields may change: every other field
-    sets the trajectory that the checkpoint already holds part of."""
-    before, after = (json.loads(config_to_json(c)) for c in (saved, config))
+    sets the trajectory that the checkpoint already holds part of.
+
+    A run that would go on training also refuses an early-stop threshold
+    that a logged epoch before its last meets: an unbroken run with that
+    threshold stopped there.
+    """
+    before, after = (json.loads(config_to_json(c)) for c in (record.config, config))
     for section, fields in after.items():
         for name in sorted({*before[section], *fields}):
             old, new = before[section].get(name), fields.get(name)
@@ -293,6 +425,16 @@ def _check_resumable(saved: RunConfig, config: RunConfig) -> None:
                     f"{section}.{name}: the checkpointed run has {old!r}, "
                     f"the config resuming it has {new!r}"
                 )
+    threshold = config.early_stop_sum_regret
+    if _stops(record.entries[-1], threshold) or record.next_epoch > config.epochs:
+        return
+    for entry in record.entries[:-1]:
+        if _stops(entry, threshold):
+            raise ConfigError(
+                f"run.early_stop_sum_regret: epoch {entry.epoch} of the checkpointed run "
+                f"has sum regret {entry.sum_regret!r}, under {threshold!r}, so a run "
+                "with this threshold stops there"
+            )
 
 
 def run_algorithm(
@@ -303,7 +445,7 @@ def run_algorithm(
     """Run (or continue) the configured epoch loop and return its record."""
     config.validate()
     if resume_record is not None:
-        _check_resumable(resume_record.config, config)
+        _check_resumable(resume_record, config)
         _check_library(resume_record)
     env = make_env(config.env)
     if config.algorithm == "mixed-oracles" and env.n_players != 2:
@@ -320,27 +462,29 @@ def run_algorithm(
         record.config = config
 
     stop = config.early_stop_sum_regret
-    for epoch in range(record.next_epoch, config.epochs + 1):
-        # Decided from the log, so a resumed early-stopped run stops too.
-        last = record.entries[-1]
-        if stop is not None and last.epoch >= 1 and last.sum_regret < stop:
-            break
-        new_policies, target = _train_new_policies(record, env, oracle, epoch)
-        new_ids = tuple(
-            record.game.add_policy(player, policy)
-            for player, policy in enumerate(new_policies)
-        )
-        expand_enfg(
-            record.game,
-            env,
-            config.episodes_per_cell,
-            derived_rng(config.seed, epoch, 0, _EXPAND),
-            record.counter,
-            analytic=config.analytic_cells,
-        )
-        record.game.epoch = epoch
-        solution = solver(record.game)
-        _log_epoch(record, epoch, solution, target, new_ids)
+    with _player_jobs(record, env, oracle) as run_jobs:
+        for epoch in range(record.next_epoch, config.epochs + 1):
+            # Decided from the log, so a resumed early-stopped run stops too.
+            if _stops(record.entries[-1], stop):
+                break
+            target = record.entries[-1].solution  # solved at epoch-1, trained against now
+            new_ids, filled = [], {}
+            for player, (strategy, response, steps, cells) in enumerate(run_jobs(epoch, target)):
+                record.counter.train_steps += steps
+                new_ids.append(_add_strategy(record, player, strategy, response))
+                filled.update(cells)
+            expand_enfg(
+                record.game,
+                env,
+                config.episodes_per_cell,
+                derived_rng(config.seed, epoch, 0, _EXPAND),
+                record.counter,
+                analytic=config.analytic_cells,
+                filled=filled,
+            )
+            record.game.epoch = epoch
+            solution = solver(record.game)
+            _log_epoch(record, epoch, solution, target, tuple(new_ids))
     return record
 
 

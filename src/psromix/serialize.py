@@ -96,6 +96,15 @@ def _parse_policy(lines: list[str]):
         raise CorruptCheckpoint(f"policy file: negative action count {actions}")
     # Every line checked, then parsed a column at a time into one array.
     table_lines = list(map(str.split, lines[6:]))
+    if actions + 1 in set(map(len, table_lines)):
+        # The empty key's hex is nothing between two spaces: "key  1.0 2.0",
+        # or "key" alone (its trailing spaces stripped) with no actions.
+        table_lines = [
+            ["key", "", *tokens[1:]]
+            if len(tokens) == actions + 1 and (line == "key" or line.startswith("key  "))
+            else tokens
+            for line, tokens in zip(lines[6:], table_lines)
+        ]
     columns = list(zip(*table_lines))
     if set(map(len, table_lines)) - {actions + 2} or (columns and set(columns[0]) != {"key"}):
         raise CorruptCheckpoint(

@@ -209,6 +209,28 @@ def test_compare_reads_the_checkpoint(tmp_path, capsys):
     assert err.startswith(f"error: {out_b}: ") and err.count("\n") == 1
 
 
+def test_compare_and_search_read_no_library(tmp_path, capsys):
+    out_a, out_b = tmp_path / "oa", tmp_path / "ob"
+    cfg_a = write_config(tmp_path / "a.json", algorithm="mixed-oracles", epochs=2)
+    main(["run", str(cfg_a), "--output", str(out_a)])
+    main(["run", str(write_config(tmp_path / "b.json", epochs=2)), "--output", str(out_b)])
+    search = search_config()
+    search["search"]["opponent_count"] = 1
+    search["opponents"] = {"source": "checkpoint", "path": str(out_a / "checkpoint")}
+    search_path = tmp_path / "search.json"
+    search_path.write_text(json.dumps(search))
+    capsys.readouterr()
+
+    def outputs():
+        assert main(["compare", str(out_a), str(out_b)]) == 0
+        assert main(["hparam-search", str(search_path)]) == 0
+        return capsys.readouterr().out
+
+    before = outputs()
+    shutil.rmtree(out_a / "checkpoint" / "library")
+    assert outputs() == before
+
+
 def test_eval_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path / "a.json", epochs=2)
     out = tmp_path / "oa"

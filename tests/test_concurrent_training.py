@@ -1,9 +1,11 @@
-"""Each epoch's tabular best responses train at the same time: player 0 in
-this process, every other player in a forked child. These tests pin the
-bytes such runs write, which are those of training the players one after
-another, and check that a failure in either process reaches the caller
-unchanged and leaves no child process behind."""
+"""Each epoch's tabular best responses train, and their cells are filled, at
+the same time: player 0's in this process, every other player's in a worker
+forked once per run. These tests pin the bytes such runs write, which are
+those of running the players' jobs one after another, and check that a
+failure in either process reaches the caller unchanged and leaves no child
+process behind."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -14,10 +16,11 @@ import pytest
 
 from psromix import oracle as oracle_module
 from psromix.cli import main
-from psromix.engine import run_algorithm
+from psromix.config import OracleHParams, RunConfig, load_config
+from psromix.engine import checkpoint, export_regret_curve, resume, run_algorithm
 from psromix.envs import MatrixGameEnv, save_matrix_env
 from psromix.errors import IllegalAction, MissingEntry
-from psromix.config import OracleHParams, RunConfig
+from psromix.games import save_game
 from psromix.policies import QTable
 
 HPARAMS = {
@@ -52,9 +55,16 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
 # Digests of runs made with every player trained in turn, in one process,
 # before the responses trained concurrently. "three.matrix" is a random
-# 2x2x2 three-player game, so each of its epochs forks two children.
+# 2x2x2 three-player game, so each of its runs forks two workers.
 PINNED_DIGESTS = {
     ("leduc", "psro"):
         "3ca39ff77fa3ac536e0329adb49eac5cac791a657d78e36a5aa4a2dc9a98199a",
@@ -76,18 +86,39 @@ def test_tabular_run_bytes_are_pinned(
 ):
     monkeypatch.chdir(tmp_path)
     save_matrix_env(MatrixGameEnv(np.random.default_rng(9).random((2, 2, 2, 3))), "three.matrix")
-    forks = []
     if forking:
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        forks = count_forks(monkeypatch)
     else:
+        forks = []
         monkeypatch.delattr(os, "fork")
     path = write_config(tmp_path / "cfg.json", env_name, algorithm)
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
     assert_no_children_left()
     players = 2 if env_name == "leduc" else 3
-    assert len(forks) == (3 * (players - 1) if forking else 0)  # 3 epochs
+    assert len(forks) == (players - 1 if forking else 0)  # one worker per run
     assert artifact_digest(tmp_path / "out") == PINNED_DIGESTS[env_name, algorithm]
+
+
+@pytest.mark.parametrize("env_name, algorithm", sorted(PINNED_DIGESTS))
+def test_run_resumed_from_epoch_2_writes_the_pinned_bytes(
+    tmp_path, monkeypatch, artifact_digest, env_name, algorithm
+):
+    monkeypatch.chdir(tmp_path)
+    save_matrix_env(MatrixGameEnv(np.random.default_rng(9).random((2, 2, 2, 3))), "three.matrix")
+    path = write_config(tmp_path / "cfg.json", env_name, algorithm)
+    config = load_config(path)
+    record = run_algorithm(dataclasses.replace(config, epochs=2))
+    checkpoint(record, tmp_path / "ck")
+    forks = count_forks(monkeypatch)
+    resumed = run_algorithm(config, resume_record=resume(tmp_path / "ck"))
+    assert_no_children_left()
+    assert len(forks) == resumed.game.n_players - 1
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "regret_curve.tsv").write_text(export_regret_curve(resumed))
+    save_game(resumed.game, out / "game.txt")
+    checkpoint(resumed, out / "checkpoint")
+    assert artifact_digest(out) == PINNED_DIGESTS[env_name, algorithm]
 
 
 def fast_config(**overrides):
@@ -171,6 +202,27 @@ def test_three_player_child_error_is_raised_in_player_order(tmp_path, monkeypatc
     assert_no_children_left()
 
 
+def test_worker_that_exits_without_replying(monkeypatch):
+    patch_training(monkeypatch, 1, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match="^player 1's worker exited without replying"):
+        run_algorithm(fast_config())
+    assert_no_children_left()
+
+
+def test_worker_error_at_a_later_epoch_reaches_the_caller(monkeypatch):
+    calls = []
+
+    def fail_at_epoch_2():
+        calls.append(1)
+        if len(calls) == 2:
+            raise IllegalAction("player 1, epoch 2")
+
+    patch_training(monkeypatch, 1, fail_at_epoch_2)
+    with pytest.raises(IllegalAction, match="^player 1, epoch 2$"):
+        run_algorithm(fast_config(epochs=3))
+    assert_no_children_left()
+
+
 def no_fork():
     raise AssertionError("the run forked")
 
@@ -187,6 +239,17 @@ def test_one_cpu_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     record = run_algorithm(fast_config())
     assert record.counter.train_steps == 2 * 2 * 400
+
+
+@pytest.mark.parametrize("stop", [None, 1e-3], ids=["complete", "early-stopped"])
+def test_resumed_finished_run_forks_nothing(tmp_path, monkeypatch, stop):
+    # nash leaves internal regret at about 0, so 1e-3 stops after epoch 1.
+    config = fast_config(epochs=3, early_stop_sum_regret=stop)
+    record = run_algorithm(config)
+    checkpoint(record, tmp_path / "ck")
+    monkeypatch.setattr(os, "fork", no_fork)
+    resumed = run_algorithm(config, resume_record=resume(tmp_path / "ck"))
+    assert [e.epoch for e in resumed.entries] == ([0, 1, 2, 3] if stop is None else [0, 1])
 
 
 @pytest.mark.parametrize("size", [0, 1, 50])

@@ -363,6 +363,30 @@ def test_resume_may_change_how_long_the_run_goes(tmp_path):
     assert [e.epoch for e in resumed.entries] == [0, 1, 2]
 
 
+def replicator_config(**overrides):
+    # Sum regrets [0, 0.0036570353..., 0.0085669..., 0.0072992...] at epochs 0-3.
+    return fast_config(mss="replicator", mss_params={"steps": 2000}, **overrides)
+
+
+def test_resume_refuses_a_threshold_an_earlier_epoch_meets(tmp_path):
+    checkpoint(run_algorithm(replicator_config(epochs=3)), tmp_path / "ck")
+    threshold = 0.003657039
+    unbroken = run_algorithm(replicator_config(epochs=5, early_stop_sum_regret=threshold))
+    assert [e.epoch for e in unbroken.entries] == [0, 1]
+    with pytest.raises(ConfigError, match="^run.early_stop_sum_regret: epoch 1 of the"):
+        run_algorithm(
+            replicator_config(epochs=5, early_stop_sum_regret=threshold),
+            resume_record=resume(tmp_path / "ck"),
+        )
+
+
+def test_resume_keeps_a_threshold_no_logged_epoch_meets(tmp_path):
+    checkpoint(run_algorithm(replicator_config(epochs=3)), tmp_path / "ck")
+    config = replicator_config(epochs=5, early_stop_sum_regret=0.0036)
+    resumed = run_algorithm(config, resume_record=resume(tmp_path / "ck"))
+    assert export_regret_curve(resumed) == export_regret_curve(run_algorithm(config))
+
+
 def test_checkpoint_replaces_stale_policy_files_only(tmp_path):
     policies = tmp_path / "ck" / "policies"
     policies.mkdir(parents=True)
