@@ -9,9 +9,10 @@ reproduces an unbroken one exactly. The streams are independent, so no
 player's response, and no cell, depends on when another is computed. That
 is what lets each epoch's players run their jobs at the same time: player
 0's in this process, every other player's in a worker forked once per run
-(:func:`_player_jobs`). A job trains the player's response, builds its new
-strategy and fills the cells in which that strategy is the only new one;
-this process fills the rest.
+and fed over a pipe until a ``None`` message stops it; a job's error, or a
+worker's exit, is raised here and kills every worker (:func:`_player_jobs`).
+A job trains the player's response, builds its new strategy and fills the
+cells in which that strategy is the only new one; this process fills the rest.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import contextlib
 import itertools
 import json
 import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -256,13 +255,17 @@ def _player_jobs(record: RunRecord, env: Environment, oracle):
     result, in player order.
 
     Player 0's job runs here. With ``os.fork`` and two or more CPUs to run
-    on, every other player's job runs in that player's :class:`_Worker`,
-    forked at the first call and kept until the ``with`` block ends, at the
-    same time as player 0's. The first player, in player order, whose job
-    raises has its exception raised here, with its own type and message; on
-    any exception every worker is killed and reaped. Exact responses take
-    less time than a fork, and on one CPU the workers could only add their
-    cost, so there, or without ``os.fork``, every job runs here, in order.
+    on, every other player's job runs at the same time in a worker process
+    of its own, forked at the first call. Each epoch a worker is sent, over
+    a duplex pipe, the epoch, the target and the other players' strategies
+    added since its last message, and sends back its job's result or
+    exception; the ``with`` block's normal end sends it ``None``. The first
+    player, in player order, whose job raises has its exception raised
+    here, with its own type and message, and a worker that exits without
+    replying raises :class:`ChildProcessError`; however the block ends,
+    every worker is then killed and joined. Exact responses take less time
+    than a fork, and on one CPU the workers could only add their cost, so
+    there, or without ``os.fork``, every job runs here, in order.
     """
     n_players = env.n_players
 
@@ -272,133 +275,82 @@ def _player_jobs(record: RunRecord, env: Environment, oracle):
     if record.config.oracle == "exact" or not hasattr(os, "fork") or _usable_cpus() < 2:
         yield lambda epoch, target: [job(epoch, target, p) for p in range(n_players)]
         return
-    workers: list[_Worker] = []
+    workers = []  # (player, process, its end of the pipe), per extra player
+    known = list(record.game.shape)  # the strategies every worker holds, per player
 
     def run(epoch, target):
         if not workers:
+            # Imported only here: runs that never fork need none of it, and
+            # the package's import time is part of every run's set-up.
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
             for player in range(1, n_players):
-                workers.append(_Worker(record, env, oracle, player, workers))
-        for worker in workers:
-            worker.send(epoch, target, record.game)
+                end, child_end = context.Pipe()
+                args = (record, env, oracle, player, child_end, end)
+                process = context.Process(target=_serve, args=args)
+                process.start()
+                child_end.close()
+                workers.append((player, process, end))
+        added = [strategies[count:] for strategies, count in zip(record.game.strategy_sets, known)]
+        known[:] = record.game.shape
+        for player, process, end in workers:
+            others = {p: new for p, new in enumerate(added) if p != player}
+            _talk(player, process, end.send, (epoch, target, others))
         results = [job(epoch, target, 0)]
-        return results + [worker.receive() for worker in workers]
+        for player, process, end in workers:
+            ok, value = _talk(player, process, end.recv)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
 
     try:
         yield run
-        for worker in workers:
-            worker.stop()
+        for _, process, end in workers:
+            with contextlib.suppress(ConnectionError):  # an exited worker is stopped
+                end.send(None)
+            process.join()
     finally:
-        for worker in workers:
-            worker.kill()
+        for _, process, end in workers:
+            process.kill()
+            process.join()
+            end.close()
 
 
-class _Worker:
-    """A forked process that runs one player's :func:`_epoch_job` each
-    epoch, on its own copy of the run record as it was forked.
-
-    Each epoch the parent sends it, as pickles on an ``os.pipe`` stream, the
-    epoch, the target and the other players' strategies added since its
-    last message; it appends its own new strategy and library response
-    itself, and pipes back its job's pickled result or exception.
-    """
-
-    def __init__(self, record: RunRecord, env: Environment, oracle, player: int, siblings):
-        inbox_read, inbox_write = os.pipe()
-        outbox_read, outbox_write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (inbox_read, inbox_write, outbox_read, outbox_write):
-                os.close(fd)
-            raise
-        if pid == 0:
-            status = 1  # unless its loop returns
-            try:
-                # Only the parent may hold a worker's inbox open, or that
-                # worker never sees the end of its stream.
-                for fd in (inbox_write, outbox_read):
-                    os.close(fd)
-                for sibling in siblings:
-                    os.close(sibling.inbox.fileno())
-                    os.close(sibling.outbox.fileno())
-                with os.fdopen(inbox_read, "rb") as inbox, os.fdopen(outbox_write, "wb") as outbox:
-                    _serve(record, env, oracle, player, inbox, outbox)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(inbox_read)
-        os.close(outbox_write)
-        self.pid: int | None = pid
-        self.player = player
-        self.inbox = os.fdopen(inbox_write, "wb")
-        self.outbox = os.fdopen(outbox_read, "rb")
-        self.known = list(record.game.shape)  # the strategies it holds, per player
-
-    def send(self, epoch: int, target: SolutionProfile, game: EmpiricalGame) -> None:
-        added = {
-            p: game.strategy_sets[p][known:]
-            for p, known in enumerate(self.known)
-            if p != self.player
-        }
-        self.known = list(game.shape)
-        try:
-            self.inbox.write(pickle.dumps((epoch, target, added), protocol=5))
-            self.inbox.flush()
-        except BrokenPipeError:
-            self._lost()
-
-    def receive(self):
-        try:
-            ok, value = pickle.load(self.outbox)
-        except (EOFError, pickle.UnpicklingError):
-            self._lost()
-        if not ok:
-            raise value
-        return value
-
-    def _lost(self):
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
+def _talk(player: int, process, call, *args):
+    """``call(*args)`` on a worker's pipe; ChildProcessError if the worker has exited."""
+    try:
+        return call(*args)
+    except (EOFError, ConnectionError):
+        process.join()
         raise ChildProcessError(
-            f"player {self.player}'s worker exited without replying (wait status {status})"
+            f"player {player}'s worker exited without replying (exit code {process.exitcode})"
         )
 
-    def stop(self) -> None:
-        """Close the worker's inbox, so it exits, and reap it."""
-        self.inbox.close()
-        os.waitpid(self.pid, 0)
-        self.pid = None
 
-    def kill(self) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        for stream in (self.inbox, self.outbox):
-            with contextlib.suppress(OSError):
-                stream.close()
-
-
-def _serve(record: RunRecord, env: Environment, oracle, player: int, inbox, outbox) -> None:
-    """A worker's loop: until its inbox ends, or its job raises, run the
-    player's job on each message and reply with the job's result."""
-    while True:
-        try:
-            epoch, target, added = pickle.load(inbox)
-        except EOFError:
-            return
-        for p, strategies in added.items():
-            record.game.strategy_sets[p].extend(strategies)
-        try:
-            reply = (True, _epoch_job(record, env, oracle, epoch, target, player))
-        except BaseException as exc:  # re-raised by the parent
-            reply = (False, exc)
-        outbox.write(pickle.dumps(reply, protocol=5))
-        outbox.flush()
-        if not reply[0]:
-            return
-        strategy, response, _, _ = reply[1]
-        _add_strategy(record, player, strategy, response)
+def _serve(record: RunRecord, env: Environment, oracle, player: int, end, parent_end) -> None:
+    """A worker's loop: until it gets ``None``, its job raises or the
+    parent's end of the pipe closes, run the player's job on each message
+    and reply with the job's result or exception. It leaves quietly: an
+    exception that escaped would have ``multiprocessing`` print it."""
+    parent_end.close()  # the worker's copy would keep that end open
+    # An interrupt (Ctrl-C reaches the whole process group) is the parent's
+    # to handle; the parent kills every worker.
+    with contextlib.suppress(EOFError, KeyboardInterrupt):
+        while (message := end.recv()) is not None:
+            epoch, target, added = message
+            for p, strategies in added.items():
+                record.game.strategy_sets[p].extend(strategies)
+            try:
+                reply = (True, _epoch_job(record, env, oracle, epoch, target, player))
+            except BaseException as exc:  # re-raised by the parent
+                reply = (False, exc)
+            end.send(reply)
+            if not reply[0]:
+                return
+            strategy, response, _, _ = reply[1]
+            _add_strategy(record, player, strategy, response)
 
 
 def _stops(entry: EpochEntry, threshold: float | None) -> bool:

@@ -30,7 +30,8 @@ class QTable:
     :meth:`lookup` is one dict access; every unseen key looks up the same
     read-only default vector. :meth:`rows_for` gathers many keys' rows at
     once. A table is built in bulk, from a dict of vectors or with
-    :meth:`from_rows`; ``set`` copies every row to store one more.
+    :meth:`from_rows`, and never changes after: :mod:`psromix.exact` keeps
+    the values of the policies it has valued.
     """
 
     def __init__(
@@ -77,10 +78,6 @@ class QTable:
         self._index = index
         self._by_key = dict(zip(keys, self.rows))
         self.values: Mapping[bytes, np.ndarray] = MappingProxyType(self._by_key)
-
-    def set(self, key: bytes, vec) -> None:
-        """Store ``key``'s vector, in a copy of every row."""
-        QTable.__init__(self, self.action_count, {**self._by_key, key: vec}, self.default_value)
 
     def lookup(self, key: bytes) -> np.ndarray:
         """Return the key's read-only row, or the shared read-only default."""
@@ -175,8 +172,8 @@ class ValuePolicy:
 
 def is_greedy(policy) -> bool:
     """True when ``policy.act`` draws nothing from its ``rng`` and returns
-    the same action for the same observation and legal actions, as long as
-    its table does not change: a ``ValuePolicy`` with ``epsilon == 0``."""
+    the same action for the same observation and legal actions: a
+    ``ValuePolicy`` with ``epsilon == 0``."""
     return isinstance(policy, ValuePolicy) and policy.epsilon == 0.0
 
 

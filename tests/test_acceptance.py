@@ -217,13 +217,10 @@ def test_criterion_6_q_mixing_linearity():
     for _ in range(1_000):
         n_components = int(rng.integers(1, 5))
         n_actions = int(rng.integers(2, 5))
-        tables = []
-        for _ in range(n_components):
-            table = QTable(n_actions)
-            for key in keys:
-                if rng.random() < 0.6:
-                    table.set(key, rng.normal(size=n_actions))
-            tables.append(table)
+        tables = [
+            QTable(n_actions, {k: rng.normal(size=n_actions) for k in keys if rng.random() < 0.6})
+            for _ in range(n_components)
+        ]
         weights = rng.dirichlet(np.ones(n_components))
         mixture = pm.MixedQPolicy(tables, weights)
         key = keys[int(rng.integers(len(keys)))]
@@ -285,11 +282,7 @@ def test_criterion_8_regret_properties():
         assert (r_big >= r_small - 1e-12).all()
 
     def one_hot_table(action):
-        table = QTable(3)
-        values = np.zeros(3)
-        values[action] = 1.0
-        table.set(KEY, values)
-        return table
+        return QTable(3, {KEY: np.eye(3)[action]})
 
     policies = [ValuePolicy(one_hot_table(a % 3)) for a in range(4)]
     rep = pm.similarity_report(policies, pm.rps_env())

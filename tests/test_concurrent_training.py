@@ -7,18 +7,22 @@ process behind."""
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
+import signal
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+from psromix import engine
 from psromix import oracle as oracle_module
 from psromix.cli import main
 from psromix.config import OracleHParams, RunConfig, load_config
 from psromix.engine import checkpoint, export_regret_curve, resume, run_algorithm
-from psromix.envs import MatrixGameEnv, save_matrix_env
+from psromix.envs import MatrixGameEnv, make_env, save_matrix_env
 from psromix.errors import IllegalAction, MissingEntry
 from psromix.games import save_game
 from psromix.policies import QTable
@@ -209,6 +213,48 @@ def test_worker_that_exits_without_replying(monkeypatch):
     assert_no_children_left()
 
 
+def test_worker_that_exits_between_epochs(monkeypatch):
+    # Player 1's worker replies to epoch 1, then exits before epoch 2's message.
+    test_pid = os.getpid()
+    real_add_strategy = engine._add_strategy
+
+    def add_strategy(*args):
+        if os.getpid() != test_pid:
+            os._exit(4)
+        return real_add_strategy(*args)
+
+    monkeypatch.setattr(engine, "_add_strategy", add_strategy)
+    with pytest.raises(ChildProcessError, match="^player 1's worker exited without replying"):
+        run_algorithm(fast_config(epochs=3))
+    assert_no_children_left()
+
+
+@pytest.mark.parametrize("stop", ["close", "interrupt"])
+def test_waiting_worker_leaves_quietly(capfd, stop):
+    # multiprocessing prints any exception that escapes a worker's loop.
+    config = fast_config()
+    env = make_env(config.env)
+    record = engine._init_record(config, env, None)
+    context = multiprocessing.get_context("fork")
+    end, child_end = context.Pipe()
+    args = (record, env, engine._make_oracle(config, env.name), 1, child_end, end)
+    process = context.Process(target=engine._serve, args=args)
+    process.start()
+    child_end.close()
+    end.send((1, record.solution, {}))
+    assert end.recv()[0]  # so the worker has reached its loop
+    if stop == "close":
+        end.close()
+    else:  # Ctrl-C reaches the whole process group
+        os.kill(process.pid, signal.SIGINT)
+    process.join(60)
+    process.kill()  # a worker still waiting fails the test, and is not left behind
+    process.join()
+    assert process.exitcode == 0
+    assert capfd.readouterr().err == ""
+    assert_no_children_left()
+
+
 def test_worker_error_at_a_later_epoch_reaches_the_caller(monkeypatch):
     calls = []
 
@@ -256,8 +302,10 @@ def test_resumed_finished_run_forks_nothing(tmp_path, monkeypatch, stop):
 def test_qtable_pickle_round_trip_keeps_every_bit(size):
     rng = np.random.default_rng(size)
     table = QTable(3, {rng.bytes(4): rng.normal(size=3) for _ in range(size)}, -0.5)
-    copy = pickle.loads(pickle.dumps(table, protocol=5))
-    assert list(copy.values) == list(table.values)
-    assert all(copy.values[k].tobytes() == table.values[k].tobytes() for k in table.values)
-    assert (copy.action_count, copy.default_value) == (3, -0.5)
-    assert not copy.lookup(b"unseen").flags.writeable
+    # A worker's pipe pickles with ForkingPickler, at the default protocol.
+    for dumps in (lambda t: pickle.dumps(t, protocol=5), ForkingPickler.dumps):
+        copy = pickle.loads(dumps(table))
+        assert list(copy.values) == list(table.values)
+        assert all(copy.values[k].tobytes() == table.values[k].tobytes() for k in table.values)
+        assert (copy.action_count, copy.default_value) == (3, -0.5)
+        assert not copy.lookup(b"unseen").flags.writeable

@@ -47,11 +47,7 @@ def fast_config(**overrides):
 
 
 def greedy_rps_policy(action):
-    table = QTable(3)
-    values = np.zeros(3)
-    values[action] = 1.0
-    table.set(MATRIX_OBSERVATION, values)
-    return ValuePolicy(table)
+    return ValuePolicy(QTable(3, {MATRIX_OBSERVATION: np.eye(3)[action]}))
 
 
 # ---------------------------------------------------------------------------

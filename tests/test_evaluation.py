@@ -232,12 +232,9 @@ def test_env_regret_equals_regret_in_analytic_game(case):
 def leduc_value_policy(seed):
     """A greedy policy with random action values at every key of both seats."""
     rng = np.random.default_rng(seed)
-    table = QTable(3)
     env = LeducEnv()
-    for seat in range(2):
-        for key in seat_keys(env, seat)[0]:
-            table.set(key, rng.normal(size=3))
-    return ValuePolicy(table)
+    keys = [key for seat in range(2) for key in seat_keys(env, seat)[0]]
+    return ValuePolicy(QTable(3, {key: rng.normal(size=3) for key in keys}))
 
 
 def test_similarity_self_is_one_and_symmetric():
@@ -257,9 +254,7 @@ def test_similarity_self_is_one_and_symmetric():
 def _table(values):
     from psromix.envs import MATRIX_OBSERVATION
 
-    table = QTable(3)
-    table.set(MATRIX_OBSERVATION, np.asarray(values))
-    return table
+    return QTable(3, {MATRIX_OBSERVATION: values})
 
 
 def test_similarity_requires_two_policies():

@@ -22,9 +22,7 @@ LEGAL = (0, 1, 2)
 
 
 def value_policy(values, epsilon=0.0):
-    table = QTable(len(values))
-    table.set(KEY, np.asarray(values, dtype=float))
-    return ValuePolicy(table, epsilon=epsilon)
+    return ValuePolicy(QTable(len(values), {KEY: values}), epsilon=epsilon)
 
 
 Q21 = (0.7, 0.15, 0.65)
@@ -82,8 +80,7 @@ def test_mixed_q_even_weights():
 
 
 def test_mixed_q_unseen_keys_use_component_defaults():
-    seen = QTable(2)
-    seen.set(b"a", np.array([1.0, 2.0]))
+    seen = QTable(2, {b"a": [1.0, 2.0]})
     unseen = QTable(2, default_value=0.5)
     mixture = MixedQPolicy([seen, unseen], [0.6, 0.4])
     assert mixture.lookup(b"a") == pytest.approx([0.6 * 1.0 + 0.4 * 0.5, 0.6 * 2.0 + 0.4 * 0.5])
@@ -96,11 +93,7 @@ def test_linearity_and_degenerate_identity_randomized():
         n_components = int(rng.integers(1, 5))
         tables = []
         for _ in range(n_components):
-            table = QTable(4)
-            for key in keys:
-                if rng.random() < 0.7:
-                    table.set(key, rng.normal(size=4))
-            tables.append(table)
+            tables.append(QTable(4, {k: rng.normal(size=4) for k in keys if rng.random() < 0.7}))
         weights = rng.dirichlet(np.ones(n_components))
         mixture = MixedQPolicy(tables, weights)
         key = keys[int(rng.integers(len(keys)))]
@@ -132,11 +125,13 @@ finite = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
 @st.composite
 def random_tables(draw):
-    table = QTable(3, default_value=draw(finite))
-    for key in MIX_KEYS:
-        if draw(st.booleans()):
-            table.set(key, np.array(draw(st.lists(finite, min_size=3, max_size=3))))
-    return table
+    default = draw(finite)
+    rows = {
+        key: draw(st.lists(finite, min_size=3, max_size=3))
+        for key in MIX_KEYS
+        if draw(st.booleans())
+    }
+    return QTable(3, rows, default)
 
 
 @st.composite
@@ -326,13 +321,7 @@ def test_values_is_a_read_only_view_of_the_rows():
         table.values[b"a"][0] = 9.0
     with pytest.raises(ValueError):
         table.rows[0, 0] = 9.0
-    # set stores a new row in new arrays: the rows read before keep their bits.
-    before = table.lookup(b"a")
-    table.set(b"a", [7.0, 8.0, 9.0])
-    table.set(b"c", [0.5, 0.5, 0.5])
-    assert before.tolist() == [1.0, 2.0, 3.0]
-    assert table.rows.tolist() == [[7.0, 8.0, 9.0], [4.0, 5.0, 6.0], [0.5, 0.5, 0.5]]
-    assert table.rows_for([b"c", b"zz"]).tolist() == [[0.5, 0.5, 0.5], [-1.0, -1.0, -1.0]]
+    assert table.rows_for([b"b", b"zz"]).tolist() == [[4.0, 5.0, 6.0], [-1.0, -1.0, -1.0]]
 
 
 def test_from_rows_checks_shape_and_repeats():
@@ -349,11 +338,7 @@ def test_from_rows_checks_shape_and_repeats():
 
 def test_permutation_invariance():
     rng = np.random.default_rng(5)
-    tables = []
-    for _ in range(3):
-        t = QTable(3)
-        t.set(KEY, rng.normal(size=3))
-        tables.append(t)
+    tables = [QTable(3, {KEY: rng.normal(size=3)}) for _ in range(3)]
     weights = np.array([0.2, 0.3, 0.5])
     forward = MixedQPolicy(tables, weights).lookup(KEY)
     perm = [2, 0, 1]
@@ -363,18 +348,12 @@ def test_permutation_invariance():
 
 def test_constant_shift_preserves_greedy():
     rng = np.random.default_rng(6)
-    tables = []
-    for _ in range(2):
-        t = QTable(3)
-        t.set(KEY, rng.normal(size=3))
-        tables.append(t)
+    tables = [QTable(3, {KEY: rng.normal(size=3)}) for _ in range(2)]
     weights = [0.4, 0.6]
     base = MixedQPolicy(tables, weights).lookup(KEY)
-    shifted_tables = []
-    for t in tables:
-        s = QTable(3, default_value=t.default_value + 7.25)
-        s.set(KEY, t.lookup(KEY) + 7.25)
-        shifted_tables.append(s)
+    shifted_tables = [
+        QTable(3, {KEY: t.lookup(KEY) + 7.25}, t.default_value + 7.25) for t in tables
+    ]
     shifted = MixedQPolicy(shifted_tables, weights).lookup(KEY)
     assert np.allclose(shifted, base + 7.25, atol=1e-12)
     assert int(np.argmax(shifted)) == int(np.argmax(base))
