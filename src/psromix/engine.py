@@ -21,6 +21,7 @@ import contextlib
 import itertools
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -193,6 +194,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_daemonic_process() -> bool:
+    """Whether this is a daemonic ``multiprocessing`` process. Read from
+    ``sys.modules``: a process that never imported the package is none."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and multiprocessing.current_process().daemon
+
+
 def _epoch_job(record: RunRecord, env: Environment, oracle, epoch: int, target, player: int):
     """One player's share of an epoch: train its response to ``target``,
     build its new strategy from it, and fill the cells in which that
@@ -265,14 +273,21 @@ def _player_jobs(record: RunRecord, env: Environment, oracle):
     replying raises :class:`ChildProcessError`; however the block ends,
     every worker is then killed and joined. Exact responses take less time
     than a fork, and on one CPU the workers could only add their cost, so
-    there, or without ``os.fork``, every job runs here, in order.
+    there, or without ``os.fork``, every job runs here, in order. So does
+    every job in a daemonic ``multiprocessing`` process (a ``Pool``
+    worker, say), which may not start children.
     """
     n_players = env.n_players
 
     def job(epoch, target, player):
         return _epoch_job(record, env, oracle, epoch, target, player)
 
-    if record.config.oracle == "exact" or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if (
+        record.config.oracle == "exact"
+        or not hasattr(os, "fork")
+        or _usable_cpus() < 2
+        or _in_daemonic_process()
+    ):
         yield lambda epoch, target: [job(epoch, target, p) for p in range(n_players)]
         return
     workers = []  # (player, process, its end of the pipe), per extra player

@@ -23,6 +23,15 @@ Episodes are simulated only where the paper simulates: in best-response
 training and in the sampled payoff cells of :func:`estimate_payoffs`. A
 simulated episode yields its per-player returns and nothing else; every
 other value in psromix is exact (see :mod:`psromix.exact`).
+
+Two hot random paths skip numpy's per-call Python work without changing a
+bit of any stream. A :class:`Draws` view answers ``random()`` and
+``integers(n)`` with the C functions the ``Generator`` methods call
+(``next_double``, and numpy's Lemire draw on ``next_uint32``), on the same
+bit generator state, the buffered 32-bit half included. And
+:func:`estimate_payoffs` computes each episode's ``SeedSequence([base,
+episode])`` state for a whole cell in one vectorized pass
+(:func:`episode_states`).
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import functools
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..errors import IllegalAction
 
@@ -186,17 +196,164 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
+def bounded(next_uint32, state, n: int) -> int:
+    """An int in [0, n), for 1 <= n <= 2**32, drawn as ``Generator.integers(n)``
+    draws it: Lemire's multiply-and-reject on ``next_uint32(state)`` (numpy's
+    ``buffered_bounded_lemire_uint32``). n == 1 draws nothing; at n == 2**32
+    the product's low word is 0, so it returns one raw draw, as numpy does."""
+    if n == 1:
+        return 0
+    m = next_uint32(state) * n
+    if m & 0xFFFFFFFF < n:
+        threshold = (0x100000000 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * n
+    return m >> 32
+
+
+_FLOAT64, _INT64 = np.float64, np.int64
+
+
+class Draws:
+    """A view of a numpy ``Generator`` whose scalar draws skip its Python layer.
+
+    ``random()`` calls the bit generator's ``next_double``, and
+    ``integers(n)``, for a Python int 1 <= n <= 2**32, makes :func:`bounded`'s
+    draw on its ``next_uint32``, both through ``bit_generator.ctypes``: the C
+    functions the generator's own methods call, on the same state. So the
+    values, and the state left behind, are the generator's; ``integers``
+    returns a Python int where the generator returns a numpy one. Every other
+    call, argument or attribute goes to the generator itself. The view
+    holds the generator, which keeps the state the C functions are given
+    alive. No lock is taken: each stream belongs to one job, drawn from by
+    one thread.
+    """
+
+    __slots__ = ("_rng", "_next_double", "_next_uint32", "_state")
+
+    def __init__(self, rng):
+        self._rng = rng
+        interface = rng.bit_generator.ctypes
+        self._next_double = interface.next_double
+        self._next_uint32 = interface.next_uint32
+        self._state = interface.state
+
+    # The generator's signatures, spelled out: *args would cost more than
+    # the call it saves.
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size is None and dtype is _FLOAT64 and out is None:
+            return self._next_double(self._state)
+        return self._rng.random(size, dtype, out)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if (
+            high is None and size is None and dtype is _INT64 and endpoint is False
+            and type(low) is int and 1 <= low <= 0x100000000
+        ):
+            return bounded(self._next_uint32, self._state, low)
+        return self._rng.integers(low, high, size, dtype, endpoint)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` successive values of SeedSequence's hash multiplier
+    from ``init``, one per row: hash ``i`` uses rows ``i`` and ``i + 1``."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    constants = np.array(values, dtype=np.uint32)[:, None]
+    constants.flags.writeable = False  # cached: every caller shares it
+    return constants
+
+
+def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix``: row ``i`` of the result hashes row ``i``
+    of ``values`` (or ``values`` itself, if it is one row) with hash
+    constants ``i`` and ``i + 1``."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def episode_states(base: int, episodes: int) -> np.ndarray:
+    """Row ``ep`` is ``SeedSequence([base, ep]).generate_state(4, np.uint64)``,
+    for every ep < ``episodes`` (< 2**32), computed in one vectorized pass.
+
+    The entropy is ``base``'s little-endian 32-bit words (one word for 0),
+    then ``ep``; numpy's ``mix_entropy`` and ``generate_state`` then run on
+    each episode's column, one array operation per step for every episode.
+    """
+    words = [base & 0xFFFFFFFF]
+    while base > 0xFFFFFFFF:
+        base >>= 32
+        words.append(base & 0xFFFFFFFF)
+    n_entropy = len(words) + 1
+    entropy = np.zeros((max(n_entropy, _POOL_SIZE), episodes), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(episodes, dtype=np.uint32)
+    extra = max(n_entropy - _POOL_SIZE, 0)
+    hashes = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    # Entropy (zeros past its end) up to the pool size, one hash each.
+    mixer = _hash(entropy[:_POOL_SIZE], hashes[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    # Every word mixed into every other. The source word does not change
+    # while the other words take their hashes of it, in order, so one
+    # broadcast hash gives all of them.
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        mixer[dst] = _mix(mixer[dst], _hash(mixer[src], hashes[used : used + len(dst) + 1]))
+        used += len(dst)
+    # Entropy past the pool size, each word mixed into every pool word.
+    for src in range(_POOL_SIZE, n_entropy):
+        mixer = _mix(mixer, _hash(entropy[src], hashes[used : used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian into 64-bit words.
+    state = _hash(mixer[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _GivenState(ISeedSequence):
+    """A seed sequence whose one answer is known: a row of
+    :func:`episode_states`, which ``PCG64`` asks for as ``generate_state(4,
+    np.uint64)``."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
 def estimate_payoffs(env: Environment, profile: Sequence, episodes: int, rng) -> np.ndarray:
     """Mean per-player return of a fixed policy profile over ``episodes`` episodes.
 
     The first player to act alternates with episode parity to average out
-    positional advantage. Each episode runs on a seed derived from (base,
-    episode index), so the estimate does not depend on episode sharding.
+    positional advantage. Each episode runs on its own generator,
+    ``derived_rng(base, episode)`` for a ``base`` drawn from ``rng``, so the
+    estimate does not depend on episode sharding. The generators' seeds come
+    from :func:`episode_states`, all of a cell's at once.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    base = derive_stream_seed(rng)
+    states = episode_states(derive_stream_seed(rng), episodes)
     total = np.zeros(env.n_players)
     for ep in range(episodes):
-        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2)
+        stream = np.random.Generator(np.random.PCG64(_GivenState(states[ep])))
+        total += simulate_episode(env, profile, stream, first_player=ep % 2)
     return total / episodes

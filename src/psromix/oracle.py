@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .config import OracleHParams
-from .envs.base import Environment, illegal_action
+from .envs.base import Draws, Environment, bounded, illegal_action
 from .policies import QTable, ValuePolicy, greedy_over, is_greedy
 
 
@@ -40,7 +40,7 @@ def epsilon_at(t: int, hparams: OracleHParams) -> float:
     return hparams.epsilon_start - (hparams.epsilon_start - hparams.epsilon_end) * frac
 
 
-OpponentProvider = Callable[[np.random.Generator], Mapping[int, object]]
+OpponentProvider = Callable[[Draws], Mapping[int, object]]
 
 
 def _as_provider(opponents) -> OpponentProvider:
@@ -74,10 +74,15 @@ def train_best_response(
     (observation, legal actions) and its answer is reused for the rest of
     the call; it draws nothing, so the random streams are those of asking
     it every time. Every other opponent is asked at every step.
+
+    The learner's exploration draws call ``rng``'s bit generator directly,
+    and opponents and the provider draw through :class:`~psromix.envs.base.Draws`
+    views; ``draw_deal`` gets ``rng`` itself. Each makes the draws the
+    generator's own methods would, so every stream keeps its bits.
     """
     provider = _as_provider(opponents)
-    if opponent_rng is None:
-        opponent_rng = rng
+    draws = Draws(rng)
+    opponent_draws = draws if opponent_rng is None else Draws(opponent_rng)
     n_actions = env.action_count(learner)
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
@@ -87,7 +92,10 @@ def train_best_response(
     rows: dict[bytes, list[float]] = {}
     get_row = rows.get
     memos: dict[object, dict | None] = {}  # opponent -> its actions, or None
-    random, integers = rng.random, rng.integers
+    interface = rng.bit_generator.ctypes
+    next_double, next_uint32, state = (
+        interface.next_double, interface.next_uint32, interface.state
+    )
     roots, draw_deal = env.roots, env.draw_deal
     gamma = hparams.discount
     lr = hparams.learning_rate
@@ -99,7 +107,7 @@ def train_best_response(
     episode = 0
 
     while t < total:
-        opponent_policies = provider(opponent_rng)
+        opponent_policies = provider(opponent_draws)
         deal = draw_deal(rng)
         views = deal.views
         node = roots[episode % 2]
@@ -123,8 +131,8 @@ def train_best_response(
                     if t >= total:
                         break
                 epsilon = epsilon_at(t, hparams) if t < ramp else flat_epsilon
-                if epsilon > 0.0 and random() < epsilon:
-                    action = legal[integers(len(legal))]
+                if epsilon > 0.0 and next_double(state) < epsilon:
+                    action = legal[bounded(next_uint32, state, len(legal))]
                 else:
                     action = greedy_over(get_row(key, default_row), legal)
                 pending_key, pending_action = key, action
@@ -137,11 +145,11 @@ def train_best_response(
                 except KeyError:
                     memo = memos[policy] = {} if is_greedy(policy) else None
                 if memo is None:
-                    action = policy.act(key, legal, rng)
+                    action = policy.act(key, legal, draws)
                 else:
                     action = memo.get((key, legal))
                     if action is None:
-                        action = memo[key, legal] = policy.act(key, legal, rng)
+                        action = memo[key, legal] = policy.act(key, legal, draws)
                 child = node.children.get(action)
                 if child is None:
                     raise illegal_action(node, action)

@@ -287,6 +287,19 @@ def test_one_cpu_never_forks(monkeypatch):
     assert record.counter.train_steps == 2 * 2 * 400
 
 
+def _regret_curve(config):
+    return export_regret_curve(run_algorithm(config))
+
+
+def test_run_in_a_pool_worker_keeps_every_job_in_process():
+    # A Pool worker is daemonic and may not start children; its run trains
+    # every player in turn and gives the curve a run with workers gives.
+    config = fast_config(epochs=1)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        (in_pool,) = pool.map(_regret_curve, [config])
+    assert in_pool == _regret_curve(config)
+
+
 @pytest.mark.parametrize("stop", [None, 1e-3], ids=["complete", "early-stopped"])
 def test_resumed_finished_run_forks_nothing(tmp_path, monkeypatch, stop):
     # nash leaves internal regret at about 0, so 1e-3 stops after epoch 1.
