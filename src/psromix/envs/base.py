@@ -5,7 +5,9 @@ Every environment is compiled once into a game tree that all episodes share:
 - A :class:`Node` is a decision point or a terminal. It holds its ``id``, the
   acting ``player`` (None at a terminal), each player's ``legal`` actions,
   the child ``children[action]`` per legal action, and at a terminal one
-  read-only ``rewards`` vector per outcome. Rewards arrive only at terminals.
+  read-only ``rewards`` vector per outcome, with ``returns``, the same
+  values as one tuple of Python floats per outcome, for loops that read one
+  player's return. Rewards arrive only at terminals.
 - A :class:`Deal` holds what chance decides at an episode's start.
   ``views[player][node.id]`` is the player's observation at a node: its
   canonical key, so two information states with different legal histories
@@ -49,7 +51,7 @@ class Node:
     """One node of a compiled game tree, shared by every episode that
     reaches it and immutable once :func:`compile_tree` has numbered it."""
 
-    __slots__ = ("id", "player", "terminal", "legal", "children", "rewards")
+    __slots__ = ("id", "player", "terminal", "legal", "children", "rewards", "returns")
 
     def __init__(self, player: int | None, legal: tuple[tuple[int, ...], ...]):
         self.player = player  # None at a terminal node
@@ -57,18 +59,23 @@ class Node:
         self.legal = legal  # per player
         self.children: dict[int, Node] = {}
         self.rewards: tuple[np.ndarray, ...] | None = None  # per outcome, terminals only
+        # ``rewards`` as Python floats, bit for bit; set by compile_tree.
+        self.returns: tuple[tuple[float, ...], ...] | None = None
 
 
 def compile_tree(roots: Sequence[Node], after: Callable[[Node, int], Node]) -> list[Node]:
     """Link every node reachable from ``roots`` to its children, built by
     ``after(node, action)`` for each legal action of the acting player, and
-    number them depth first, root by root. Returns the nodes by id."""
+    number them depth first, root by root. Each terminal's ``returns`` is
+    filled from its ``rewards``. Returns the nodes by id."""
     nodes: list[Node] = []
 
     def expand(node: Node) -> Node:
         node.id = len(nodes)
         nodes.append(node)
-        if not node.terminal:
+        if node.terminal:
+            node.returns = tuple(tuple(map(float, rewards)) for rewards in node.rewards)
+        else:
             for action in node.legal[node.player]:
                 node.children[action] = expand(after(node, action))
         return node

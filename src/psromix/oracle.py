@@ -5,13 +5,20 @@ episode starts).
 Training walks the environment's compiled game tree (see
 :mod:`psromix.envs.base`) directly: an episode is a deal from ``draw_deal``
 and a node, a key is one view lookup, a step is one child lookup, and the
-learner's reward is read once, at the terminal node. Matrix games and Leduc
-share the one loop.
+learner's reward is read once, as a Python float from the terminal node's
+``returns``. Matrix games and Leduc share the one loop.
+
+Opponents act inside that loop. A value-policy opponent's greedy action is
+memoized per (observation, legal actions) for the call, at any epsilon, and
+its exploration draws call the train stream's bit generator directly, as
+the learner's do; any other policy is asked to ``act``. Psro's mixture
+provider draws each episode's opponents the same way, on the opponent
+stream.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -19,7 +26,7 @@ import numpy as np
 
 from .config import OracleHParams
 from .envs.base import Draws, Environment, bounded, illegal_action
-from .policies import QTable, ValuePolicy, greedy_over, is_greedy
+from .policies import QTable, ValuePolicy
 
 
 @dataclass
@@ -69,16 +76,21 @@ def train_best_response(
     trainings are unaffected by how the provider samples. An opponent action
     the node has no child for raises ``IllegalAction``.
 
-    Opponents do not change during a call, so a greedy one (see
-    :func:`~psromix.policies.is_greedy`) is asked to ``act`` once per
-    (observation, legal actions) and its answer is reused for the rest of
-    the call; it draws nothing, so the random streams are those of asking
-    it every time. Every other opponent is asked at every step.
+    A :class:`~psromix.policies.ValuePolicy` opponent is played here, not
+    asked to ``act``: with probability ``epsilon`` a uniform legal action,
+    else its greedy action. Its table never changes, so each value
+    opponent's greedy action is computed once per (observation, legal
+    actions), whatever its epsilon, and reused for the rest of the call.
+    Every other opponent (a ``FixedMixturePolicy``, say) is asked to ``act``
+    at every step, with a :class:`~psromix.envs.base.Draws` view of ``rng``.
 
-    The learner's exploration draws call ``rng``'s bit generator directly,
-    and opponents and the provider draw through :class:`~psromix.envs.base.Draws`
-    views; ``draw_deal`` gets ``rng`` itself. Each makes the draws the
-    generator's own methods would, so every stream keeps its bits.
+    The learner's and the value opponents' exploration draws call ``rng``'s
+    bit generator functions ``next_double`` and ``next_uint32`` directly
+    (:func:`~psromix.envs.base.bounded` for the uniform action); a provider
+    is given a ``Draws`` view of the opponent stream, and ``draw_deal`` gets
+    ``rng`` itself. Each makes the draws, in the order, that
+    ``ValuePolicy.act`` and the generator's own methods would, so every
+    stream keeps its bits.
     """
     provider = _as_provider(opponents)
     draws = Draws(rng)
@@ -86,12 +98,14 @@ def train_best_response(
     n_actions = env.action_count(learner)
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
-    # numpy's per-element boxing (``float(reward)`` keeps numpy scalars out
-    # of the rows). A key gets its own zero row when first updated.
+    # numpy's per-element boxing (terminal ``returns`` are Python floats
+    # too). A key gets its own zero row when first updated.
     default_row = [0.0] * n_actions
     rows: dict[bytes, list[float]] = {}
     get_row = rows.get
-    memos: dict[object, dict | None] = {}  # opponent -> its actions, or None
+    # opponent -> (epsilon, {(key, legal): greedy action}) for a value
+    # policy, None for a policy that is asked to act.
+    entries: dict[object, tuple[float, dict] | None] = {}
     interface = rng.bit_generator.ctypes
     next_double, next_uint32, state = (
         interface.next_double, interface.next_uint32, interface.state
@@ -100,9 +114,12 @@ def train_best_response(
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
-    # epsilon_at is flat from the end of the ramp on.
+    # epsilon_at is flat from the end of the ramp on; on the ramp the loop
+    # does its arithmetic itself, operation for operation.
     ramp = hparams.exploration_timesteps
     flat_epsilon = epsilon_at(ramp, hparams)
+    epsilon_start = hparams.epsilon_start
+    epsilon_drop = hparams.epsilon_start - hparams.epsilon_end
     t = 0
     episode = 0
 
@@ -130,32 +147,48 @@ def train_best_response(
                     pending_key = None
                     if t >= total:
                         break
-                epsilon = epsilon_at(t, hparams) if t < ramp else flat_epsilon
+                epsilon = epsilon_start - epsilon_drop * (t / ramp) if t < ramp else flat_epsilon
                 if epsilon > 0.0 and next_double(state) < epsilon:
                     action = legal[bounded(next_uint32, state, len(legal))]
                 else:
-                    action = greedy_over(get_row(key, default_row), legal)
+                    # greedy_over, inlined: the lowest-index maximiser. The
+                    # row is read after the update above, which may be its own.
+                    row = get_row(key, default_row)
+                    action = legal[0]
+                    best = row[action]
+                    for a in legal:
+                        value = row[a]
+                        if value > best:
+                            action, best = a, value
                 pending_key, pending_action = key, action
                 t += 1
                 node = node.children[action]
             else:
                 policy = opponent_policies[player]
                 try:
-                    memo = memos[policy]
+                    entry = entries[policy]
                 except KeyError:
-                    memo = memos[policy] = {} if is_greedy(policy) else None
-                if memo is None:
+                    entry = entries[policy] = (
+                        (policy.epsilon, {}) if isinstance(policy, ValuePolicy) else None
+                    )
+                if entry is None:
                     action = policy.act(key, legal, draws)
+                    child = node.children.get(action)
+                    if child is None:
+                        raise illegal_action(node, action)
+                    node = child
+                    continue
+                # ValuePolicy.act's draws; its actions are legal by construction.
+                epsilon, memo = entry
+                if epsilon > 0.0 and next_double(state) < epsilon:
+                    action = legal[bounded(next_uint32, state, len(legal))]
                 else:
                     action = memo.get((key, legal))
                     if action is None:
-                        action = memo[key, legal] = policy.act(key, legal, draws)
-                child = node.children.get(action)
-                if child is None:
-                    raise illegal_action(node, action)
-                node = child
+                        action = memo[key, legal] = policy.greedy_action(key, legal)
+                node = node.children[action]
         if pending_key is not None:
-            reward = float(node.rewards[deal.outcome][learner])
+            reward = node.returns[deal.outcome][learner]
             row = get_row(pending_key)
             if row is None:
                 row = rows[pending_key] = default_row.copy()
@@ -182,18 +215,37 @@ class TabularOracle:
 
     def respond_mixture(self, env, player, mixtures, rng, counter, opponent_rng=None):
         """Train against opponents drawn afresh each episode: ``mixtures``
-        maps each opponent to a ``(policies, weights)`` pair."""
-        # bisect_right over the cumsum picks what np.searchsorted(side="right") would.
-        draws = [
+        maps each opponent to a ``(policies, weights)`` pair.
+
+        Each episode draws one policy per opponent, in ``mixtures`` order:
+        the first whose cumulative weight exceeds a ``random()`` draw on
+        ``opponent_rng`` (``rng`` when None), as ``np.searchsorted(...,
+        side="right")`` over the cumsum picks. The draw calls that stream's
+        ``next_double`` directly; with one opponent, each policy's mapping
+        is built once and handed out at every episode that draws it.
+        """
+        # Both generators are this call's arguments, so the bit generator
+        # state that next_double is given outlives the training.
+        interface = (rng if opponent_rng is None else opponent_rng).bit_generator.ctypes
+        next_double, state = interface.next_double, interface.state
+        seats = [
             (other, policies, np.cumsum(np.asarray(weights, dtype=float)).tolist())
             for other, (policies, weights) in mixtures.items()
         ]
+        if len(seats) == 1:
+            [(other, policies, cumulative)] = seats
+            mappings = [{other: policy} for policy in policies]
 
-        def provider(sample_rng):
-            return {
-                other: policies[bisect.bisect_right(cumulative, sample_rng.random())]
-                for other, policies, cumulative in draws
-            }
+            def provider(_draws):
+                return mappings[bisect_right(cumulative, next_double(state))]
+
+        else:
+
+            def provider(_draws):
+                return {
+                    other: policies[bisect_right(cumulative, next_double(state))]
+                    for other, policies, cumulative in seats
+                }
 
         return train_best_response(
             env, player, provider, self.mix_hparams, rng, counter, opponent_rng

@@ -42,7 +42,6 @@ from psromix.policies import (
     QTable,
     ValuePolicy,
     greedy_over,
-    is_greedy,
     pure_action_policy,
     uniform_random_policy,
 )
@@ -104,7 +103,9 @@ def episode_state_train_best_response(
                 try:
                     memo = memos[policy]
                 except KeyError:
-                    memo = memos[policy] = {} if is_greedy(policy) else None
+                    # Only a greedy value policy is memoized: it draws nothing.
+                    greedy = isinstance(policy, ValuePolicy) and policy.epsilon == 0.0
+                    memo = memos[policy] = {} if greedy else None
                 if memo is None:
                     action = policy.act(key, legal, rng)
                 else:
@@ -250,6 +251,34 @@ def test_compiled_training_raises_illegal_action_where_the_step_did():
         errors.append((str(info.value), rogue.calls, rng.bit_generator.state))
     assert errors[0] == errors[1]
     assert errors[0][1] > 50
+
+
+def _terminal_nodes(env):
+    """Every terminal node reachable from either seating's root."""
+    seen, stack, terminals = set(), list(env.roots), []
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        if node.terminal:
+            terminals.append(node)
+        stack.extend(node.children.values())
+    return terminals
+
+
+@pytest.mark.parametrize("env_name", ["leduc", "rps", "matrix3"])
+def test_terminal_returns_are_the_rewards_as_python_floats(envs, env_name):
+    terminals = _terminal_nodes(envs[env_name])
+    assert terminals
+    for node in terminals:
+        assert len(node.returns) == len(node.rewards)
+        for returns, rewards in zip(node.returns, node.rewards):
+            assert len(returns) == len(rewards)
+            for value, reward in zip(returns, rewards):
+                assert type(value) is float
+                assert value == float(reward)
+                assert value.hex() == float(reward).hex()
 
 
 # -- the compiled matrix tree -------------------------------------------------

@@ -466,17 +466,24 @@ def reference_train_best_response(
     return ValuePolicy(QTable(n_actions, rows))
 
 
-def _psro_provider(opponent, policies, weights):
-    """One policy drawn per episode, as TabularOracle.respond_mixture draws."""
-    cumulative = np.cumsum(weights)
+def _psro_provider(mixtures):
+    """One policy per opponent drawn per episode, in ``mixtures`` order, as
+    TabularOracle.respond_mixture draws: ``mixtures`` maps each opponent to a
+    ``(policies, weights)`` pair."""
+    seats = [
+        (opponent, policies, np.cumsum(weights))
+        for opponent, (policies, weights) in mixtures.items()
+    ]
     return lambda rng: {
         opponent: policies[int(np.searchsorted(cumulative, rng.random(), side="right"))]
+        for opponent, policies, cumulative in seats
     }
 
 
 def _opponents_of_each_kind(env, opponent, fixed_probs):
     """A greedy trained policy, the same at epsilon 0.3, uniform random, a
-    fixed mixture, a value mixture, and a psro-style draw over all of them."""
+    fixed mixture, a value mixture, a psro-style draw over those five, the
+    trained table at epsilon 1 and the value mixture at epsilon 0.5."""
     budget = hp(discount=1.0, total_timesteps=1500, exploration_timesteps=1000)
     uniform = uniform_random_policy(env.action_count(opponent))
     learner = 1 - opponent
@@ -494,7 +501,10 @@ def _opponents_of_each_kind(env, opponent, fixed_probs):
         "value-mixture": combine_opponents([greedy, other, uniform], [0.5, 0.3, 0.2]),
     }
     members = list(kinds.values())
-    kinds["psro-draw"] = _psro_provider(opponent, members, [0.3, 0.2, 0.1, 0.1, 0.3])
+    kinds["psro-draw"] = _psro_provider({opponent: (members, [0.3, 0.2, 0.1, 0.1, 0.3])})
+    # Exploring value policies on trained tables: the inline exploration draw.
+    kinds["epsilon-1-trained"] = ValuePolicy(greedy.q, epsilon=1.0)
+    kinds["value-mixture-epsilon-0.5"] = ValuePolicy(kinds["value-mixture"].q, epsilon=0.5)
     return {
         name: policy if callable(policy) else {opponent: policy}
         for name, policy in kinds.items()
@@ -502,7 +512,8 @@ def _opponents_of_each_kind(env, opponent, fixed_probs):
 
 
 OPPONENT_KINDS = (
-    "greedy", "epsilon-0.3", "uniform", "fixed-mixture", "value-mixture", "psro-draw"
+    "greedy", "epsilon-0.3", "uniform", "fixed-mixture", "value-mixture", "psro-draw",
+    "epsilon-1-trained", "value-mixture-epsilon-0.5",
 )
 
 
@@ -542,3 +553,80 @@ def test_training_equals_the_reference_loop(opponents_by_env, env_name, kind):
             )
         )
     assert runs[0] == runs[1]
+
+
+def _three_player_mixtures():
+    """Seats 1 and 2 of a 3-player matrix game, each a mixture over uniform
+    random, a fixed mixture, a greedy trained policy, its table at epsilon
+    0.4 and a value mixture, with a zero weight each."""
+    env = MatrixGameEnv(np.random.default_rng(8).random((2, 3, 2, 3)))
+    budget = hp(discount=1.0, total_timesteps=600, exploration_timesteps=400)
+    uniform = {seat: uniform_random_policy(env.action_count(seat)) for seat in range(3)}
+    mixtures = {}
+    for seat, weights in ((1, [0.3, 0.0, 0.2, 0.25, 0.25]), (2, [0.2, 0.3, 0.0, 0.4, 0.1])):
+        others = {o: uniform[o] for o in range(3) if o != seat}
+        greedy = reference_train_best_response(
+            env, seat, others, budget, np.random.default_rng(40 + seat)
+        )
+        probs = np.random.default_rng(50 + seat).dirichlet(np.ones(env.action_count(seat)))
+        policies = [
+            uniform[seat],
+            FixedMixturePolicy(probs),
+            greedy,
+            ValuePolicy(greedy.q, epsilon=0.4),
+            combine_opponents([greedy, uniform[seat]], [0.7, 0.3]),
+        ]
+        mixtures[seat] = (policies, weights)
+    return env, mixtures
+
+
+@pytest.fixture(scope="module")
+def mixtures_by_case(opponents_by_env):
+    """Per case: the environment, the learner's opponents' mixtures, and
+    whether the opponents draw on their own stream."""
+
+    def single(env_name, weights):
+        env, kinds = opponents_by_env[env_name]
+        policies = [kinds[name][1] for name in OPPONENT_KINDS if name != "psro-draw"]
+        return env, {1: (policies, weights)}
+
+    weights = [0.2, 0.1, 0.1, 0.1, 0.2, 0.15, 0.15]
+    zeros = [0.3, 0.0, 0.25, 0.0, 0.2, 0.25, 0.0]
+    return {
+        "one-opponent-train-stream": (*single("leduc", weights), False),
+        "zero-weights-leduc": (*single("leduc", zeros), True),
+        "zero-weights-rps": (*single("rps", zeros), True),
+        "two-opponents": (*_three_player_mixtures(), True),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["one-opponent-train-stream", "zero-weights-leduc", "zero-weights-rps", "two-opponents"]
+)
+def test_respond_mixture_equals_the_reference_loop(mixtures_by_case, case):
+    # respond_mixture's provider draws on the bit generator directly; the
+    # reference draws with Generator.random and np.searchsorted, every
+    # opponent acting through act at every step.
+    env, mixtures, own_stream = mixtures_by_case[case]
+    budget = hp(discount=1.0, learning_rate=0.05, total_timesteps=2500, exploration_timesteps=1500)
+
+    def reference(env, player, mixtures, rng, counter, opponent_rng):
+        return reference_train_best_response(
+            env, player, _psro_provider(mixtures), budget, rng, counter, opponent_rng
+        )
+
+    runs = []
+    for respond in (TabularOracle(hp(), budget).respond_mixture, reference):
+        rng, opponent_rng = np.random.default_rng(31), np.random.default_rng(32)
+        counter = SimulationCounter()
+        policy = respond(env, 0, mixtures, rng, counter, opponent_rng if own_stream else None)
+        runs.append(
+            (
+                policy_to_text(policy),
+                counter.train_steps,
+                rng.bit_generator.state,
+                opponent_rng.bit_generator.state,
+            )
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][1] == 2500
