@@ -114,12 +114,9 @@ def train_best_response(
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
-    # epsilon_at is flat from the end of the ramp on; on the ramp the loop
-    # does its arithmetic itself, operation for operation.
+    # epsilon_at is flat from the end of the ramp on.
     ramp = hparams.exploration_timesteps
     flat_epsilon = epsilon_at(ramp, hparams)
-    epsilon_start = hparams.epsilon_start
-    epsilon_drop = hparams.epsilon_start - hparams.epsilon_end
     t = 0
     episode = 0
 
@@ -147,7 +144,7 @@ def train_best_response(
                     pending_key = None
                     if t >= total:
                         break
-                epsilon = epsilon_start - epsilon_drop * (t / ramp) if t < ramp else flat_epsilon
+                epsilon = epsilon_at(t, hparams) if t < ramp else flat_epsilon
                 if epsilon > 0.0 and next_double(state) < epsilon:
                     action = legal[bounded(next_uint32, state, len(legal))]
                 else:
@@ -221,8 +218,7 @@ class TabularOracle:
         the first whose cumulative weight exceeds a ``random()`` draw on
         ``opponent_rng`` (``rng`` when None), as ``np.searchsorted(...,
         side="right")`` over the cumsum picks. The draw calls that stream's
-        ``next_double`` directly; with one opponent, each policy's mapping
-        is built once and handed out at every episode that draws it.
+        ``next_double`` directly.
         """
         # Both generators are this call's arguments, so the bit generator
         # state that next_double is given outlives the training.
@@ -232,20 +228,12 @@ class TabularOracle:
             (other, policies, np.cumsum(np.asarray(weights, dtype=float)).tolist())
             for other, (policies, weights) in mixtures.items()
         ]
-        if len(seats) == 1:
-            [(other, policies, cumulative)] = seats
-            mappings = [{other: policy} for policy in policies]
 
-            def provider(_draws):
-                return mappings[bisect_right(cumulative, next_double(state))]
-
-        else:
-
-            def provider(_draws):
-                return {
-                    other: policies[bisect_right(cumulative, next_double(state))]
-                    for other, policies, cumulative in seats
-                }
+        def provider(_draws):
+            return {
+                other: policies[bisect_right(cumulative, next_double(state))]
+                for other, policies, cumulative in seats
+            }
 
         return train_best_response(
             env, player, provider, self.mix_hparams, rng, counter, opponent_rng

@@ -102,7 +102,9 @@ class QTable:
 
 
 def greedy_over(vec, legal_actions: Sequence[int]) -> int:
-    """Lowest-index maximiser of ``vec`` restricted to the legal actions."""
+    """Lowest-index maximiser of ``vec`` restricted to the legal actions.
+    :func:`psromix.oracle.train_best_response` spells this loop out for
+    the learner's greedy step and must change with it."""
     best = legal_actions[0]
     best_value = vec[best]
     for a in legal_actions[1:]:
@@ -148,6 +150,10 @@ class ValuePolicy:
         return greedy_over(self.q.lookup(observation), legal_actions)
 
     def act(self, observation, legal_actions: Sequence[int], rng) -> int:
+        """With probability ``epsilon`` a uniform legal action, else the
+        greedy one. :func:`psromix.oracle.train_best_response` replays these
+        draws for its value-policy opponents (``next_double``, then
+        ``bounded`` on ``next_uint32``) and must change with them."""
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
             return legal_actions[rng.integers(len(legal_actions))]
         return self.greedy_action(observation, legal_actions)
