@@ -27,13 +27,11 @@ simulated episode yields its per-player returns and nothing else; every
 other value in psromix is exact (see :mod:`psromix.exact`).
 
 Two hot random paths skip numpy's per-call Python work without changing a
-bit of any stream. A :class:`Draws` view answers ``random()`` and
-``integers(n)`` with the C functions the ``Generator`` methods call
-(``next_double``, and numpy's Lemire draw on ``next_uint32``), on the same
-bit generator state, the buffered 32-bit half included. And
-:func:`estimate_payoffs` computes each episode's ``SeedSequence([base,
-episode])`` state for a whole cell in one vectorized pass
-(:func:`episode_states`).
+bit of any stream. :func:`bounded` is ``Generator.integers(n)``'s draw, made
+on the bit generator's ``next_uint32`` directly, for training's inline
+draws. And :func:`estimate_payoffs` computes each episode's
+``SeedSequence([base, episode])`` state for a whole cell in one vectorized
+pass (:func:`episode_states`).
 """
 
 from __future__ import annotations
@@ -216,52 +214,6 @@ def bounded(next_uint32, state, n: int) -> int:
         while m & 0xFFFFFFFF < threshold:
             m = next_uint32(state) * n
     return m >> 32
-
-
-_FLOAT64, _INT64 = np.float64, np.int64
-
-
-class Draws:
-    """A view of a numpy ``Generator`` whose scalar draws skip its Python layer.
-
-    ``random()`` calls the bit generator's ``next_double``, and
-    ``integers(n)``, for a Python int 1 <= n <= 2**32, makes :func:`bounded`'s
-    draw on its ``next_uint32``, both through ``bit_generator.ctypes``: the C
-    functions the generator's own methods call, on the same state. So the
-    values, and the state left behind, are the generator's; ``integers``
-    returns a Python int where the generator returns a numpy one. Every other
-    call, argument or attribute goes to the generator itself. The view
-    holds the generator, which keeps the state the C functions are given
-    alive. No lock is taken: each stream belongs to one job, drawn from by
-    one thread.
-    """
-
-    __slots__ = ("_rng", "_next_double", "_next_uint32", "_state")
-
-    def __init__(self, rng):
-        self._rng = rng
-        interface = rng.bit_generator.ctypes
-        self._next_double = interface.next_double
-        self._next_uint32 = interface.next_uint32
-        self._state = interface.state
-
-    # The generator's signatures, spelled out: *args would cost more than
-    # the call it saves.
-    def random(self, size=None, dtype=np.float64, out=None):
-        if size is None and dtype is _FLOAT64 and out is None:
-            return self._next_double(self._state)
-        return self._rng.random(size, dtype, out)
-
-    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        if (
-            high is None and size is None and dtype is _INT64 and endpoint is False
-            and type(low) is int and 1 <= low <= 0x100000000
-        ):
-            return bounded(self._next_uint32, self._state, low)
-        return self._rng.integers(low, high, size, dtype, endpoint)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).

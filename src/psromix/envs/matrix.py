@@ -46,6 +46,8 @@ class MatrixGameEnv(Environment):
         tensor.flags.writeable = False
         if tensor.ndim < 2:
             raise ValueError("payoff tensor must have shape (*action_counts, n_players)")
+        if not np.isfinite(tensor).all():
+            raise ValueError("payoff tensor holds a non-finite value")
         self.payoff_tensor = tensor
         self.n_players = tensor.shape[-1]
         if tensor.ndim - 1 != self.n_players:

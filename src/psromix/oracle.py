@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .config import OracleHParams
-from .envs.base import Draws, Environment, bounded, illegal_action
+from .envs.base import Environment, bounded, illegal_action
 from .policies import QTable, ValuePolicy
 
 
@@ -47,7 +47,7 @@ def epsilon_at(t: int, hparams: OracleHParams) -> float:
     return hparams.epsilon_start - (hparams.epsilon_start - hparams.epsilon_end) * frac
 
 
-OpponentProvider = Callable[[Draws], Mapping[int, object]]
+OpponentProvider = Callable[[np.random.Generator], Mapping[int, object]]
 
 
 def _as_provider(opponents) -> OpponentProvider:
@@ -82,19 +82,18 @@ def train_best_response(
     opponent's greedy action is computed once per (observation, legal
     actions), whatever its epsilon, and reused for the rest of the call.
     Every other opponent (a ``FixedMixturePolicy``, say) is asked to ``act``
-    at every step, with a :class:`~psromix.envs.base.Draws` view of ``rng``.
+    at every step, with ``rng`` itself.
 
     The learner's and the value opponents' exploration draws call ``rng``'s
     bit generator functions ``next_double`` and ``next_uint32`` directly
-    (:func:`~psromix.envs.base.bounded` for the uniform action); a provider
-    is given a ``Draws`` view of the opponent stream, and ``draw_deal`` gets
-    ``rng`` itself. Each makes the draws, in the order, that
-    ``ValuePolicy.act`` and the generator's own methods would, so every
-    stream keeps its bits.
+    (:func:`~psromix.envs.base.bounded` for the uniform action), making the
+    draws, in the order, that ``ValuePolicy.act`` would, so the stream keeps
+    its bits. A provider is given the opponent stream itself, and
+    ``draw_deal`` the train stream.
     """
     provider = _as_provider(opponents)
-    draws = Draws(rng)
-    opponent_draws = draws if opponent_rng is None else Draws(opponent_rng)
+    if opponent_rng is None:
+        opponent_rng = rng
     n_actions = env.action_count(learner)
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
@@ -121,7 +120,7 @@ def train_best_response(
     episode = 0
 
     while t < total:
-        opponent_policies = provider(opponent_draws)
+        opponent_policies = provider(opponent_rng)
         deal = draw_deal(rng)
         views = deal.views
         node = roots[episode % 2]
@@ -169,7 +168,7 @@ def train_best_response(
                         (policy.epsilon, {}) if isinstance(policy, ValuePolicy) else None
                     )
                 if entry is None:
-                    action = policy.act(key, legal, draws)
+                    action = policy.act(key, legal, rng)
                     child = node.children.get(action)
                     if child is None:
                         raise illegal_action(node, action)
@@ -229,7 +228,7 @@ class TabularOracle:
             for other, (policies, weights) in mixtures.items()
         ]
 
-        def provider(_draws):
+        def provider(_rng):
             return {
                 other: policies[bisect_right(cumulative, next_double(state))]
                 for other, policies, cumulative in seats

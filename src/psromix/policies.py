@@ -186,8 +186,8 @@ class FixedMixturePolicy:
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
-        if self.probs.ndim != 1 or self.probs.min() < 0:
-            raise ValueError("probs must be a non-negative vector")
+        if self.probs.ndim != 1 or not (np.isfinite(self.probs) & (self.probs >= 0)).all():
+            raise ValueError("probs must be a finite non-negative vector")
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probs must sum to 1, got {self.probs.sum()!r}")
         self._cumulative = np.cumsum(self.probs)

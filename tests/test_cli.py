@@ -375,6 +375,10 @@ def test_eval_rejects_non_positive_episodes(tmp_path, capsys, episodes):
     assert "--episodes" in capsys.readouterr().err
 
 
+def _mixture_lines(probs):
+    return ["psromix-policy v1", "kind mixture", f"probs {probs}"]
+
+
 def _five_key_policy_lines():
     table = QTable(3, {bytes([k]): [0.5 * k, -1.0, 2.0] for k in range(5)})
     return policy_to_text(ValuePolicy(table, epsilon=0.0)).splitlines()
@@ -387,6 +391,9 @@ def _five_key_policy_lines():
         pytest.param(lambda lines: lines[:3], id="short-header"),
         pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], id="value-count"),
         pytest.param(lambda lines: lines[:-1] + lines[-2:-1], id="repeated-key"),
+        # NaN fails both the sign and the sum check by comparing False.
+        pytest.param(lambda lines: _mixture_lines("nan 1.0 0.0"), id="nan-mixture"),
+        pytest.param(lambda lines: _mixture_lines("inf 0.0 0.0"), id="inf-mixture"),
     ],
 )
 def test_corrupt_policy_file_rejected(tmp_path, capsys, corrupt):
@@ -664,6 +671,8 @@ def _matrix_lines():
         pytest.param(None, id="missing-file"),
         pytest.param(_matrix_lines() + _matrix_lines()[-1:], id="duplicated-cell"),
         pytest.param(_matrix_lines()[:-1] + ["cell 2 1 0.0 1.0"], id="action-out-of-range"),
+        pytest.param(_matrix_lines()[:-1] + ["cell 1 1 nan 0.0"], id="nan-payoff"),
+        pytest.param(_matrix_lines()[:-1] + ["cell 1 1 0.0 -inf"], id="inf-payoff"),
     ],
 )
 def test_matrix_file_loads_whole_or_not_at_all(tmp_path, capsys, lines):

@@ -162,6 +162,31 @@ def test_mixture_draws_match_searchsorted():
     assert set(log) == {0, 2, 4}
 
 
+@pytest.mark.parametrize("own_stream", [True, False])
+def test_provider_and_act_are_given_the_generators_themselves(own_stream):
+    # A provider gets the opponent stream (the train stream when there is
+    # none), and a policy that is asked to act gets the train stream.
+    rng = np.random.default_rng(0)
+    opponent_rng = np.random.default_rng(1) if own_stream else None
+    provided, acted = [], []
+
+    class Recording:
+        def act(self, observation, legal_actions, given):
+            acted.append(given)
+            return 0
+
+    def provider(given):
+        provided.append(given)
+        return {1: Recording()}
+
+    budget = hp(total_timesteps=20, exploration_timesteps=10)
+    train_best_response(rps_env(), 0, provider, budget, rng, opponent_rng=opponent_rng)
+    expected = rng if opponent_rng is None else opponent_rng
+    assert len(provided) == len(acted) == 20
+    assert all(given is expected for given in provided)
+    assert all(given is rng for given in acted)
+
+
 class _Decision(Node):
     __slots__ = ("taken",)
 

@@ -1,10 +1,10 @@
 """The fast random paths keep every stream bit for bit.
 
-``Draws`` answers ``random()`` and ``integers(n)`` from its generator's bit
-generator, and ``estimate_payoffs`` seeds a cell's episodes from
-``episode_states``. Each is checked against numpy itself: a twin
-``Generator`` making the same calls, numpy's ``SeedSequence``, and the
-per-episode ``derived_rng`` loop that ``estimate_payoffs`` replaced.
+``bounded`` makes ``integers(n)``'s draw on a generator's ``next_uint32``,
+and ``estimate_payoffs`` seeds a cell's episodes from ``episode_states``.
+Each is checked against numpy itself: a twin ``Generator`` making the same
+calls, numpy's ``SeedSequence``, and the per-episode ``derived_rng`` loop
+that ``estimate_payoffs`` replaced.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from psromix.envs import LeducEnv, rps_env
 from psromix.envs.base import (
-    Draws,
+    bounded,
     derive_stream_seed,
     derived_rng,
     episode_states,
@@ -23,14 +23,13 @@ from psromix.envs.base import (
 )
 from psromix.policies import uniform_random_policy
 
-# integers(1) draws nothing; 2**32 takes one raw 32-bit draw; 2**32 + 1 is
-# past the 32-bit path and goes to the generator. Lemire's draw rejects a
-# share of about ((2**32 - n) % n) / 2**32 of its draws: about half of them
-# at 2**31 + 1, next to none at small n.
-EDGE_BOUNDS = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1)
+# bounded(.., 1) draws nothing; 2**32 takes one raw 32-bit draw. Lemire's
+# draw rejects a share of about ((2**32 - n) % n) / 2**32 of its draws:
+# about half of them at 2**31 + 1, next to none at small n.
+EDGE_BOUNDS = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
 
 bounds = st.one_of(
-    st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**33), st.integers(2**31, 2**32)
+    st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32), st.integers(2**31, 2**32)
 )
 calls = st.one_of(
     st.just(("random",)),
@@ -41,12 +40,17 @@ calls = st.one_of(
 )
 
 
-def _call(rng, call):
+def _bounded(rng, n):
+    interface = rng.bit_generator.ctypes
+    return bounded(interface.next_uint32, interface.state, n)
+
+
+def _call(rng, call, integers):
     kind = call[0]
     if kind == "random":
         return rng.random()
     if kind == "integers":
-        return rng.integers(call[1])
+        return integers(rng, call[1])
     if kind == "shuffle":
         items = list(range(call[1]))
         rng.shuffle(items)
@@ -59,26 +63,29 @@ def _call(rng, call):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**64 - 1), st.lists(calls, max_size=40))
 def test_draws_equal_a_twin_generator(seed, sequence):
-    twin, viewed = np.random.default_rng(seed), np.random.default_rng(seed)
-    draws = Draws(viewed)
+    # bounded between the generator's own calls, which share its buffered
+    # 32-bit half, against the twin's Generator.integers.
+    twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for call in sequence:
-        assert _call(draws, call) == _call(twin, call), call
-    assert viewed.bit_generator.state == twin.bit_generator.state
+        assert _call(rng, call, _bounded) == _call(twin, call, np.random.Generator.integers), call
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("n", EDGE_BOUNDS)
 def test_draws_integers_at_the_edges(n):
     # Three calls, so later draws may come from the buffered 32-bit half.
-    twin, viewed = np.random.default_rng(n), np.random.default_rng(n)
-    draws = Draws(viewed)
-    assert [draws.integers(n) for _ in range(3)] == [twin.integers(n) for _ in range(3)]
-    assert viewed.bit_generator.state == twin.bit_generator.state
+    twin, rng = np.random.default_rng(n), np.random.default_rng(n)
+    assert [_bounded(rng, n) for _ in range(3)] == [twin.integers(n) for _ in range(3)]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_draws_integers_one_draws_nothing():
+    def no_draw(state):
+        raise AssertionError("bounded(.., 1) drew")
+
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert Draws(rng).integers(1) == 0
+    assert bounded(no_draw, rng.bit_generator.ctypes.state, 1) == 0
     assert rng.bit_generator.state == before
 
 
