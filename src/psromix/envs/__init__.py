@@ -4,7 +4,6 @@ from ..errors import ConfigError
 from .base import (
     Environment,
     EpisodeState,
-    derive_stream_seed,
     derived_rng,
     estimate_payoffs,
     simulate_episode,
@@ -55,6 +54,5 @@ __all__ = [
     "make_env",
     "simulate_episode",
     "estimate_payoffs",
-    "derive_stream_seed",
     "derived_rng",
 ]

@@ -23,13 +23,11 @@ wins, player 1 wins, split). A :class:`Deal` is the cards: per (player,
 private card, public card) view, one tuple of keys indexed by node id, built
 by :func:`leduc_encode`, which interns them so that each distinct key is one
 object, and the showdown outcome. Views and deals are built on first use and
-then shared by every episode. ``draw_deal`` shuffles the six cards, the only
-draw an episode makes, and the training loop and the episode walker go from
-there by child lookups; :class:`LeducEpisode` is the cursor over the same
-deal and nodes, with the betting state read from its node.
-
-:func:`betting_tree` and :func:`all_deals` expose the tree and the 120
-equally likely deals, so :mod:`psromix.exact` can walk every episode at once.
+then shared by every episode. ``LeducEnv.deals`` is the 120 equally likely
+deals of :func:`all_deals`; an episode draws one and goes on by child
+lookups. :class:`LeducEpisode` is the cursor over the same deal and nodes,
+with the betting state read from its node. :func:`betting_tree` and
+:func:`all_deals` also let :mod:`psromix.exact` walk every episode at once.
 """
 
 from __future__ import annotations
@@ -247,14 +245,13 @@ class Deal(base.Deal):
 
 
 _deal = functools.cache(Deal)  # one shared deal per (private0, private1, public)
-_CARDS = list(range(N_CARDS))
 
 
 @functools.cache
 def all_deals() -> tuple[Deal, ...]:
     """The 120 ordered deals of three distinct cards (private0, private1,
-    public), in lexicographic order. ``draw_deal`` draws each with equal
-    probability."""
+    public), in lexicographic order: ``LeducEnv.deals``, each equally
+    likely."""
     return tuple(_deal(*cards) for cards in itertools.permutations(range(N_CARDS), 3))
 
 
@@ -266,11 +263,10 @@ class LeducEnv(Environment):
     def action_count(self, player: int) -> int:
         return 3
 
-    def draw_deal(self, rng) -> Deal:
-        # Shuffling a list makes the draws rng.permutation(N_CARDS) would.
-        cards = _CARDS.copy()
-        rng.shuffle(cards)
-        return _deal(cards[0], cards[1], cards[2])
+    @property
+    def deals(self) -> tuple[Deal, ...]:
+        # Built on first use, so that making an environment builds no views.
+        return all_deals()
 
     def reset(self, rng, first_player: int = 0) -> "LeducEpisode":
         return LeducEpisode(self.draw_deal(rng), _ROOTS[first_player])

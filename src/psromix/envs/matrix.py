@@ -8,9 +8,9 @@ uses the win=1 / tie=0.5 / lose=0 convention.
 The game tree (see :mod:`psromix.envs.base`) is compiled when the
 environment is built: one node per joint-action prefix, the terminal of a
 full joint action holding its tensor cell as the one reward vector. Chance
-has no part, so there is one deal, whose views are all
-``MATRIX_OBSERVATION``, and ``draw_deal`` draws nothing. The seating is
-fixed, so both roots are the same node.
+has no part, so ``deals`` is one deal, whose views are all
+``MATRIX_OBSERVATION``. The seating is fixed, so both roots are the same
+node.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from . import base
-from .base import Deal, Environment, EpisodeState, compile_tree
+from .base import Deal, Environment, compile_tree
 
 # Matrix games have a single information state shared by all players.
 MATRIX_OBSERVATION = b"matrix"
@@ -61,7 +61,7 @@ class MatrixGameEnv(Environment):
         root = self._node(())
         nodes = compile_tree((root,), self._after)
         self.roots = (root, root)
-        self._deal = Deal(((MATRIX_OBSERVATION,) * len(nodes),) * self.n_players)
+        self.deals = (Deal(((MATRIX_OBSERVATION,) * len(nodes),) * self.n_players),)
 
     def _node(self, joint: tuple[int, ...]) -> _Node:
         seat = len(joint)
@@ -76,12 +76,6 @@ class MatrixGameEnv(Environment):
 
     def action_count(self, player: int) -> int:
         return self.action_counts[player]
-
-    def draw_deal(self, rng) -> Deal:
-        return self._deal
-
-    def reset(self, rng, first_player: int = 0) -> EpisodeState:
-        return EpisodeState(self._deal, self.roots[0])
 
 
 def rps_env() -> MatrixGameEnv:

@@ -11,8 +11,8 @@ Leduc has exact values too: its betting tree is small enough to walk every
 episode at once. A game is a seating (who acts first) and one of the 120
 ordered deals; exact values weigh the two seatings equally, as every
 simulated estimate in psromix alternates them, and the deals uniformly, as
-``draw_deal`` draws them. A seat has 936 keys, and the walk runs on index
-arrays over (node, deal) built on first use:
+every episode picks one of ``LeducEnv.deals``. A seat has 936 keys, and the
+walk runs on index arrays over (node, deal) built on first use:
 
 - a profile's value sums, over terminal nodes and deals, each seat's reach
   (the product of its own action probabilities along the path) times the
@@ -99,6 +99,42 @@ def exact_best_response(
     values = deviation_values(env.payoff_tensor, dists, learner)
     table = QTable(env.action_count(learner), {MATRIX_OBSERVATION: values})
     return ValuePolicy(table), float(values.max())
+
+
+def nash_conv(env, strategy_sets: Sequence[Sequence], mixtures: Sequence) -> float:
+    """NashConv of the profile in which seat ``p`` plays ``strategy_sets[p]``
+    with weights ``mixtures[p]``: summed over seats, the value of the exact
+    best response to the other seats' mixtures minus the seat's own value.
+    It is 0 exactly at a Nash equilibrium of the full game."""
+    _check(env)
+    specs = [(list(strategies), weights) for strategies, weights in zip(strategy_sets, mixtures)]
+    if len(specs) != env.n_players:
+        raise ValueError(f"expected {env.n_players} strategy sets, got {len(specs)}")
+    gains = -_profile_value(env, specs)
+    for seat in range(env.n_players):
+        others = {o: spec for o, spec in enumerate(specs) if o != seat}
+        gains[seat] += exact_best_response(env, seat, others)[1]
+    return float(gains.sum())
+
+
+def _profile_value(env, specs: Sequence) -> np.ndarray:
+    """Each seat's value when every seat plays its ``(policies, weights)``
+    entry. The value is linear in each seat's reach (on a matrix game, its
+    action distribution), and a mixture's is its components' weighted sum."""
+    if isinstance(env, LeducEnv):
+        index = _leduc_index()
+        reach = 1.0
+        for seat, spec in enumerate(specs):
+            reach = reach * sum(
+                weight * _reach(index, {seat: _table(env, seat, policy)})
+                for policy, weight in _components(spec)
+            )
+        return np.tensordot(index.rewards, reach, axes=2)
+    value = env.payoff_tensor
+    for seat, spec in enumerate(specs):
+        dist = sum(weight * _table(env, seat, policy)[0] for policy, weight in _components(spec))
+        value = np.tensordot(dist, value, axes=(0, 0))
+    return value
 
 
 def _check(env) -> None:

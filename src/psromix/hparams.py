@@ -129,8 +129,8 @@ def hparam_search(
             values.append(_value(env, learner, policy, opponent))
         pure_scores[index] = float(np.mean(values))
 
-        def provider(rng, _opponents=opponent_policies):
-            return {opponent_seat: _opponents[rng.integers(k)]}
+        def provider(random, _opponents=opponent_policies):
+            return {opponent_seat: _opponents[int(random() * k)]}
 
         mixed_policy = train_best_response(
             env, learner, provider, hp, derived_rng(spec.seed, 3, index)

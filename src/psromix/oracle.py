@@ -3,30 +3,23 @@ opponents (fixed for each episode; a provider callable may resample them at
 episode starts).
 
 Training walks the environment's compiled game tree (see
-:mod:`psromix.envs.base`) directly: an episode is a deal from ``draw_deal``
-and a node, a key is one view lookup, a step is one child lookup, and the
+:mod:`psromix.envs.base`) directly: an episode is one of ``env.deals`` and a
+node, a key is one view lookup, a step is one child lookup, and the
 learner's reward is read once, as a Python float from the terminal node's
-``returns``. Matrix games and Leduc share the one loop.
-
-Opponents act inside that loop. A value-policy opponent's greedy action is
-memoized per (observation, legal actions) for the call, at any epsilon, and
-its exploration draws call the train stream's bit generator directly, as
-the learner's do; any other policy is asked to ``act``. Psro's mixture
-provider draws each episode's opponents the same way, on the opponent
-stream.
+``returns``. Matrix games and Leduc share the one loop, and every draw it
+makes is the next double of a :func:`~psromix.envs.base.uniforms` stream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
 from .config import OracleHParams
-from .envs.base import Environment, bounded, illegal_action
-from .policies import QTable, ValuePolicy
+from .envs.base import Environment, illegal_action, uniforms
+from .policies import FixedMixturePolicy, QTable, ValuePolicy
 
 
 @dataclass
@@ -47,14 +40,16 @@ def epsilon_at(t: int, hparams: OracleHParams) -> float:
     return hparams.epsilon_start - (hparams.epsilon_start - hparams.epsilon_end) * frac
 
 
-OpponentProvider = Callable[[np.random.Generator], Mapping[int, object]]
-
-
-def _as_provider(opponents) -> OpponentProvider:
-    if callable(opponents):
-        return opponents
-    fixed = dict(opponents)
-    return lambda rng: fixed
+def _opponent_entry(policy, random, rng):
+    """How training plays ``policy``: ``(epsilon, memo)`` for a value
+    policy, else a function from (key, legal) to its action."""
+    if isinstance(policy, ValuePolicy):
+        return policy.epsilon, {}
+    if isinstance(policy, FixedMixturePolicy):
+        # FixedMixturePolicy.act's draw: np.searchsorted(side="right").
+        cumulative = np.cumsum(policy.probs).tolist()
+        return lambda key, legal: bisect_right(cumulative, random())
+    return lambda key, legal: policy.act(key, legal, rng)
 
 
 def train_best_response(
@@ -70,30 +65,25 @@ def train_best_response(
 
     ``opponents`` maps the other player indices to policies, or is a callable
     drawing such a mapping at each episode start (policies stay fixed within
-    an episode). Exactly ``total_timesteps`` learner actions are taken;
-    epsilon decays linearly over ``exploration_timesteps``. Opponent draws
-    consume ``opponent_rng`` (default: ``rng``) so that fixed-opponent
-    trainings are unaffected by how the provider samples. An opponent action
-    the node has no child for raises ``IllegalAction``.
+    an episode), given a function that returns the opponent stream's next
+    double: ``opponent_rng``'s, or the train stream's when that is None.
+    Exactly ``total_timesteps`` learner actions are taken; epsilon decays
+    linearly over ``exploration_timesteps``. An opponent action the node has
+    no child for raises ``IllegalAction``.
 
-    A :class:`~psromix.policies.ValuePolicy` opponent is played here, not
-    asked to ``act``: with probability ``epsilon`` a uniform legal action,
-    else its greedy action. Its table never changes, so each value
-    opponent's greedy action is computed once per (observation, legal
-    actions), whatever its epsilon, and reused for the rest of the call.
-    Every other opponent (a ``FixedMixturePolicy``, say) is asked to ``act``
-    at every step, with ``rng`` itself.
-
-    The learner's and the value opponents' exploration draws call ``rng``'s
-    bit generator functions ``next_double`` and ``next_uint32`` directly
-    (:func:`~psromix.envs.base.bounded` for the uniform action), making the
-    draws, in the order, that ``ValuePolicy.act`` would, so the stream keeps
-    its bits. A provider is given the opponent stream itself, and
-    ``draw_deal`` the train stream.
+    Every other draw is the train stream's next double, read from
+    ``uniforms(rng)``: each episode's deal, ``env.deals[int(u * n)]``; the
+    learner's exploration coin (none at epsilon 0) and uniform action,
+    ``legal[int(u * len(legal))]``; and the draws that a ``ValuePolicy`` or
+    ``FixedMixturePolicy`` opponent's ``act`` would make. Those opponents
+    play inside the loop, a value policy's greedy action memoized per
+    (observation, legal actions), since its table never changes; any other
+    opponent is asked to ``act`` with ``rng`` itself.
     """
-    provider = _as_provider(opponents)
-    if opponent_rng is None:
-        opponent_rng = rng
+    provider = opponents if callable(opponents) else None
+    opponent_policies = dict(opponents) if provider is None else None
+    random = uniforms(rng).__next__
+    opponent_random = random if opponent_rng is None else uniforms(opponent_rng).__next__
     n_actions = env.action_count(learner)
     # The learner's rows are lists of Python floats until the end: a float is
     # the same double as a float64 and rounds each update alike, without
@@ -103,13 +93,10 @@ def train_best_response(
     rows: dict[bytes, list[float]] = {}
     get_row = rows.get
     # opponent -> (epsilon, {(key, legal): greedy action}) for a value
-    # policy, None for a policy that is asked to act.
-    entries: dict[object, tuple[float, dict] | None] = {}
-    interface = rng.bit_generator.ctypes
-    next_double, next_uint32, state = (
-        interface.next_double, interface.next_uint32, interface.state
-    )
-    roots, draw_deal = env.roots, env.draw_deal
+    # policy, else the function that gives its action.
+    entries: dict[object, object] = {}
+    roots, deals = env.roots, env.deals
+    n_deals = len(deals)
     gamma = hparams.discount
     lr = hparams.learning_rate
     total = hparams.total_timesteps
@@ -120,8 +107,9 @@ def train_best_response(
     episode = 0
 
     while t < total:
-        opponent_policies = provider(opponent_rng)
-        deal = draw_deal(rng)
+        if provider is not None:
+            opponent_policies = provider(opponent_random)
+        deal = deals[int(random() * n_deals)]
         views = deal.views
         node = roots[episode % 2]
         episode += 1
@@ -144,8 +132,8 @@ def train_best_response(
                     if t >= total:
                         break
                 epsilon = epsilon_at(t, hparams) if t < ramp else flat_epsilon
-                if epsilon > 0.0 and next_double(state) < epsilon:
-                    action = legal[bounded(next_uint32, state, len(legal))]
+                if epsilon > 0.0 and random() < epsilon:
+                    action = legal[int(random() * len(legal))]
                 else:
                     # greedy_over, inlined: the lowest-index maximiser. The
                     # row is read after the update above, which may be its own.
@@ -164,11 +152,9 @@ def train_best_response(
                 try:
                     entry = entries[policy]
                 except KeyError:
-                    entry = entries[policy] = (
-                        (policy.epsilon, {}) if isinstance(policy, ValuePolicy) else None
-                    )
-                if entry is None:
-                    action = policy.act(key, legal, rng)
+                    entry = entries[policy] = _opponent_entry(policy, random, rng)
+                if entry.__class__ is not tuple:
+                    action = entry(key, legal)
                     child = node.children.get(action)
                     if child is None:
                         raise illegal_action(node, action)
@@ -176,8 +162,8 @@ def train_best_response(
                     continue
                 # ValuePolicy.act's draws; its actions are legal by construction.
                 epsilon, memo = entry
-                if epsilon > 0.0 and next_double(state) < epsilon:
-                    action = legal[bounded(next_uint32, state, len(legal))]
+                if epsilon > 0.0 and random() < epsilon:
+                    action = legal[int(random() * len(legal))]
                 else:
                     action = memo.get((key, legal))
                     if action is None:
@@ -214,23 +200,19 @@ class TabularOracle:
         maps each opponent to a ``(policies, weights)`` pair.
 
         Each episode draws one policy per opponent, in ``mixtures`` order:
-        the first whose cumulative weight exceeds a ``random()`` draw on
-        ``opponent_rng`` (``rng`` when None), as ``np.searchsorted(...,
-        side="right")`` over the cumsum picks. The draw calls that stream's
-        ``next_double`` directly.
+        the first whose cumulative weight exceeds the opponent stream's next
+        double (``opponent_rng``'s, or ``rng``'s when None; see
+        :func:`train_best_response`), as ``np.searchsorted(...,
+        side="right")`` over the cumsum picks.
         """
-        # Both generators are this call's arguments, so the bit generator
-        # state that next_double is given outlives the training.
-        interface = (rng if opponent_rng is None else opponent_rng).bit_generator.ctypes
-        next_double, state = interface.next_double, interface.state
         seats = [
             (other, policies, np.cumsum(np.asarray(weights, dtype=float)).tolist())
             for other, (policies, weights) in mixtures.items()
         ]
 
-        def provider(_rng):
+        def provider(random):
             return {
-                other: policies[bisect_right(cumulative, next_double(state))]
+                other: policies[bisect_right(cumulative, random())]
                 for other, policies, cumulative in seats
             }
 

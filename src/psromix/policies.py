@@ -103,8 +103,8 @@ class QTable:
 
 def greedy_over(vec, legal_actions: Sequence[int]) -> int:
     """Lowest-index maximiser of ``vec`` restricted to the legal actions.
-    :func:`psromix.oracle.train_best_response` spells this loop out for
-    the learner's greedy step and must change with it."""
+    :func:`psromix.oracle.train_best_response` inlines it for the learner's
+    greedy step; the tests' reference loop calls it, holding the two alike."""
     best = legal_actions[0]
     best_value = vec[best]
     for a in legal_actions[1:]:
@@ -151,11 +151,11 @@ class ValuePolicy:
 
     def act(self, observation, legal_actions: Sequence[int], rng) -> int:
         """With probability ``epsilon`` a uniform legal action, else the
-        greedy one. :func:`psromix.oracle.train_best_response` replays these
-        draws for its value-policy opponents (``next_double``, then
-        ``bounded`` on ``next_uint32``) and must change with them."""
+        greedy one. Both draws are ``rng.random()``: the coin, then the
+        action ``legal_actions[int(u * len(legal_actions))]``, as training
+        draws them for its value-policy opponents (from its own stream)."""
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
-            return legal_actions[rng.integers(len(legal_actions))]
+            return legal_actions[int(rng.random() * len(legal_actions))]
         return self.greedy_action(observation, legal_actions)
 
     def action_probabilities(self, observation, legal_actions: Sequence[int]) -> np.ndarray:

@@ -118,6 +118,8 @@ def _parse_policy(lines: list[str]):
                 raise CorruptCheckpoint(f"policy file: key {tokens[1]} is repeated")
             seen.add(key)
     values = np.array(columns[2:], dtype=float).reshape(actions, n_keys)
+    if not (np.isfinite(default) and np.isfinite(values).all()):
+        raise CorruptCheckpoint("policy file: a default or table value is not finite")
     table = QTable.from_rows(actions, keys, values.T, default)
     return ValuePolicy(table, epsilon=epsilon)
 

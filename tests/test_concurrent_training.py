@@ -66,20 +66,22 @@ def count_forks(monkeypatch):
     return forks
 
 
-# Digests of runs made with every player trained in turn, in one process,
-# before the responses trained concurrently. "three.matrix" is a random
-# 2x2x2 three-player game, so each of its runs forks two workers.
+# Digests of the runs, which the forked, the in-process and the resumed run
+# must all give. Pinned when training and cells came to draw plain uniform
+# doubles (each cell on one stream); they were first pinned with every
+# player trained in turn, in one process. "three.matrix" is a random 2x2x2
+# three-player game, so each of its runs forks two workers.
 PINNED_DIGESTS = {
     ("leduc", "psro"):
-        "3ca39ff77fa3ac536e0329adb49eac5cac791a657d78e36a5aa4a2dc9a98199a",
+        "0f9dcc25aa8ccd74960d8b3437839d694d13d6c652e466eb15d93f50162d1bc4",
     ("leduc", "mixed-oracles"):
-        "7bc325c367f38cffddfca0ea4567b32d81303681b009a00bf40e2343a9fad4c2",
+        "297f97ac0dcf28615fb69a530cb5b690c3056d974ebb29a8ef082390a5b8985d",
     ("leduc", "mixed-opponents"):
-        "c9d3e1d445071ac9a1535241efed244ae33aae18dc50d666d82387ae66d06091",
+        "d8bf9caed45da4845f85430016aade5639bd4ef2b96097ba96f52fed5f2cbc39",
     ("matrix:three.matrix", "psro"):
-        "775818927e71dd1edf558603f60b0874d711b263ee3730006c3d10342bcaa31a",
+        "f93f08b92ef21013249a1f7aad7576411a2570fb178f4db4a0168ffb07eaf019",
     ("matrix:three.matrix", "mixed-opponents"):
-        "d577b2a1dadb04043ce9ed62470d6393efa4f6c824c4debf95f8e4bc33761385",
+        "2d7e7fce7833be348ff55df0d2a4cf59e9dbdc24599ccde1d076c020ee7d693f",
 }
 
 

@@ -276,15 +276,15 @@ def test_opponents_resampled_once_per_episode():
     calls = []
     deals = [0]
     counting_env = rps_env()
-    original_draw_deal = counting_env.draw_deal
 
-    def counted_draw_deal(rng):
-        deals[0] += 1
-        return original_draw_deal(rng)
+    class CountedDeals(tuple):
+        def __getitem__(self, index):
+            deals[0] += 1
+            return super().__getitem__(index)
 
-    counting_env.draw_deal = counted_draw_deal
+    counting_env.deals = CountedDeals(counting_env.deals)
 
-    def provider(rng):
+    def provider(random):
         calls.append(1)
         return {0: pure_action_policy(3, 0)}
 
@@ -360,13 +360,14 @@ def test_resume_may_change_how_long_the_run_goes(tmp_path):
 
 
 def replicator_config(**overrides):
-    # Sum regrets [0, 0.0036570353..., 0.0085669..., 0.0072992...] at epochs 0-3.
+    # Sum regrets [0, 0.0069162912..., 0.0108367..., 0.0058206...] at epochs 0-3.
     return fast_config(mss="replicator", mss_params={"steps": 2000}, **overrides)
 
 
 def test_resume_refuses_a_threshold_an_earlier_epoch_meets(tmp_path):
-    checkpoint(run_algorithm(replicator_config(epochs=3)), tmp_path / "ck")
-    threshold = 0.003657039
+    # Epoch 1 meets the threshold; the last logged epoch, 2, does not.
+    checkpoint(run_algorithm(replicator_config(epochs=2)), tmp_path / "ck")
+    threshold = 0.006916292
     unbroken = run_algorithm(replicator_config(epochs=5, early_stop_sum_regret=threshold))
     assert [e.epoch for e in unbroken.entries] == [0, 1]
     with pytest.raises(ConfigError, match="^run.early_stop_sum_regret: epoch 1 of the"):

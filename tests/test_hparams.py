@@ -91,8 +91,8 @@ def test_scores_are_exact_values_of_the_trained_responses(env, opponent_policies
         profile[learner], profile[opponent_seat] = policy, opponent
         return analytic_payoffs(env, profile)[learner]
 
-    def provider(rng):
-        return {opponent_seat: opponent_policies[rng.integers(len(opponent_policies))]}
+    def provider(random):
+        return {opponent_seat: opponent_policies[int(random() * len(opponent_policies))]}
 
     for index, hp in enumerate(result.configs):
         pure = [

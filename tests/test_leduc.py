@@ -131,19 +131,20 @@ def test_encoding_equals_numpy_reference_exhaustive(env):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 1))
-def test_reset_deals_as_permutation_and_leaves_the_stream_alike(seed, first):
-    # reset shuffles a list; it must deal what rng.permutation(6) put first,
-    # and leave the generator where permutation would.
+def test_reset_deals_the_deal_one_random_draw_picks(seed, first):
+    # Deal int(u * 120) of the ordered (private0, private1, public) triples of
+    # distinct cards, in lexicographic order, for one rng.random() u.
+    triples = list(itertools.permutations(range(6), 3))
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         state = LeducEnv().reset(rng, first_player=first)
-        private0, private1, public = replay.permutation(6).tolist()[:3]
+        private0, private1, public = triples[int(replay.random() * 120)]
         assert state.privates == (private0, private1)
         assert state.player == first
         state.step(CALL)
         state.step(CALL)  # round two: the public card is shown
         assert state.public == public
-    assert rng.random() == replay.random()
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_non_terminal_rewards_are_read_only_zeros(env):

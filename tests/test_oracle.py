@@ -11,7 +11,7 @@ from psromix.envs import (
     LeducEnv,
     rps_env,
 )
-from psromix.envs.base import Deal, Node, compile_tree
+from psromix.envs.base import Deal, EpisodeState, Node, compile_tree
 from psromix.envs.matrix import MatrixGameEnv
 from psromix.errors import IllegalAction, WrongEnvironment
 from psromix.evaluation import proxy_regret, regret
@@ -163,9 +163,12 @@ def test_mixture_draws_match_searchsorted():
 
 
 @pytest.mark.parametrize("own_stream", [True, False])
-def test_provider_and_act_are_given_the_generators_themselves(own_stream):
-    # A provider gets the opponent stream (the train stream when there is
-    # none), and a policy that is asked to act gets the train stream.
+def test_provider_reads_the_opponent_stream_and_act_gets_the_train_stream(own_stream):
+    # A provider draws the opponent stream's doubles (the train stream's when
+    # there is none), and a policy that is asked to act gets the train
+    # stream's generator. The learner never explores, so on the train stream
+    # an RPS episode draws the provider's double, if it is there, then the
+    # deal's.
     rng = np.random.default_rng(0)
     opponent_rng = np.random.default_rng(1) if own_stream else None
     provided, acted = [], []
@@ -175,16 +178,18 @@ def test_provider_and_act_are_given_the_generators_themselves(own_stream):
             acted.append(given)
             return 0
 
-    def provider(given):
-        provided.append(given)
+    def provider(random):
+        provided.append(random())
         return {1: Recording()}
 
-    budget = hp(total_timesteps=20, exploration_timesteps=10)
+    budget = hp(total_timesteps=20, exploration_timesteps=10, epsilon_start=0.0, epsilon_end=0.0)
     train_best_response(rps_env(), 0, provider, budget, rng, opponent_rng=opponent_rng)
-    expected = rng if opponent_rng is None else opponent_rng
     assert len(provided) == len(acted) == 20
-    assert all(given is expected for given in provided)
     assert all(given is rng for given in acted)
+    if own_stream:
+        assert provided == np.random.default_rng(1).random(20).tolist()
+    else:
+        assert provided == np.random.default_rng(0).random(40)[::2].tolist()
 
 
 class _Decision(Node):
@@ -209,13 +214,10 @@ class RepeatedKeyEnv(Environment):
         root = _repeated_key_node(())
         nodes = compile_tree((root,), lambda node, a: _repeated_key_node(node.taken + (a,)))
         self.roots = (root, root)
-        self._deal = Deal(((b"k",) * len(nodes),))
+        self.deals = (Deal(((b"k",) * len(nodes),)),)
 
     def action_count(self, player):
         return 2
-
-    def draw_deal(self, rng):
-        return self._deal
 
 
 def test_greedy_action_reads_the_update_to_a_repeated_key():
@@ -436,21 +438,24 @@ def reference_train_best_response(
     env, learner, opponents, hparams, rng, counter=None, opponent_rng=None
 ):
     """``train_best_response`` as it was before opponents were memoized and
-    the learner's rows became lists: every opponent acts at every step, and
-    the learner updates float64 rows in place. The rows are kept in a plain
-    dict, a zero row made on a key's first update, and become a QTable once,
-    at the end."""
-    provider = opponents if callable(opponents) else lambda r: opponents
-    if opponent_rng is None:
-        opponent_rng = rng
+    the learner's rows became lists, drawing one ``random()`` at a time:
+    every opponent acts at every step, and the learner updates float64 rows
+    in place. The provider is given ``opponent_rng.random`` (``rng.random``
+    when that is None), each episode's deal is ``env.deals[int(u *
+    len(env.deals))]`` and the learner's uniform action ``legal[int(u *
+    len(legal))]``. The rows are kept in a plain dict, a zero row made on a
+    key's first update, and become a QTable once, at the end."""
+    provider = opponents if callable(opponents) else lambda random: opponents
+    opponent_random = (rng if opponent_rng is None else opponent_rng).random
     n_actions = env.action_count(learner)
     rows: dict[bytes, np.ndarray] = {}
     unseen = np.zeros(n_actions)
     t = 0
     episode = 0
     while t < hparams.total_timesteps:
-        opponent_policies = provider(opponent_rng)
-        state = env.reset(rng, first_player=episode % 2)
+        opponent_policies = provider(opponent_random)
+        deal = env.deals[int(rng.random() * len(env.deals))]
+        state = EpisodeState(deal, env.roots[episode % 2])
         episode += 1
         pending_key = None
         pending_action = 0
@@ -471,7 +476,7 @@ def reference_train_best_response(
                         break
                 epsilon = epsilon_at(t, hparams)
                 if epsilon > 0.0 and rng.random() < epsilon:
-                    action = legal[rng.integers(len(legal))]
+                    action = legal[int(rng.random() * len(legal))]
                 else:
                     action = greedy_over(rows.get(key, unseen), legal)
                 pending_key, pending_action = key, action
@@ -499,8 +504,8 @@ def _psro_provider(mixtures):
         (opponent, policies, np.cumsum(weights))
         for opponent, (policies, weights) in mixtures.items()
     ]
-    return lambda rng: {
-        opponent: policies[int(np.searchsorted(cumulative, rng.random(), side="right"))]
+    return lambda random: {
+        opponent: policies[int(np.searchsorted(cumulative, random(), side="right"))]
         for opponent, policies, cumulative in seats
     }
 
@@ -558,9 +563,8 @@ def opponents_by_env():
 @pytest.mark.parametrize("kind", OPPONENT_KINDS)
 @pytest.mark.parametrize("env_name", ["leduc", "rps", "one-action"])
 def test_training_equals_the_reference_loop(opponents_by_env, env_name, kind):
-    # The whole bit generator state is compared after training, the buffered
-    # 32-bit half that integers and shuffle share included: a next random()
-    # never reads that half.
+    # Training reads its streams a chunk ahead, so the generators' states
+    # differ after training; the tables, keys and steps must not.
     env, kinds = opponents_by_env[env_name]
     budget = hp(discount=1.0, learning_rate=0.05, total_timesteps=2500, exploration_timesteps=1500)
     runs = []
@@ -573,8 +577,6 @@ def test_training_equals_the_reference_loop(opponents_by_env, env_name, kind):
                 policy_to_text(policy),
                 list(policy.q.known_keys()),
                 counter.train_steps,
-                rng.bit_generator.state,
-                opponent_rng.bit_generator.state,
             )
         )
     assert runs[0] == runs[1]
@@ -629,8 +631,8 @@ def mixtures_by_case(opponents_by_env):
     "case", ["one-opponent-train-stream", "zero-weights-leduc", "zero-weights-rps", "two-opponents"]
 )
 def test_respond_mixture_equals_the_reference_loop(mixtures_by_case, case):
-    # respond_mixture's provider draws on the bit generator directly; the
-    # reference draws with Generator.random and np.searchsorted, every
+    # respond_mixture's provider reads the opponent stream's chunked doubles;
+    # the reference draws with Generator.random and np.searchsorted, every
     # opponent acting through act at every step.
     env, mixtures, own_stream = mixtures_by_case[case]
     budget = hp(discount=1.0, learning_rate=0.05, total_timesteps=2500, exploration_timesteps=1500)
@@ -645,13 +647,9 @@ def test_respond_mixture_equals_the_reference_loop(mixtures_by_case, case):
         rng, opponent_rng = np.random.default_rng(31), np.random.default_rng(32)
         counter = SimulationCounter()
         policy = respond(env, 0, mixtures, rng, counter, opponent_rng if own_stream else None)
-        runs.append(
-            (
-                policy_to_text(policy),
-                counter.train_steps,
-                rng.bit_generator.state,
-                opponent_rng.bit_generator.state,
-            )
-        )
+        runs.append((policy_to_text(policy), counter.train_steps))
+        if not own_stream:  # not the opponents' stream: nothing reads it
+            unread = np.random.default_rng(32).bit_generator.state
+            assert opponent_rng.bit_generator.state == unread
     assert runs[0] == runs[1]
     assert runs[0][1] == 2500

@@ -1,10 +1,9 @@
-"""The fast random paths keep every stream bit for bit.
+"""The draw layer: every episode draw is a uniform double.
 
-``bounded`` makes ``integers(n)``'s draw on a generator's ``next_uint32``,
-and ``estimate_payoffs`` seeds a cell's episodes from ``episode_states``.
-Each is checked against numpy itself: a twin ``Generator`` making the same
-calls, numpy's ``SeedSequence``, and the per-episode ``derived_rng`` loop
-that ``estimate_payoffs`` replaced.
+Training reads its doubles from ``uniforms``, which draws them in arrays; a
+uniform choice among ``n`` items is item ``int(u * n)``; a sampled cell
+plays all its episodes on one generator. Each is checked against plain
+``Generator.random()`` calls made one at a time.
 """
 
 import numpy as np
@@ -13,101 +12,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psromix.envs import LeducEnv, rps_env
-from psromix.envs.base import (
-    bounded,
-    derive_stream_seed,
-    derived_rng,
-    episode_states,
-    estimate_payoffs,
-    simulate_episode,
-)
+from psromix.envs.base import CHUNK, estimate_payoffs, illegal_action, uniforms
+from psromix.envs.leduc import all_deals
 from psromix.policies import uniform_random_policy
 
-# bounded(.., 1) draws nothing; 2**32 takes one raw 32-bit draw. Lemire's
-# draw rejects a share of about ((2**32 - n) % n) / 2**32 of its draws:
-# about half of them at 2**31 + 1, next to none at small n.
-EDGE_BOUNDS = (1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
 
-bounds = st.one_of(
-    st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32), st.integers(2**31, 2**32)
-)
-calls = st.one_of(
-    st.just(("random",)),
-    st.tuples(st.just("integers"), bounds),
-    st.tuples(st.just("shuffle"), st.integers(0, 9)),
-    st.tuples(st.just("integers-array"), st.integers(1, 9), st.integers(0, 3)),
-    st.just(("random-array",)),
-)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 3 * CHUNK + 5))
+def test_draws_equal_a_twin_generator(seed, count):
+    # uniforms against a twin generator's random() calls, across chunk
+    # boundaries: the iterator reads whole chunks ahead.
+    stream = uniforms(np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    got = [next(stream) for _ in range(count)]
+    assert got == [twin.random() for _ in range(count)]
+    assert all(type(u) is float for u in got)
 
 
-def _bounded(rng, n):
-    interface = rng.bit_generator.ctypes
-    return bounded(interface.next_uint32, interface.state, n)
-
-
-def _call(rng, call, integers):
-    kind = call[0]
-    if kind == "random":
-        return rng.random()
-    if kind == "integers":
-        return integers(rng, call[1])
-    if kind == "shuffle":
-        items = list(range(call[1]))
-        rng.shuffle(items)
-        return items
-    if kind == "integers-array":
-        return rng.integers(call[1], size=call[2]).tolist()
-    return rng.random(2).tolist()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, 2**64 - 1), st.lists(calls, max_size=40))
-def test_draws_equal_a_twin_generator(seed, sequence):
-    # bounded between the generator's own calls, which share its buffered
-    # 32-bit half, against the twin's Generator.integers.
-    twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for call in sequence:
-        assert _call(rng, call, _bounded) == _call(twin, call, np.random.Generator.integers), call
-    assert rng.bit_generator.state == twin.bit_generator.state
+# Small n (legal actions, the search's opponent counts), Leduc's 120 deals,
+# and bounds far past them.
+EDGE_BOUNDS = (1, 2, 3, 4, 5, 6, 120, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
 
 
 @pytest.mark.parametrize("n", EDGE_BOUNDS)
 def test_draws_integers_at_the_edges(n):
-    # Three calls, so later draws may come from the buffered 32-bit half.
-    twin, rng = np.random.default_rng(n), np.random.default_rng(n)
-    assert [_bounded(rng, n) for _ in range(3)] == [twin.integers(n) for _ in range(3)]
-    assert rng.bit_generator.state == twin.bit_generator.state
+    # int(u * n) for the smallest and the largest double random() returns.
+    largest = 1.0 - 2.0**-53
+    assert np.nextafter(1.0, 0.0) == largest
+    assert int(largest * n) == n - 1 < n
+    assert int(0.0 * n) == 0
 
 
-def test_draws_integers_one_draws_nothing():
-    def no_draw(state):
-        raise AssertionError("bounded(.., 1) drew")
+def test_every_leduc_deal_can_be_drawn():
+    # Deal d is drawn for the doubles u with int(u * 120) == d: there are
+    # such doubles next to d / 120 and to (d + 1) / 120, for every d.
+    env = LeducEnv()
+    deals = env.deals
+    assert deals is all_deals() and len(deals) == 120 and len(set(map(id, deals))) == 120
+    for d in range(120):
+        low = d / 120
+        while int(low * 120) < d:
+            low = np.nextafter(low, 1.0)
+        high = np.nextafter((d + 1) / 120, 0.0)
+        while int(high * 120) > d:
+            high = np.nextafter(high, 0.0)
+        for u in (low, high):
+            assert deals[int(u * len(deals))] is deals[d]
 
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state
-    assert bounded(no_draw, rng.bit_generator.ctypes.state, 1) == 0
-    assert rng.bit_generator.state == before
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
 
+        def random(self):
+            return self.u
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**160)),
-    st.integers(1, 40),
-)
-def test_episode_states_equal_seed_sequence(base, episodes):
-    states = episode_states(base, episodes)
-    assert states.dtype == np.uint64 and states.shape == (episodes, 4)
-    for ep in range(episodes):
-        expected = np.random.SeedSequence([base, ep]).generate_state(4, np.uint64)
-        assert states[ep].tolist() == expected.tolist()
+    drawn = {env.draw_deal(Fixed((d + 0.5) / 120)) for d in range(120)}
+    assert drawn == set(deals)
+    rng = np.random.default_rng(3)
+    counts = np.bincount([deals.index(env.draw_deal(rng)) for _ in range(24_000)], minlength=120)
+    assert counts.min() > 130 and counts.max() < 280  # 200 each in expectation
 
 
 def reference_estimate_payoffs(env, profile, episodes, rng):
-    """``estimate_payoffs`` as it was: one ``derived_rng(base, ep)`` per episode."""
-    base = derive_stream_seed(rng)
+    """Every episode walked with one ``rng.random()`` at a time: the deal
+    from ``env.deals``, then each policy's ``act``."""
     total = np.zeros(env.n_players)
     for ep in range(episodes):
-        total += simulate_episode(env, profile, derived_rng(base, ep), first_player=ep % 2)
+        deal = env.deals[int(rng.random() * len(env.deals))]
+        node = env.roots[ep % 2]
+        while not node.terminal:
+            player = node.player
+            action = profile[player].act(deal.views[player][node.id], node.legal[player], rng)
+            if action not in node.children:
+                raise illegal_action(node, action)
+            node = node.children[action]
+        total += node.rewards[deal.outcome]
     return total / episodes
 
 
