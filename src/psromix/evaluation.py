@@ -3,17 +3,19 @@
 Regret of a profile is the best payoff gain available by deviating to a
 policy in the deviation set: one sequence of entries per player, strategy
 indices for an empirical game and policies for an environment. In an
-environment the payoffs are exact (see :mod:`psromix.exact`, which keeps
-each policy's table): each matchup is computed once per call, so repeated
-pairings cost nothing. Every built-in environment (matrix games and Leduc)
-has exact values; any other one is rejected with ``WrongEnvironment``. The
-similarity report's state corpus is exact as well: nothing in this module
-simulates an episode.
+environment the payoffs are exact and come in block form
+(:func:`psromix.exact.payoff_block`): each seat's pool, its population and
+then its held-out deviations, is walked once, one reach walk per policy, and
+every matchup of the pools comes from one product per seat. Regret is then
+read from that payoff tensor as in an empirical game, so the result does
+not depend on the order of the deviations or of the evaluation. Every
+built-in environment (matrix games and Leduc) has exact values; any other
+one is rejected with ``WrongEnvironment``. The similarity report's state
+corpus is exact as well: nothing in this module simulates an episode.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,14 +28,24 @@ from .envs.base import Environment, derived_rng
 # Unused here; perfbench/run.py traces calls through this name.
 from .envs.base import simulate_episode  # noqa: F401
 from .errors import EmptyDeviationSet
-from .games import EmpiricalGame, as_weights, expected_cell, payoff_tensor, tensor_gains
+from .games import EmpiricalGame, as_weights, payoff_tensor, tensor_gains
 from .solvers import SolutionProfile
 
 
-def _solution_weights(sigma) -> list[np.ndarray]:
+def _solution_weights(sigma, sizes: Sequence[int]) -> list[np.ndarray]:
+    """``sigma``'s mixtures as weight vectors, one per player, each as long
+    as the population or strategy set it mixes over (``sizes``)."""
     if isinstance(sigma, SolutionProfile):
         sigma = sigma.mixtures
-    return [as_weights(m) for m in sigma]
+    if len(sigma) != len(sizes):
+        raise ValueError(f"sigma has {len(sigma)} mixtures, expected {len(sizes)}")
+    weights = []
+    for player, (mixture, size) in enumerate(zip(sigma, sizes)):
+        try:
+            weights.append(as_weights(mixture, size))
+        except ValueError as exc:
+            raise ValueError(f"player {player}: {exc}") from None
+    return weights
 
 
 def sum_regret(per_player_regrets) -> float:
@@ -56,6 +68,10 @@ def regret(
     over, and payoffs are exact (see :mod:`psromix.exact`); an environment
     without exact values raises ``WrongEnvironment`` before any matchup is
     computed. May be negative when the set is weak.
+
+    Each of ``sigma``'s mixtures must be as long as its player's population
+    (or strategy set), and there must be one per player, as there must be
+    one population per player; otherwise ``ValueError`` names the player.
     """
     if isinstance(env_or_game, EmpiricalGame):
         return _regret_in_game(env_or_game, sigma, deviations)
@@ -74,7 +90,7 @@ def _check_nonempty(deviations: Sequence[Sequence], n_players: int) -> None:
 
 def _regret_in_game(game: EmpiricalGame, sigma, deviations: Sequence[Sequence]) -> np.ndarray:
     _check_nonempty(deviations, game.n_players)
-    weights = _solution_weights(sigma)
+    weights = _solution_weights(sigma, game.shape)
     gains = tensor_gains(payoff_tensor(game), weights)
     return np.array(
         [max(g[int(i)] for i in devs) for g, devs in zip(gains, deviations)]
@@ -101,26 +117,15 @@ def _seat_pool(population: Sequence, deviations: Sequence) -> tuple[list, list[i
 
 def _regret_in_env(env, populations, sigma, deviations) -> np.ndarray:
     _check_nonempty(deviations, env.n_players)
-    weights = _solution_weights(sigma)
+    if len(populations) != env.n_players:
+        raise ValueError(f"got {len(populations)} populations, expected {env.n_players}")
+    weights = _solution_weights(sigma, [len(population) for population in populations])
     seats = [_seat_pool(population, devs) for population, devs in zip(populations, deviations)]
-    pools = [pool for pool, _ in seats]
-
-    @functools.cache
-    def cell(profile: tuple[int, ...]) -> np.ndarray:
-        policies = tuple(pool[i] for pool, i in zip(pools, profile))
-        return exact.analytic_payoffs(env, policies)
-
-    out = np.empty(env.n_players)
-    for player, (pool, deviation_indices) in enumerate(seats):
-        base = expected_cell(weights, cell)[player]
-        gains = []
-        for index in deviation_indices:
-            pinned = np.zeros(len(pool))
-            pinned[index] = 1.0
-            profile = [pinned if other == player else w for other, w in enumerate(weights)]
-            gains.append(expected_cell(profile, cell)[player])
-        out[player] = max(gains) - base
-    return out
+    tensor = exact.payoff_block(env, [pool for pool, _ in seats])
+    # The deviations outside a population get weight 0 in the profile.
+    padded = [np.pad(w, (0, len(pool) - len(w))) for w, (pool, _) in zip(weights, seats)]
+    gains = tensor_gains(tensor, padded)
+    return np.array([max(g[i] for i in indices) for g, (_, indices) in zip(gains, seats)])
 
 
 def proxy_regret(

@@ -29,6 +29,19 @@ walk runs on index arrays over (node, deal) built on first use:
   plays the lowest legal action there (FOLD when facing a bet, otherwise
   CALL), as at an untrained key of a tabular response.
 
+Two forms compute a profile's payoffs, and each has its users:
+
+- :func:`analytic_payoffs` walks one profile at a time, both seats' tables
+  together. Its summation order sets the bits of the analytic cells in
+  ``game.txt``, which the run digests pin, so every ``psromix run`` artifact
+  keeps it, as do :func:`exact_best_response`, :func:`nash_conv` and the
+  hyperparameter scores.
+- :func:`payoff_block` fills every profile over per-seat policy pools at
+  once: one reach walk per policy, then matrix products. It sums in
+  another order than the per-cell walk, so it agrees with it to rounding,
+  not to the bit. Regret and proxy regret (:mod:`psromix.evaluation`) use
+  it; no run artifact does.
+
 Building a table costs more than a walk, so this module builds each
 policy's table once per seat and keeps it, under a weak reference to the
 policy, for exactly as long as the policy lives. That relies on one
@@ -73,6 +86,44 @@ def analytic_payoffs(env, policies: Sequence) -> np.ndarray:
     for table in per_seat:
         value = np.tensordot(table[0], value, axes=(0, 0))
     return value
+
+
+def payoff_block(env, pools: Sequence[Sequence]) -> np.ndarray:
+    """Exact expected payoffs of every profile over the per-seat policy
+    ``pools``, as one array of shape ``(*pool sizes, n_players)``: entry
+    ``[i0, i1, ..., p]`` is seat ``p``'s payoff when seat ``s`` plays
+    ``pools[s][i_s]``.
+
+    On Leduc each policy's reach is walked once, through its own action
+    probabilities only, as a realization plan: the reach of each of its
+    seat's action sequences. A (terminal, deal) pair is reached with the
+    product of the two seats' reaches of their sequences on its path, so
+    seat 0's block is ``X0 @ A @ X1.T``, with ``X`` the pools' stacked plans
+    and ``A`` the sparse chance-weighted rewards of each pair of sequences.
+    On a matrix game the payoff tensor is contracted with each seat's
+    stacked row-0 distributions, first seat first. Each policy's table is
+    kept as in :func:`analytic_payoffs`; the values agree with it to
+    rounding (see the module docstring).
+    """
+    _check(env)
+    if len(pools) != env.n_players:
+        raise ValueError(f"expected {env.n_players} pools, got {len(pools)}")
+    if isinstance(env, LeducEnv):
+        index = _leduc_index()
+        plans0, plans1 = (_realization_plans(env, seat, pool) for seat, pool in enumerate(pools))
+        # A's non-zero entries, grouped by seat 1's sequence: summed within
+        # each group, then one product with seat 1's plans.
+        terms = plans0[:, index.pair_sequences[0]]
+        terms *= index.pair_rewards
+        per_column = np.add.reduceat(terms, index.pair_starts, axis=1)
+        block = per_column @ plans1[:, index.pair_sequences[1]].T
+        # Leduc is zero-sum to the bit, so seat 1's block is seat 0's negated.
+        return np.stack([block, -block], axis=-1)
+    value = env.payoff_tensor
+    for seat, pool in enumerate(pools):
+        dists = np.array([_table(env, seat, policy)[0] for policy in pool])
+        value = np.tensordot(value, dists.reshape(len(pool), env.action_count(seat)), axes=(0, 1))
+    return np.moveaxis(value, 0, -1)
 
 
 def exact_best_response(
@@ -231,6 +282,16 @@ class _LeducIndex:
       position in the player's probability table of the action taken.
     - ``rewards[p, t, d]``: seat ``p``'s reward at the ``t``-th terminal node
       under deal ``d``, times the chance 1 / (2 seatings x 120 deals).
+    - ``sequences[p]``: seat ``p``'s action sequences, each named by the
+      flat table position of its last action, with the empty sequence one
+      past the table, grouped by how many actions of ``p`` come before;
+      each group is (the positions, each one's parent sequence).
+    - ``pair_sequences``, ``pair_rewards`` and ``pair_starts``: every pair
+      of seat 0's and seat 1's sequences that ends a (terminal, deal) path,
+      with seat 0's chance-weighted reward summed over the paths it ends;
+      pairs of reward 0 are left out. The pairs are sorted by seat 1's
+      sequence and ``pair_starts`` marks where each of its values begins;
+      ``pair_sequences[1]`` holds one entry per group, at those starts.
     - ``plans[p]``: the decision nodes from the highest id down, with their
       children's ids in legal order and, where ``p`` acts, each deal's key
       group and each group's key row.
@@ -276,6 +337,44 @@ class _LeducIndex:
             for (_, player), entries in sorted(levels.items())
         ]
 
+        # last[p, n, d]: the sequence of seat p's actions on the path to
+        # node n under deal d (see sequences above).
+        empty = [3 * len(keys) for keys in self.keys]
+        last = np.empty((2, *self.shape), dtype=np.intp)
+        last[0], last[1] = empty
+        parent = [np.empty(len(keys), dtype=np.intp) for keys in self.keys]
+        for node in nodes:  # ids number parents before children
+            if node.terminal:
+                continue
+            seat = node.player
+            parent[seat][rows[node.id]] = last[seat, node.id]
+            for action, child in node.children.items():
+                last[:, child.id] = last[:, node.id]
+                last[seat, child.id] = 3 * rows[node.id] + action
+        self.sequences = []
+        for seat in range(2):
+            # A key's parent sequence ends at a key met earlier, so its row is lower.
+            own_depth = np.zeros(len(parent[seat]), dtype=int)
+            for row, position in enumerate(parent[seat].tolist()):
+                if position != empty[seat]:
+                    own_depth[row] = own_depth[position // 3] + 1
+            groups = []
+            for level in range(own_depth.max() + 1):
+                level_rows = np.flatnonzero(own_depth == level)
+                positions = (3 * level_rows[:, None] + np.arange(3)).ravel()
+                groups.append((positions, np.repeat(parent[seat][level_rows], 3)))
+            self.sequences.append(groups)
+
+        ends = [last[seat][self.terminals].ravel() for seat in range(2)]
+        width = empty[0] + 1
+        pairs, which = np.unique(ends[1] * width + ends[0], return_inverse=True)
+        summed = np.bincount(which, weights=self.rewards[0].ravel())
+        kept = summed != 0.0
+        pairs, self.pair_rewards = pairs[kept], summed[kept]
+        columns = pairs // width
+        self.pair_starts = np.flatnonzero(np.r_[True, columns[1:] != columns[:-1]])
+        self.pair_sequences = (pairs % width, columns[self.pair_starts])
+
         self.plans = []
         for learner in range(2):
             plan = []
@@ -316,6 +415,23 @@ def _node_reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndar
 def _reach(index: _LeducIndex, tables: Mapping[int, np.ndarray]) -> np.ndarray:
     """:func:`_node_reach` at the terminal nodes."""
     return _node_reach(index, tables)[index.terminals]
+
+
+def _realization_plans(env, seat: int, pool: Sequence) -> np.ndarray:
+    """Row ``i``: ``pool[i]``'s realization plan at seat ``seat``, the
+    product of its own action probabilities along each of the seat's action
+    sequences (see ``_LeducIndex.sequences``), computed one level at a time
+    over the whole pool. Its value at the seat's last sequence on a
+    (terminal, deal) path is that path's reach in a :func:`_node_reach` walk
+    with the one table."""
+    index = _leduc_index()
+    # Row i: pool[i]'s table flattened, then the empty sequence's reach of 1.
+    plans = np.ones((len(pool), 3 * len(index.keys[seat]) + 1))
+    for row, policy in zip(plans, pool):
+        row[:-1] = _table(env, seat, policy).ravel()
+    for positions, parents in index.sequences[seat]:
+        plans[:, positions] *= plans[:, parents]
+    return plans
 
 
 def _leduc_value(tables: Sequence[np.ndarray]) -> np.ndarray:

@@ -607,33 +607,40 @@ def test_leduc_exact_psro_bytes_are_pinned(tmp_path, artifact_digest):
 
 
 # What `psromix eval` prints for a seed-5 run scored against a held-out set
-# drawn from a seed-101 run of the same config, pinned to the bit. On rps no
-# held-out policy gains against the seed-5 solution, so both regrets are 0.
+# drawn from another run of the same config (EVAL_SET_SEEDS), pinned to the
+# bit.
 EVAL_LINES = {
     ("leduc", "mixed-oracles", 3): [
-        "proxy_regret_p0 0.39829412294935995",
-        "proxy_regret_p1 0.5489926987560054",
-        "sum_proxy_regret 0.9472868217053654",
+        "proxy_regret_p0 0.39829412294935984",
+        "proxy_regret_p1 0.5489926987560045",
+        "sum_proxy_regret 0.9472868217053644",
     ],
     ("rps", "mixed-opponents", 2): [
         "proxy_regret_p0 0.0",
-        "proxy_regret_p1 0.0",
-        "sum_proxy_regret 0.0",
+        "proxy_regret_p1 0.25",
+        "sum_proxy_regret 0.25",
     ],
 }
 
+# The seed of the run each case's eval set is sampled from. On rps it holds
+# a Rock policy for player 1, which gains against the seed-5 solution, so
+# the matrix case pins a positive proxy regret too (seed 101's set held
+# none that gains).
+EVAL_SET_SEEDS = {("leduc", "mixed-oracles", 3): 101, ("rps", "mixed-opponents", 2): 116}
+
 
 def _pinned_eval_inputs(tmp_path, env_name, algorithm, epochs):
-    """The checkpoint (seed 5) and the eval set (from seed 101) that
-    :data:`EVAL_LINES` is pinned on."""
-    for seed in (5, 101):
+    """The checkpoint (seed 5) and the eval set (from the seed of
+    :data:`EVAL_SET_SEEDS`) that :data:`EVAL_LINES` is pinned on."""
+    eval_seed = EVAL_SET_SEEDS[env_name, algorithm, epochs]
+    for seed in (5, eval_seed):
         path = write_config(tmp_path / f"cfg{seed}.json", algorithm, seed, epochs=epochs)
         cfg = json.loads(path.read_text())
         cfg["env"]["name"] = env_name
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--output", str(tmp_path / f"run{seed}")]) == 0
     eval_set = tmp_path / "eval_set"
-    export_eval_set(resume(tmp_path / "run101" / "checkpoint"), eval_set, size=2, seed=1)
+    export_eval_set(resume(tmp_path / f"run{eval_seed}" / "checkpoint"), eval_set, size=2, seed=1)
     return tmp_path / "run5" / "checkpoint", eval_set
 
 

@@ -86,6 +86,44 @@ def test_empty_deviation_set_rejected():
         regret(game, [np.array([1.0, 0.0])] * 2, [[], [0]])
 
 
+def _mismatch_case():
+    """rps: populations of 2 and 1 pure policies, a uniform deviation a seat."""
+    populations = [[pure_action_policy(3, 0), pure_action_policy(3, 1)], [pure_action_policy(3, 2)]]
+    deviations = [[uniform_random_policy(3)], [uniform_random_policy(3)]]
+    return rps_env(), populations, deviations
+
+
+def test_a_mixture_longer_than_its_population_is_rejected():
+    env, populations, deviations = _mismatch_case()
+    # Player 1's second weight would fall on its held-out deviation.
+    sigma = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
+    with pytest.raises(ValueError, match="player 1: mixture has length 2, expected 1"):
+        regret(env, sigma, deviations, populations=populations)
+
+
+def test_a_mixture_shorter_than_its_population_is_rejected():
+    env, populations, deviations = _mismatch_case()
+    with pytest.raises(ValueError, match="player 0: mixture has length 1, expected 2"):
+        regret(env, [np.array([1.0]), np.array([1.0])], deviations, populations=populations)
+
+
+def test_a_mixture_that_does_not_fit_the_game_is_rejected():
+    game = matching_pennies_game()
+    with pytest.raises(ValueError, match="player 1: mixture has length 3, expected 2"):
+        regret(game, [np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])], [[0, 1], [0, 1]])
+
+
+def test_one_mixture_and_one_population_per_player_are_required():
+    env, populations, deviations = _mismatch_case()
+    sigma = [np.array([0.5, 0.5]), np.array([1.0])]
+    with pytest.raises(ValueError, match="sigma has 1 mixtures, expected 2"):
+        regret(env, sigma[:1], deviations, populations=populations)
+    with pytest.raises(ValueError, match="got 1 populations, expected 2"):
+        regret(env, sigma, deviations, populations=populations[:1])
+    with pytest.raises(ValueError, match="sigma has 3 mixtures, expected 2"):
+        regret(matching_pennies_game(), [np.array([0.5, 0.5])] * 3, [[0, 1], [0, 1]])
+
+
 def test_proxy_regret_clips_at_zero():
     env = rps_env()
     populations = [[pure_action_policy(3, 0)], [pure_action_policy(3, 1)]]
@@ -207,8 +245,8 @@ def regret_cases(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(regret_cases())
 def test_env_regret_equals_regret_in_analytic_game(case):
-    # The env path sums matchups over the mixture supports; the game path
-    # reads the gain vectors of a game filled with the same analytic cells.
+    # The env path reads the gain vectors of exact.payoff_block's tensor; the
+    # game path those of a game filled cell by cell with analytic_payoffs.
     env, populations, sigma, deviations = case
     env_regret = regret(env, sigma, deviations, populations=populations)
     game = EmpiricalGame(2)
